@@ -7,6 +7,7 @@ law identity by hash. Everything here is immutable and side-effect free.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -322,27 +323,46 @@ class ControlState:
     A functor is single-valued unless the governing law declares it
     set-valued. Overlay terms (``clock``, peer identification) are injected
     per event, shadow the base state, and are never written back.
+
+    A state is a persistent value: no update changes it, and versions share
+    everything an update does not touch. ``_terms`` maps each functor to a
+    tuple of its base terms in ``Term.canonical`` order; ``_overlay`` maps
+    each overlay functor to its injected terms. Neither is ever mutated.
+
+    - ``add``, ``replace`` and ``remove`` copy the functor dict and rebuild
+      only the bucket they touch, inserting at the sorted position.
+    - ``with_overlay`` and ``without_overlay`` share the base dict and
+      change only the overlay.
+    - Building a state from an iterable sorts each bucket once.
+    - ``canonical()`` is computed at most once per state, and versions that
+      differ only in their overlay share it.
     """
 
-    __slots__ = ("_terms", "multi", "_overlay")
+    __slots__ = ("_terms", "multi", "_overlay", "_canonical")
 
     def __init__(self, terms: Iterable[Term] = (), multi: frozenset = frozenset(),
                  overlay: Iterable[Term] = ()):
-        self.multi = multi
-        self._terms = {}
+        buckets = {}
         for t in terms:
-            self._insert(self._terms, t)
-        self._overlay = {}
-        for t in overlay:
-            self._overlay.setdefault(t.functor, []).append(t)
-
-    def _insert(self, store, t: Term):
-        bucket = store.setdefault(t.functor, [])
-        if t.functor not in self.multi and bucket:
-            raise StateError("duplicate-term: functor %r is single-valued" % t.functor)
-        if t not in bucket:
+            bucket = buckets.setdefault(t.functor, [])
+            if bucket and t.functor not in multi:
+                raise StateError("duplicate-term: functor %r is single-valued" % t.functor)
             bucket.append(t)
-            bucket.sort(key=Term.canonical)
+        self.multi = multi
+        # dict.fromkeys drops repeats of a set-valued term, keeping the first
+        self._terms = {f: tuple(sorted(dict.fromkeys(b), key=Term.canonical))
+                       for f, b in buckets.items()}
+        self._overlay = _group(overlay)
+        self._canonical = None
+
+    def _version(self, terms: dict, overlay: dict, canonical=None) -> "ControlState":
+        """A new state over the given (shared, never mutated) dicts."""
+        st = ControlState.__new__(ControlState)
+        st.multi = self.multi
+        st._terms = terms
+        st._overlay = overlay
+        st._canonical = canonical
+        return st
 
     def terms(self):
         """Base (persisted) terms in canonical order."""
@@ -351,57 +371,89 @@ class ControlState:
             out.extend(self._terms[f])
         return out
 
-    def lookup(self, functor: str):
-        """Visible terms for a functor: overlay shadows base."""
+    def visible(self, functor: str):
+        """Visible terms for a functor, overlay shadowing base, without a copy."""
         if functor in self._overlay:
-            return list(self._overlay[functor])
-        return list(self._terms.get(functor, ()))
+            return self._overlay[functor]
+        return self._terms.get(functor, ())
+
+    def lookup(self, functor: str):
+        """Visible terms for a functor as a new list."""
+        return list(self.visible(functor))
 
     def with_overlay(self, terms: Iterable[Term]) -> "ControlState":
-        return ControlState(self.terms(), self.multi, terms)
-
-    def replace(self, old: Term, new: Term) -> "ControlState":
-        if old.functor in self._overlay:
-            raise StateError("read-only term %r" % old.functor)
-        bucket = self._terms.get(old.functor, [])
-        if old not in bucket:
-            raise StateError("stale-state-update: %s not in state" % old.canonical())
-        terms = [t for t in self.terms() if t != old]
-        st = ControlState(terms, self.multi, self._flat_overlay())
-        st._insert(st._terms, new)
-        return st
-
-    def add(self, term: Term) -> "ControlState":
-        if term.functor in self._overlay:
-            raise StateError("read-only term %r" % term.functor)
-        st = ControlState(self.terms(), self.multi, self._flat_overlay())
-        st._insert(st._terms, term)
-        return st
-
-    def remove(self, term: Term) -> "ControlState":
-        bucket = self._terms.get(term.functor, [])
-        if term not in bucket:
-            raise StateError("stale-state-update: %s not in state" % term.canonical())
-        return ControlState([t for t in self.terms() if t != term],
-                            self.multi, self._flat_overlay())
-
-    def _flat_overlay(self):
-        out = []
-        for f in self._overlay:
-            out.extend(self._overlay[f])
-        return out
+        return self._version(self._terms, _group(terms), self._canonical)
 
     def without_overlay(self) -> "ControlState":
-        return ControlState(self.terms(), self.multi)
+        if not self._overlay:
+            return self
+        return self._version(self._terms, {}, self._canonical)
+
+    def replace(self, old: Term, new: Term) -> "ControlState":
+        self._check_writable(old)
+        terms = dict(self._terms)
+        _drop(terms, old)
+        self._put(terms, new)
+        return self._version(terms, self._overlay)
+
+    def add(self, term: Term) -> "ControlState":
+        self._check_writable(term)
+        terms = dict(self._terms)
+        self._put(terms, term)
+        return self._version(terms, self._overlay)
+
+    def remove(self, term: Term) -> "ControlState":
+        self._check_writable(term)
+        terms = dict(self._terms)
+        _drop(terms, term)
+        return self._version(terms, self._overlay)
+
+    def _check_writable(self, t: Term):
+        if t.functor in self._overlay:
+            raise StateError("read-only term %r" % t.functor)
+
+    def _put(self, terms: dict, t: Term):
+        """Insert ``t`` into its bucket of ``terms`` (a private copy)."""
+        bucket = terms.get(t.functor, ())
+        if bucket and t.functor not in self.multi:
+            raise StateError("duplicate-term: functor %r is single-valued" % t.functor)
+        if t not in bucket:
+            # after any equal keys, as appending and then sorting stably would
+            i = bisect_right(bucket, t.canonical(), key=Term.canonical)
+            terms[t.functor] = bucket[:i] + (t,) + bucket[i:]
 
     def canonical(self) -> str:
-        return ";".join(t.canonical() for t in self.terms())
+        if self._canonical is None:
+            self._canonical = ";".join(t.canonical() for t in self.terms())
+        return self._canonical
 
     def __eq__(self, other):
         return isinstance(other, ControlState) and self.canonical() == other.canonical()
 
     def __repr__(self):
         return "ControlState{%s}" % self.canonical()
+
+
+def _group(terms: Iterable[Term]) -> dict:
+    """Overlay terms by functor, in the order given."""
+    out = {}
+    for t in terms:
+        out.setdefault(t.functor, []).append(t)
+    return out
+
+
+def _drop(terms: dict, t: Term):
+    """Remove ``t`` from its bucket of ``terms`` (a private copy)."""
+    bucket = terms.get(t.functor, ())
+    try:
+        i = bucket.index(t)
+    except ValueError:
+        raise StateError("stale-state-update: %s not in state" % t.canonical()) from None
+    rest = bucket[:i] + bucket[i + 1:]
+    if rest:
+        terms[t.functor] = rest
+    else:
+        del terms[t.functor]
 
 
 @dataclass(frozen=True)

@@ -822,7 +822,7 @@ def event_args(event: Event, state: ControlState):
 
 
 def _self_name(state: ControlState) -> str:
-    for t in state.lookup("name"):
+    for t in state.visible("name"):
         if t.args and isinstance(t.args[0], str):
             return t.args[0]
     return ""
@@ -878,7 +878,7 @@ def _guard_from(guard: tuple, i: int, b: dict, state: ControlState):
     atom = guard[i]
     if isinstance(atom, StateQuery):
         pat = atom.pattern
-        for cand in state.lookup(pat.functor):
+        for cand in state.visible(pat.functor):
             if len(cand.args) != len(pat.args):
                 continue
             trial = dict(b)

@@ -90,6 +90,137 @@ class TestControlState:
         b = ControlState([Term("a", (2,)), Term("b", (1,))])
         assert a.canonical() == b.canonical() == "a(2);b(1)"
 
+    def test_remove_of_overlay_functor_is_read_only(self):
+        st_ = ControlState([Term("clock", (1,))]).with_overlay([Term("clock", (9,))])
+        for shadowed in (Term("clock", (1,)), Term("clock", (9,))):
+            with pytest.raises(StateError, match="read-only term 'clock'"):
+                st_.remove(shadowed)
+        assert st_.canonical() == "clock(1)"
+
+
+class ModelState:
+    """Reference for ControlState: a plain list, re-sorted on every read."""
+
+    def __init__(self, base, multi, overlay=()):
+        self.base, self.multi, self.overlay = list(base), multi, list(overlay)
+
+    @classmethod
+    def build(cls, terms, multi):
+        st_ = cls([], multi)
+        for t in terms:
+            st_.base = st_._inserted(t)
+        return st_
+
+    def _inserted(self, t):
+        if t.functor not in self.multi and any(u.functor == t.functor for u in self.base):
+            raise StateError("duplicate-term")
+        return self.base if t in self.base else self.base + [t]
+
+    def _writable(self, t):
+        if any(u.functor == t.functor for u in self.overlay):
+            raise StateError("read-only term")
+
+    def _without(self, t):
+        if t not in self.base:
+            raise StateError("stale-state-update")
+        return [u for u in self.base if u != t]
+
+    def add(self, t):
+        self._writable(t)
+        return ModelState(self._inserted(t), self.multi, self.overlay)
+
+    def remove(self, t):
+        self._writable(t)
+        return ModelState(self._without(t), self.multi, self.overlay)
+
+    def replace(self, old, new):
+        self._writable(old)
+        rest = ModelState(self._without(old), self.multi, self.overlay)
+        return ModelState(rest._inserted(new), self.multi, self.overlay)
+
+    def with_overlay(self, terms):
+        return ModelState(self.base, self.multi, terms)
+
+    def without_overlay(self):
+        return ModelState(self.base, self.multi)
+
+    def terms(self):
+        return sorted(self.base, key=lambda t: (t.functor, t.canonical()))
+
+    def lookup(self, functor):
+        shadow = [t for t in self.overlay if t.functor == functor]
+        return shadow or [t for t in self.terms() if t.functor == functor]
+
+    def canonical(self):
+        return ";".join(t.canonical() for t in self.terms())
+
+
+MULTI = frozenset({"q", "r"})
+FUNCTORS = ("a", "b", "q", "r", "clock")
+# integers up to 12 make canonical (string) order differ from numeric order
+model_terms = st.builds(
+    Term, st.sampled_from(FUNCTORS),
+    st.one_of(st.tuples(st.integers(0, 12)),
+              st.tuples(st.integers(0, 12), st.sampled_from(["x", "y"]))))
+overlay_terms = st.builds(Term, st.sampled_from(("clock", "peer", "a")),
+                          st.tuples(st.integers(0, 3)))
+
+
+def _outcome(fn):
+    """A call's result, or the StateError it raised."""
+    try:
+        return fn()
+    except StateError as exc:
+        return exc
+
+
+class TestControlStateModel:
+    def _assert_same(self, real, model):
+        assert real.terms() == model.terms()
+        assert real.canonical() == model.canonical()
+        assert ";".join(t.canonical() for t in real.terms()) == model.canonical()
+        for f in FUNCTORS + ("peer",):
+            assert real.lookup(f) == model.lookup(f)
+
+    @given(st.lists(model_terms, max_size=8), st.data())
+    def test_matches_list_model_and_versions_never_change(self, initial, data):
+        real = _outcome(lambda: ControlState(initial, MULTI))
+        model = _outcome(lambda: ModelState.build(initial, MULTI))
+        if isinstance(model, StateError):
+            assert isinstance(real, StateError)
+            assert str(real).startswith(str(model))
+            return
+        versions = [(real, model, real.canonical())]
+        for _ in range(data.draw(st.integers(0, 25))):
+            real, model, _ = versions[data.draw(st.integers(0, len(versions) - 1))]
+            present = real.terms() + [t for f in ("clock", "peer", "a") for t in real.lookup(f)]
+            existing = st.sampled_from(present) if present else model_terms
+            kind = data.draw(st.sampled_from(
+                ("add", "replace", "remove", "with_overlay", "without_overlay")))
+            if kind == "add":
+                args = (data.draw(st.one_of(existing, model_terms)),)
+            elif kind == "replace":
+                args = (data.draw(st.one_of(existing, model_terms)), data.draw(model_terms))
+            elif kind == "remove":
+                args = (data.draw(st.one_of(existing, model_terms)),)
+            elif kind == "with_overlay":
+                args = (data.draw(st.lists(overlay_terms, min_size=1, max_size=3)),)
+            else:
+                args = ()
+            new_real = _outcome(lambda: getattr(real, kind)(*args))
+            new_model = _outcome(lambda: getattr(model, kind)(*args))
+            if isinstance(new_model, StateError):
+                assert isinstance(new_real, StateError), (kind, args)
+                assert str(new_real).startswith(str(new_model)), (kind, args)
+                continue
+            assert not isinstance(new_real, StateError), (kind, args, new_real)
+            self._assert_same(new_real, new_model)
+            versions.append((new_real, new_model, new_real.canonical()))
+        # deriving new versions never changed an old one
+        for real, model, canonical in versions:
+            self._assert_same(real, model)
+            assert real.canonical() == canonical
+
 
 class TestOps:
     def test_op_canonical_forms(self):
