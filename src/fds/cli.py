@@ -5,19 +5,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 from pathlib import Path
 
 from .core import FdsError
 from .harness import (
-    RunReport,
     ScenarioError,
     load_laws_dir,
     load_scenario,
     replay_report_file,
     run_scenario,
 )
-from .transport import SocketTransport, decode_envelope, encode_envelope
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,8 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="load laws from a directory of .law files")
     run.add_argument("--trace-out", default=None, help="write the run report here")
     run.add_argument("--metrics-out", default=None, help="write metrics JSON here")
-    run.add_argument("--transport", choices=("sim", "socket"), default="sim",
-                     help="socket additionally mirrors envelopes over loopback TCP")
     run.add_argument("--firewall", choices=("on", "off"), default=None,
                      help="override the scenario's rogue-channel firewall")
 
@@ -60,12 +55,6 @@ def cmd_run(args) -> int:
         status = "PASS" if verdict["ok"] else "FAIL"
         print("%s %s: %s" % (status, name, verdict["detail"]))
         failures += 0 if verdict["ok"] else 1
-    if args.transport == "socket":
-        mirrored, total = _mirror_over_socket(report)
-        ok = mirrored == total
-        print("%s socket-mirror: %d/%d envelopes round-tripped over TCP"
-              % ("PASS" if ok else "FAIL", mirrored, total))
-        failures += 0 if ok else 1
     if args.trace_out:
         Path(args.trace_out).write_text(report.to_json())
     if args.metrics_out:
@@ -74,46 +63,6 @@ def cmd_run(args) -> int:
     if not report.verdicts:
         print("note: scenario declares no assertions", file=sys.stderr)
     return 1 if failures else 0
-
-
-def _mirror_over_socket(report: RunReport, limit: int = 200):
-    """Push the run's envelopes through a real loopback TCP hop.
-
-    The simulation stays authoritative; this only proves the wire codec and
-    framing carry the same envelopes byte-for-byte.
-    """
-    from .transport import make_envelope, write_frame
-    import socket as socketlib
-
-    envelopes = [r for r in report.records if r["type"] == "envelope"][:limit]
-    received = []
-    done = threading.Event()
-    expected = len(envelopes)
-
-    def on_envelope(env):
-        received.append(env)
-        if len(received) >= expected:
-            done.set()
-
-    transport = SocketTransport("127.0.0.1", 0, on_envelope)
-    try:
-        host, port = transport.address
-        conn = socketlib.create_connection((host, port))
-        sent = []
-        for rec in envelopes:
-            env = make_envelope(rec["kind"], rec["sender"], rec["senderDivision"],
-                                [rec["senderLaw"]], rec["target"], rec["payload"],
-                                rec["time"])
-            sent.append(env)
-            write_frame(conn, encode_envelope(env))
-        if expected:
-            done.wait(timeout=5.0)
-        conn.close()
-        matched = sum(1 for a, b in zip(sent, received)
-                      if encode_envelope(a) == encode_envelope(b))
-        return matched, expected
-    finally:
-        transport.close()
 
 
 def cmd_laws_check(args) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .actors import BaseActor, EchoActor, ProberActor, RingMemberActor, SinkActor
+from .actors import EchoActor, ProberActor, RingMemberActor, SinkActor
 from .controller import AdoptionError, ControllerPool, issue_certificate
 from .core import (
     Adopted,
@@ -31,7 +31,7 @@ from .core import (
     hash_law,
     parse_term,
 )
-from .hierarchy import Framework, derive_ruling
+from .hierarchy import Bundle, Framework, FrameworkError, derive_ruling, publish_laws
 from .lawlang import parse_law
 from .lawserver import LawServer
 from .library import (
@@ -71,78 +71,36 @@ BEHAVIORS = {
 # law bundles
 
 
-@dataclass(frozen=True)
-class SingleLawBundle:
-    framework: Framework
-    root: str
-    ref: str
-
-    def law(self, ref: str) -> str:
-        if ref == self.ref or ref == self.root:
-            return self.root
-        raise KeyError("unknown-law: %s" % ref)
-
-
-@dataclass(frozen=True)
-class DirBundle:
-    framework: Framework
-    by_name: Dict[str, str]
-
-    def law(self, ref: str) -> str:
-        if ref in self.by_name:
-            return self.by_name[ref]
-        if ref in self.framework.docs:
-            return ref
-        raise KeyError("unknown-law: %s" % ref)
-
-
-def build_bundle(cfg: dict):
+def build_bundle(cfg: dict) -> Bundle:
     kind = cfg.get("bundle", "acme")
     params = cfg.get("params", {})
     if kind == "acme":
         return build_acme_hierarchy(params.get("grace", 80))
+    if kind == "dir":
+        return load_laws_dir(params["dir"])
     if kind == "rc":
         text = make_rate_control_law(params.get("variant", "drop"),
                                      params.get("initialDelay", 0),
                                      params.get("server", "v"))
-        fw = Framework()
-        return SingleLawBundle(fw, fw.publish_root(parse_law(text)), "rc")
-    if kind == "cc":
+    elif kind == "cc":
         text = make_cc_law(params.get("server", "s"), params.get("initialDelay", 100))
-        fw = Framework()
-        return SingleLawBundle(fw, fw.publish_root(parse_law(text)), "cc")
-    if kind == "ring":
+    elif kind == "ring":
         text = make_token_ring_law(params.get("confirmWait", 40))
-        fw = Framework()
-        return SingleLawBundle(fw, fw.publish_root(parse_law(text)), "ring")
-    if kind == "dir":
-        return load_laws_dir(params["dir"])
-    raise ScenarioError("unknown law bundle %r" % kind)
+    else:
+        raise ScenarioError("unknown law bundle %r" % kind)
+    return publish_laws({kind: parse_law(text)})
 
 
-def load_laws_dir(path) -> DirBundle:
-    """Load a directory of ``.law`` files; root first, deltas by name."""
-    files = sorted(Path(path).glob("*.law"))
-    docs = [parse_law(p.read_text()) for p in files]
-    fw = Framework()
-    by_name: Dict[str, str] = {}
-    pending = list(docs)
-    for doc in list(pending):
-        if doc.kind == "root":
-            by_name[doc.name] = fw.publish_root(doc)
-            pending.remove(doc)
-    progress = True
-    while pending and progress:
-        progress = False
-        for doc in list(pending):
-            sup = by_name.get(doc.superior, doc.superior)
-            if sup in fw.docs:
-                by_name[doc.name] = fw.publish_delta(sup, doc)
-                pending.remove(doc)
-                progress = True
-    if pending:
-        raise ScenarioError("unresolved superiors: %s" % [d.name for d in pending])
-    return DirBundle(fw, by_name)
+def load_laws_dir(path) -> Bundle:
+    """Load a directory of ``.law`` files, published under their law names."""
+    docs = [parse_law(p.read_text()) for p in sorted(Path(path).glob("*.law"))]
+    docs_by_name = {doc.name: doc for doc in docs}
+    if len(docs_by_name) != len(docs):
+        raise ScenarioError("duplicate law names in %s" % path)
+    try:
+        return publish_laws(docs_by_name)
+    except FrameworkError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -509,31 +467,12 @@ ASSERTIONS: Dict[str, Callable] = {
 
 
 def rebuild_framework(laws: Dict[str, str]) -> Framework:
-    docs = {h: parse_law(t) for h, t in laws.items()}
-    fw = Framework()
-    by_name: Dict[str, str] = {}
-    for h, doc in docs.items():
-        if doc.kind == "root":
-            got = fw.publish_root(doc)
-            if got != h:
-                raise FdsError("root text does not hash to %s" % h)
-            by_name[doc.name] = h
-    pending = {h: d for h, d in docs.items() if d.kind == "delta"}
-    while pending:
-        placed = []
-        for h, doc in pending.items():
-            sup = by_name.get(doc.superior, doc.superior)
-            if sup in fw.docs:
-                got = fw.publish_delta(sup, doc)
-                if got != h:
-                    raise FdsError("delta text does not hash to %s" % h)
-                by_name[doc.name] = h
-                placed.append(h)
-        if not placed:
-            raise FdsError("unresolvable law dependencies in report")
-        for h in placed:
-            del pending[h]
-    return fw
+    """Republish a report's laws, checking each text hashes to its key."""
+    bundle = publish_laws({h: parse_law(t) for h, t in laws.items()})
+    for h, got in bundle.by_name.items():
+        if got != h:
+            raise FdsError("law text does not hash to %s" % h)
+    return bundle.framework
 
 
 def _event_from_record(rec: dict, overlay):

@@ -24,18 +24,11 @@ operations: the audit trail records messages that actually flowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from .core import AuditLog, Block, ControlState, Event, FdsError, Ruling, hash_law
-from .lawlang import (
-    MODE_RANK,
-    GroundRule,
-    LawDoc,
-    aspect_matches,
-    default_ruling,
-    first_match,
-)
+from .lawlang import MODE_RANK, LawDoc, default_ruling, first_match
 
 
 class FrameworkError(FdsError):
@@ -68,7 +61,6 @@ class Framework:
         self.root: Optional[str] = None
         self.docs: Dict[str, LawDoc] = {}
         self.texts: Dict[str, str] = {}
-        self.children: Dict[str, List[str]] = {}
         self.parent: Dict[str, Optional[str]] = {}
 
     def publish_root(self, doc: LawDoc) -> str:
@@ -81,7 +73,6 @@ class Framework:
         self.root = h
         self.docs[h] = doc
         self.texts[h] = text
-        self.children[h] = []
         self.parent[h] = None
         return h
 
@@ -106,8 +97,6 @@ class Framework:
             return h  # identical republish is a no-op
         self.docs[h] = doc
         self.texts[h] = text
-        self.children[h] = []
-        self.children[superior].append(h)
         self.parent[h] = superior
         return h
 
@@ -136,6 +125,59 @@ class Framework:
                 break
             lca = x
         return lca
+
+
+@dataclass(frozen=True)
+class Bundle:
+    """A published framework plus the caller's short names for its laws.
+
+    ``by_name`` maps each ref the laws were published under to its hash;
+    the refs double as attributes (``bundle.d1``).
+    """
+
+    framework: Framework
+    by_name: Dict[str, str]
+
+    def law(self, ref: str) -> str:
+        """Resolve a short ref, or a published hash, to a law hash."""
+        if ref in self.by_name:
+            return self.by_name[ref]
+        if ref in self.framework.docs:
+            return ref
+        raise KeyError("unknown-law: %s" % ref)
+
+    def __getattr__(self, name: str) -> str:
+        try:
+            return self.__dict__["by_name"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+
+def publish_laws(docs_by_ref: Dict[str, LawDoc]) -> Bundle:
+    """Publish laws into a fresh framework: roots first, then each delta
+    once its superior (named by doc name or by hash) is published."""
+    fw = Framework()
+    by_name: Dict[str, str] = {}
+    by_doc_name: Dict[str, str] = {}
+    pending = {}
+    for ref, doc in docs_by_ref.items():
+        if doc.kind == "root":
+            by_name[ref] = by_doc_name[doc.name] = fw.publish_root(doc)
+        else:
+            pending[ref] = doc
+    progress = True
+    while pending and progress:
+        progress = False
+        for ref, doc in list(pending.items()):
+            sup = by_doc_name.get(doc.superior, doc.superior)
+            if sup in fw.docs:
+                by_name[ref] = by_doc_name[doc.name] = fw.publish_delta(sup, doc)
+                del pending[ref]
+                progress = True
+    if pending:
+        raise FrameworkError("unresolved superiors: %s"
+                             % [d.name for d in pending.values()])
+    return Bundle(fw, by_name)
 
 
 def effective_mode(superiors, aspect: str) -> Optional[str]:

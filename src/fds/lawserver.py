@@ -1,47 +1,29 @@
 """Law server: the authoritative, self-regulating home of published laws.
 
-The server plays two roles. As a plain service it answers law-text and
-law-path queries over the envelope request kinds, so a controller can
-fetch any law it is asked to enforce. As an L-agent it also accepts
-governed maintenance messages (publishing new deltas); whether a given
-sender may do that at all is decided by the law the server itself runs
-under, not by this code.
+The server is an L-agent like any other. Over ordinary governed
+messages it answers law-text and law-path queries, so an agent can fetch
+any law it meets, and accepts maintenance messages (publishing new
+deltas). Whether a given sender may query or publish at all is decided
+by the law the server itself runs under, not by this code.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from .core import FdsError, Term
 from .hierarchy import Framework, FrameworkError
 from .lawlang import parse_law
-from .transport import Envelope, make_envelope
 
 SERVER_NAME = "law-server"
 
 
 class LawServer:
-    """Query and maintenance front-end over a framework."""
+    """Governed query and maintenance front-end over a framework."""
 
     def __init__(self, framework: Framework, name: str = SERVER_NAME):
         self.framework = framework
         self.name = name
-
-    # -- plain query protocol (request/response envelope kinds) ------------
-
-    def serve_envelope(self, env: Envelope, now: int = 0) -> Envelope:
-        if env.kind == "law-text-request":
-            h = _string_arg(env.payload_term(), 0)
-            reply = self._text_reply(h)
-        elif env.kind == "law-path-request":
-            h = _string_arg(env.payload_term(), 0)
-            reply = self._path_reply(h)
-        else:
-            raise FdsError("not a law-server request kind: %s" % env.kind)
-        kind = env.kind.replace("request", "response")
-        root = self.framework.root
-        return make_envelope(kind, self.name, "", (root,) if root else ("-",),
-                             env.sender_name, reply, now)
 
     def _text_reply(self, h: str) -> Term:
         try:
@@ -55,8 +37,6 @@ class LawServer:
         except FrameworkError as exc:
             return Term("lawError", (h, str(exc)))
         return Term("lawPath", (h, Term("path", tuple(path.hashes))))
-
-    # -- governed maintenance and query, as an L-agent ---------------------
 
     def bind(self, pool, name: str = None):
         self._pool = pool

@@ -3,15 +3,13 @@ the token ring, and the travel-agent promise law.
 
 Each builder returns law text (deterministic, so hashes are stable across
 rebuilds); ``build_acme_hierarchy`` publishes the whole corporate bundle
-into a fresh framework and returns the hashes.
+into a fresh framework, under the refs root, d1, d2, bc and travel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .hierarchy import Framework
-from .lawlang import LawDoc, parse_law
+from .hierarchy import Bundle, publish_laws
+from .lawlang import parse_law
 
 ROOT_NAME = "acme-root"
 DEFAULT_GRACE = 80
@@ -208,31 +206,11 @@ rule v6 aspect promise:expire on obligationDue(expire(_)) do {{ }}
 """.format(g=grace)
 
 
-@dataclass(frozen=True)
-class AcmeBundle:
-    framework: Framework
-    root: str
-    d1: str
-    d2: str
-    bc: str
-    travel: str
-
-    def law(self, ref: str) -> str:
-        """Resolve a short law reference used by scenarios."""
-        table = {"root": self.root, "d1": self.d1, "d2": self.d2,
-                 "bc": self.bc, "travel": self.travel}
-        if ref in table:
-            return table[ref]
-        if ref in self.framework.docs:
-            return ref
-        raise KeyError("unknown-law: %s" % ref)
-
-
-def build_acme_hierarchy(grace: int = DEFAULT_GRACE) -> AcmeBundle:
-    fw = Framework()
-    root = fw.publish_root(parse_law(make_acme_root()))
-    d1 = fw.publish_delta(root, parse_law(make_division_law("D1")))
-    d2 = fw.publish_delta(root, parse_law(make_division_law("D2")))
-    bc = fw.publish_delta(root, parse_law(make_budget_law()))
-    travel = fw.publish_delta(d1, parse_law(make_actor_promise_law(grace)))
-    return AcmeBundle(fw, root, d1, d2, bc, travel)
+def build_acme_hierarchy(grace: int = DEFAULT_GRACE) -> Bundle:
+    return publish_laws({
+        "root": parse_law(make_acme_root()),
+        "d1": parse_law(make_division_law("D1")),
+        "d2": parse_law(make_division_law("D2")),
+        "bc": parse_law(make_budget_law()),
+        "travel": parse_law(make_actor_promise_law(grace)),
+    })

@@ -1,9 +1,10 @@
-"""Envelope codec and message carriers.
+"""Envelope codec, trace, and the simulated message carrier.
 
-One codec, two carriers: a deterministic simulated network driven by a
-logical-time scheduler, and a length-prefixed TCP transport. A rogue side
-channel delivers payloads actor-to-actor, bypassing all mediation, unless
-the simulated firewall is switched on.
+Envelopes travel over a deterministic simulated network driven by a
+logical-time scheduler; ``write_frame``/``read_frame`` carry the same
+encoded envelopes over any stream socket as length-prefixed frames. A
+rogue side channel delivers payloads actor-to-actor, bypassing all
+mediation, unless the simulated firewall is switched on.
 """
 
 from __future__ import annotations
@@ -13,21 +14,14 @@ import json
 import random
 import socket
 import struct
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import FdsError, Term, parse_term
 
 ENVELOPE_VERSION = 1
 
-ENVELOPE_KINDS = (
-    "lgi-message",
-    "law-text-request",
-    "law-text-response",
-    "law-path-request",
-    "law-path-response",
-)
+ENVELOPE_KINDS = ("lgi-message",)
 
 
 class CodecError(FdsError):
@@ -153,9 +147,6 @@ class Trace:
     def of_type(self, rectype: str) -> List[dict]:
         return [r for r in self.records if r["type"] == rectype]
 
-    def canonical_lines(self) -> List[str]:
-        return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in self.records]
-
 
 # ---------------------------------------------------------------------------
 # deterministic scheduler and simulated network
@@ -273,7 +264,7 @@ class SimNet:
 
 
 # ---------------------------------------------------------------------------
-# socket carrier: 4-byte big-endian length prefix + UTF-8 envelope text
+# stream framing: 4-byte big-endian length prefix + UTF-8 envelope text
 
 _LEN = struct.Struct(">I")
 
@@ -298,68 +289,8 @@ def _read_exact(sock, n):
     while len(buf) < n:
         chunk = sock.recv(n - len(buf))
         if not chunk:
-            return None if not buf else None
+            if buf:
+                raise CodecError("malformed: truncated frame")
+            return None
         buf += chunk
     return buf
-
-
-class SocketTransport:
-    """Minimal TCP carrier; excluded from determinism guarantees."""
-
-    def __init__(self, host: str, port: int, on_envelope: Callable[[Envelope], None]):
-        self.on_envelope = on_envelope
-        self.peers: Dict[str, Tuple[str, int]] = {}
-        self._conns: Dict[str, socket.socket] = {}
-        self._server = socket.create_server((host, port))
-        self.address = self._server.getsockname()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._thread.start()
-
-    def add_peer(self, name: str, host: str, port: int):
-        self.peers[name] = (host, port)
-
-    def send(self, env: Envelope, from_rulings=()):
-        if env.target not in self.peers:
-            raise FdsError("unknown peer %s" % env.target)
-        conn = self._conns.get(env.target)
-        if conn is None:
-            conn = socket.create_connection(self.peers[env.target])
-            self._conns[env.target] = conn
-        write_frame(conn, encode_envelope(env))
-
-    def _accept_loop(self):
-        self._server.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            t = threading.Thread(target=self._reader, args=(conn,), daemon=True)
-            t.start()
-
-    def _reader(self, conn):
-        try:
-            while not self._stop.is_set():
-                frame = read_frame(conn)
-                if frame is None:
-                    break
-                self.on_envelope(decode_envelope(frame))
-        except (OSError, CodecError):
-            pass
-        finally:
-            conn.close()
-
-    def close(self):
-        self._stop.set()
-        try:
-            self._server.close()
-        except OSError:
-            pass
-        for c in self._conns.values():
-            try:
-                c.close()
-            except OSError:
-                pass

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from fds.core import FdsError
 from fds.harness import (
     RunReport,
     ScenarioError,
+    build_bundle,
     check_assertion,
     load_laws_dir,
     load_scenario,
@@ -118,6 +120,44 @@ class TestReplay:
         assert set(fw.docs) == set(acme.framework.docs)
         assert fw.root == acme.root
 
+    def test_rebuild_framework_rejects_text_under_another_hash(self):
+        acme = build_acme_hierarchy()
+        laws = dict(acme.framework.texts)
+        laws[acme.d2] = laws[acme.d1]
+        with pytest.raises(FdsError, match="does not hash to %s" % acme.d2):
+            rebuild_framework(laws)
+
+
+class TestBundles:
+    @pytest.mark.parametrize("kind,refs", [
+        ("acme", {"root", "d1", "d2", "bc", "travel"}),
+        ("rc", {"rc"}),
+        ("cc", {"cc"}),
+        ("ring", {"ring"}),
+        ("dir", {"acme-root", "acme-d1"}),
+    ])
+    def test_refs_and_hashes_resolve(self, kind, refs, tmp_path):
+        (tmp_path / "a-root.law").write_text(make_acme_root())
+        (tmp_path / "b-d1.law").write_text(make_division_law("D1"))
+        bundle = build_bundle({"bundle": kind, "params": {"dir": str(tmp_path)}})
+        assert set(bundle.by_name) == refs
+        for ref in refs:
+            assert bundle.law(ref) == bundle.by_name[ref]
+        for h in bundle.framework.docs:
+            assert bundle.law(h) == h
+        with pytest.raises(KeyError, match="unknown-law"):
+            bundle.law("nonsense")
+
+    def test_refs_are_attributes(self):
+        acme = build_bundle({"bundle": "acme"})
+        assert acme.d1 == acme.by_name["d1"]
+        with pytest.raises(AttributeError):
+            acme.nonsense
+
+    def test_unknown_bundle_kind_errors(self):
+        with pytest.raises(ScenarioError, match="unknown law bundle"):
+            build_bundle({"bundle": "mystery"})
+
 
 class TestLawsDir:
     def test_load_directory_publishes_by_name(self, tmp_path):
@@ -130,4 +170,11 @@ class TestLawsDir:
         (tmp_path / "orphan.law").write_text(
             "law orphan\nextends nowhere\n")
         with pytest.raises(ScenarioError, match="unresolved"):
+            load_laws_dir(tmp_path)
+
+    def test_duplicate_law_names_error(self, tmp_path):
+        (tmp_path / "a-root.law").write_text(make_acme_root())
+        (tmp_path / "b-d1.law").write_text(make_division_law("D1"))
+        (tmp_path / "c-d1.law").write_text(make_division_law("D1"))
+        with pytest.raises(ScenarioError, match="duplicate law names"):
             load_laws_dir(tmp_path)

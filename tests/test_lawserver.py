@@ -2,10 +2,10 @@ import pytest
 
 from fds.actors import SinkActor
 from fds.controller import ControllerPool, issue_certificate
-from fds.core import FdsError, Term, hash_law, parse_term
+from fds.core import Term, hash_law, parse_term
 from fds.lawserver import LawServer
 from fds.library import build_acme_hierarchy, make_division_law
-from fds.transport import Scheduler, SimNet, SimNetConfig, Trace, make_envelope
+from fds.transport import Scheduler, SimNet, SimNetConfig, Trace
 
 
 @pytest.fixture()
@@ -20,30 +20,18 @@ def server(acme):
 
 class TestQueryProtocol:
     def test_law_text_request_round_trips(self, acme, server):
-        req = make_envelope("law-text-request", "p", "D1", (acme.d1,),
-                            "law-server", Term("lawTextRequest", (acme.d1,)), 0)
-        reply = server.serve_envelope(req)
-        assert reply.kind == "law-text-response"
-        body = reply.payload_term()
+        body = server.handle(Term("lawTextRequest", (acme.d1,)))
         assert body.functor == "lawText" and body.args[0] == acme.d1
         assert hash_law(body.args[1]) == acme.d1
 
     def test_law_path_request_returns_root_to_leaf(self, acme, server):
-        req = make_envelope("law-path-request", "p", "D1", (acme.d1,),
-                            "law-server", Term("lawPathRequest", (acme.travel,)), 0)
-        body = server.serve_envelope(req).payload_term()
-        assert body.functor == "lawPath"
+        body = server.handle(Term("lawPathRequest", (acme.travel,)))
+        assert body.functor == "lawPath" and body.args[0] == acme.travel
         assert body.args[1].args == (acme.root, acme.d1, acme.travel)
 
     def test_unknown_hash_yields_law_error(self, acme, server):
         body = server.handle(Term("lawTextRequest", ("nope",)))
         assert body.functor == "lawError"
-
-    def test_non_request_kind_rejected(self, acme, server):
-        env = make_envelope("lgi-message", "p", "D1", (acme.d1,),
-                            "law-server", Term("m"), 0)
-        with pytest.raises(FdsError):
-            server.serve_envelope(env)
 
 
 class TestGovernedMaintenance:

@@ -1,5 +1,4 @@
 import socket
-import threading
 
 import pytest
 
@@ -9,7 +8,6 @@ from fds.transport import (
     Scheduler,
     SimNet,
     SimNetConfig,
-    SocketTransport,
     Trace,
     decode_envelope,
     encode_envelope,
@@ -150,26 +148,34 @@ class TestSimNet:
 
 
 class TestSocketTransport:
-    def test_frames_round_trip_over_loopback(self):
-        received = []
-        done = threading.Event()
+    """Length-prefixed envelope frames over a stream socket."""
 
-        def on_env(env):
-            received.append(env)
-            if len(received) == 3:
-                done.set()
-
-        transport = SocketTransport("127.0.0.1", 0, on_env)
+    def test_frames_round_trip_over_socketpair(self):
+        a, b = socket.socketpair()
         try:
-            conn = socket.create_connection(transport.address)
             sent = [_env(payload=Term("m", (i,))) for i in range(3)]
             for env in sent:
-                write_frame(conn, encode_envelope(env))
-            assert done.wait(timeout=5.0)
-            conn.close()
+                write_frame(a, encode_envelope(env))
+            a.close()
+            received = [decode_envelope(read_frame(b)) for _ in sent]
             assert received == sent
+            assert read_frame(b) is None
         finally:
-            transport.close()
+            b.close()
+
+    @pytest.mark.parametrize("sent", [
+        b"\x00\x00",  # header cut short: not a clean EOF
+        (10).to_bytes(4, "big") + b"abc",  # body cut short
+    ])
+    def test_truncated_frame_is_an_error(self, sent):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(sent)
+            a.close()
+            with pytest.raises(CodecError, match="truncated frame"):
+                read_frame(b)
+        finally:
+            b.close()
 
     def test_read_frame_reassembles_partial_writes(self):
         a, b = socket.socketpair()
