@@ -12,6 +12,7 @@ does. The pool also keeps the obligation clock and the audit sink.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -34,8 +35,6 @@ from .core import (
     Ruling,
     Sent,
     Term,
-    apply_ruling,
-    parse_term,
 )
 from .hierarchy import Framework, LawPath, derive_ruling
 from .lawlang import event_args
@@ -91,7 +90,8 @@ class AgentRecord:
     actor: object
     chains: List[LawPath]
     states: List[ControlState]
-    # per chain: obligation name canonical -> (due time, imposition seq)
+    # per chain: obligation name canonical -> (due time, imposition seq), the
+    # validity map beside the pool's heap: a popped entry fires only if it matches
     obligations: List[Dict[str, Tuple[int, int]]] = field(default_factory=list)
 
 
@@ -105,6 +105,7 @@ class ControllerPool:
         self.agents: Dict[str, AgentRecord] = {}
         self.audit: List[dict] = []
         self.metrics: List[Tuple[str, int]] = []  # (leaf law, wall time ns) per ruling
+        self._obligations: List[tuple] = []  # heap: (due, seq, rec, idx, canon, term)
         self._oblig_seq = 0
         net.scheduler.add_ticker(self.tick)
 
@@ -304,19 +305,16 @@ class ControllerPool:
     # -- obligations and time ----------------------------------------------
 
     def tick(self, now: int):
-        due: List[Tuple[int, int, str, int, Term]] = []
-        for rec in self.agents.values():
-            for idx, table in enumerate(rec.obligations):
-                for canon, (when, seq) in table.items():
-                    if when <= now:
-                        due.append((when, seq, rec.name, idx, canon))
-        due.sort(key=lambda d: (d[0], d[1]))
-        for when, seq, name, idx, canon in due:
-            rec = self.agents.get(name)
-            if rec is None or rec.obligations[idx].get(canon, (None, None))[1] != seq:
-                continue  # repealed or replaced meanwhile
+        # pop the due set before firing: what these impose waits for the next advance
+        heap, due = self._obligations, []
+        while heap and heap[0][0] <= now:
+            due.append(heapq.heappop(heap))
+        for when, seq, rec, idx, canon, term in due:
+            if (self.agents.get(rec.name) is not rec
+                    or rec.obligations[idx].get(canon) != (when, seq)):
+                continue  # agent quit, or obligation repealed or re-imposed
             del rec.obligations[idx][canon]
-            event = ObligationDue(parse_term(canon))
+            event = ObligationDue(term)
             ruling, rseq = self._rule(rec, idx, event, overlay=self._base_overlay())
             rec.states[idx] = ruling.new_state
             self._side_effects(rec, idx, ruling, event)
@@ -396,10 +394,13 @@ class ControllerPool:
         for op in ruling.ops:
             if isinstance(op, ImposeObligation):
                 self._oblig_seq += 1
-                table[op.name.canonical()] = (self.now + op.due_in, self._oblig_seq)
+                due, canon = self.now + op.due_in, op.name.canonical()
+                table[canon] = (due, self._oblig_seq)
+                heapq.heappush(self._obligations,
+                               (due, self._oblig_seq, rec, idx, canon, op.name))
                 # wake the scheduler so the obligation fires on time even
                 # when no other traffic advances the clock past its due point
-                self.net.scheduler.schedule(self.now + op.due_in, _noop)
+                self.net.scheduler.schedule(due, _noop)
             elif isinstance(op, RepealObligation):
                 table.pop(op.name.canonical(), None)
 

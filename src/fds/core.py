@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 

@@ -50,9 +50,6 @@ class LawPath:
     def leaf(self) -> str:
         return self.hashes[-1]
 
-    def prefix(self, length: int) -> "LawPath":
-        return LawPath(self.hashes[:length], self.docs[:length])
-
 
 class Framework:
     """Append-only tree of published laws, keyed by hash."""

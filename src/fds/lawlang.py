@@ -11,8 +11,8 @@ permissions that circumscribe subordinate laws.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from .core import (
     Adopted,
@@ -26,7 +26,6 @@ from .core import (
     Forward,
     ImposeObligation,
     ObligationDue,
-    Operation,
     RepealObligation,
     Ruling,
     Sent,

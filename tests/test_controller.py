@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fds.actors import SinkActor
 from fds.controller import (
@@ -8,11 +9,11 @@ from fds.controller import (
     issue_certificate,
     verify_certificate,
 )
-from fds.core import FdsError, Term, parse_term
+from fds.core import Deliver, FdsError, Forward, ObligationDue, Term, parse_term
 from fds.library import build_acme_hierarchy, make_token_ring_law
 from fds.lawlang import parse_law
-from fds.hierarchy import Framework
-from fds.transport import Scheduler, SimNet, SimNetConfig, Trace
+from fds.hierarchy import Framework, publish_laws
+from fds.transport import Scheduler, SimNet, SimNetConfig, Trace, make_envelope
 
 
 def make_pool(framework):
@@ -203,3 +204,172 @@ class TestObligations:
         token_deliveries = [p for _, _, p in a.deliveries + b.deliveries
                             if p.functor == "token"]
         assert len(token_deliveries) == 2
+
+
+# Obligation-clock law: chain C of an agent imposes ob(N) in D on imp(C,N,D),
+# relay(N) in D on rel(C,N,D) (whose firing imposes ob(N) in 0), and repeals
+# ob(N) on rep(C,N). Payloads for a later chain pass chain 0 by forward.
+CLOCK_ROOT = """\
+law clock-root
+default block
+rule a1 aspect clock:adopt on adopted(_) do { }
+"""
+
+
+def _clock_law(chain):
+    return """\
+law clock-{c}
+extends clock-root
+rule i1 aspect clock:{c} on sent(_, imp({c}, N, D), _) do {{ oblige ob(N) in D }}
+rule i2 aspect clock:{c} on sent(_, rel({c}, N, D), _) do {{ oblige relay(N) in D }}
+rule r1 aspect clock:{c} on sent(_, rep({c}, N), _) do {{ repeal ob(N) }}
+rule f1 aspect clock:{c} on sent(_, _, _) do {{ forward }}
+rule d1 aspect clock:{c} on obligationDue(relay(N)) do {{ oblige ob(N) in 0 }}
+rule d2 aspect clock:{c} on obligationDue(_) do {{ }}
+""".format(c=chain)
+
+
+def _clock_bundle():
+    return publish_laws({"root": parse_law(CLOCK_ROOT),
+                         "c0": parse_law(_clock_law(0)),
+                         "c1": parse_law(_clock_law(1))})
+
+
+def _clock_adopt(pool, bundle, name, chains):
+    pool.adopt(SinkActor(), issue_certificate(name, ""), bundle.c0)
+    if chains == 2:
+        pool.stack_adopt(name, bundle.c1)
+
+
+def _fired(trace):
+    return [(r["time"], r["agent"], r["chain"], r["eventArgs"][0])
+            for r in trace.of_type("ruling") if r["event"] == "obligationDue"]
+
+
+class ScanPool(ControllerPool):
+    """Reference obligation clock: scan and sort every table per advance."""
+
+    def tick(self, now: int):
+        due = []
+        for rec in self.agents.values():
+            for idx, table in enumerate(rec.obligations):
+                for canon, (when, seq) in table.items():
+                    if when <= now:
+                        due.append((when, seq, rec.name, idx, canon))
+        due.sort(key=lambda d: (d[0], d[1]))
+        for when, seq, name, idx, canon in due:
+            rec = self.agents.get(name)
+            if rec is None or rec.obligations[idx].get(canon, (None, None))[1] != seq:
+                continue
+            del rec.obligations[idx][canon]
+            event = ObligationDue(parse_term(canon))
+            ruling, rseq = self._rule(rec, idx, event, overlay=self._base_overlay())
+            rec.states[idx] = ruling.new_state
+            self._side_effects(rec, idx, ruling, event)
+            if ruling.blocks():
+                continue
+            for op in ruling.ops:
+                if isinstance(op, Forward):
+                    env = make_envelope("lgi-message", rec.name, rec.division,
+                                        rec.chains[idx].hashes, op.target, op.payload,
+                                        self.now)
+                    self.net.send(env, from_rulings=[rseq])
+                elif isinstance(op, Deliver):
+                    rec.actor.on_deliver(rec.name, op.payload)
+
+
+class TestObligationClock:
+    def _pool(self, agents, pool_cls=ControllerPool):
+        bundle = _clock_bundle()
+        sched = Scheduler()
+        trace = Trace(lambda: sched.now)
+        net = SimNet(sched, SimNetConfig(seed=0, latency=(1, 1)), trace)
+        pool = pool_cls(bundle.framework, net, trace)
+        for name, chains in agents:
+            _clock_adopt(pool, bundle, name, chains)
+        return pool, sched, trace, bundle
+
+    def test_due_obligations_fire_in_due_then_imposition_order(self):
+        pool, sched, trace, _ = self._pool([("a", 2), ("b", 1)])
+        pool.send("a", "x", parse_term("rel(0, 9, 2)"))  # relay(9) due 2
+        for who, msg in [("b", "imp(0, 1, 6)"), ("a", "imp(1, 2, 6)"),
+                         ("a", "imp(0, 3, 6)"), ("b", "imp(0, 4, 6)")]:
+            pool.send(who, "x", parse_term(msg))
+        # relay(9) fires at 2 and imposes ob(9) due 2; it waits for the
+        # advance to 6, where it is the earliest due of five
+        sched.run(until=20)
+        assert _fired(trace) == [
+            (2, "a", 0, "relay(9)"),
+            (6, "a", 0, "ob(9)"),
+            (6, "b", 0, "ob(1)"),
+            (6, "a", 1, "ob(2)"),
+            (6, "a", 0, "ob(3)"),
+            (6, "b", 0, "ob(4)"),
+        ]
+
+    def test_repeal_before_due_means_never_fired(self):
+        pool, sched, trace, _ = self._pool([("a", 2)])
+        pool.send("a", "x", parse_term("imp(0, 1, 5)"))
+        pool.send("a", "x", parse_term("imp(1, 1, 5)"))
+        sched.run(until=2)
+        pool.send("a", "x", parse_term("rep(0, 1)"))
+        sched.run(until=20)
+        assert _fired(trace) == [(5, "a", 1, "ob(1)")]
+
+    def test_reimposition_fires_once_at_the_new_due_time(self):
+        pool, sched, trace, _ = self._pool([("a", 1)])
+        pool.send("a", "x", parse_term("imp(0, 1, 5)"))
+        sched.run(until=2)
+        pool.send("a", "x", parse_term("imp(0, 1, 5)"))
+        sched.run(until=20)
+        assert _fired(trace) == [(7, "a", 0, "ob(1)")]
+
+    def test_due_in_zero_from_an_obligation_waits_for_the_next_advance(self):
+        pool, sched, trace, _ = self._pool([("a", 1)])
+        pool.send("a", "x", parse_term("rel(0, 1, 3)"))
+        sched.run(until=3)
+        assert _fired(trace) == [(3, "a", 0, "relay(1)")]
+        sched.run(until=4)
+        assert _fired(trace) == [(3, "a", 0, "relay(1)"), (4, "a", 0, "ob(1)")]
+
+    def test_quit_then_readoption_with_fewer_chains_drops_old_obligations(self):
+        pool, sched, trace, bundle = self._pool([("a", 2)])
+        pool.send("a", "x", parse_term("imp(1, 1, 5)"))
+        pool.send("a", "x", parse_term("imp(0, 2, 5)"))
+        sched.run(until=1)
+        pool.quit("a")
+        _clock_adopt(pool, bundle, "a", 1)
+        sched.run(until=20)
+        assert _fired(trace) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(("imp", "rel")), st.sampled_from("abc"),
+                  st.integers(0, 1), st.integers(0, 3), st.integers(0, 6)),
+        st.tuples(st.just("rep"), st.sampled_from("abc"), st.integers(0, 1),
+                  st.integers(0, 3)),
+        st.tuples(st.just("quit"), st.sampled_from("abc"), st.integers(1, 2)),
+        st.tuples(st.just("advance"), st.integers(0, 4)),
+    ), max_size=40))
+    def test_matches_a_full_scan_of_every_table(self, ops):
+        runs = []
+        for pool_cls in (ControllerPool, ScanPool):
+            pool, sched, trace, bundle = self._pool([("a", 1), ("b", 2)], pool_cls)
+            for op in ops:
+                kind, rest = op[0], op[1:]
+                if kind == "advance":
+                    sched.run(until=sched.now + rest[0])
+                elif kind == "quit":
+                    name, chains = rest
+                    if name in pool.agents:
+                        pool.quit(name)
+                    else:
+                        _clock_adopt(pool, bundle, name, chains)
+                elif rest[0] in pool.agents:
+                    name, chain, args = rest[0], rest[1], rest[2:]
+                    chain %= len(pool.agents[name].chains)
+                    pool.send(name, "x", Term(kind, (chain,) + args))
+            sched.run(until=sched.now + 20)
+            runs.append((_fired(trace), trace.records))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
