@@ -128,17 +128,8 @@ class ControllerPool:
         chains = [self.framework.resolve_path(law)]
         for extra in stack:
             chains.append(self.framework.resolve_path(extra))
-        states = []
-        for path in chains:
-            st = path.docs[-1].initial_state()
-            for doc in path.docs[:-1]:
-                for t in doc.init:
-                    if not st.lookup(t.functor):
-                        st = st.add(t)
-            st = ControlState(st.terms(), self._multi_union(path))
-            # identity terms come from the controller, not from law operations
-            st = st.add(Term("name", (name,))).add(Term("division", (cert.division,)))
-            states.append(st)
+        # identity terms come from the controller, not from law operations
+        states = [path.initial_state(name, cert.division) for path in chains]
         rec = AgentRecord(name, cert.division, actor, chains, states,
                           [dict() for _ in chains])
         for idx, path in enumerate(rec.chains):
@@ -155,12 +146,6 @@ class ControllerPool:
                        laws=[p.leaf for p in rec.chains])
         return rec
 
-    def _multi_union(self, path: LawPath) -> frozenset:
-        multi = frozenset()
-        for doc in path.docs:
-            multi = multi | doc.multi
-        return multi
-
     def stack_adopt(self, name: str, second: str) -> AgentRecord:
         """Put an already-adopted agent under an additional (crosscutting) law.
 
@@ -171,13 +156,7 @@ class ControllerPool:
         if rec is None:
             raise AdoptionError("unknown-agent: %s" % name)
         path = self.framework.resolve_path(second)
-        st = path.docs[-1].initial_state()
-        for doc in path.docs[:-1]:
-            for t in doc.init:
-                if not st.lookup(t.functor):
-                    st = st.add(t)
-        st = ControlState(st.terms(), self._multi_union(path))
-        st = st.add(Term("name", (name,))).add(Term("division", (rec.division,)))
+        st = path.initial_state(name, rec.division)
         native_event = Adopted(Term("stack", (path.leaf,)))
         ruling, _ = self._rule(rec, 0, native_event, overlay=self._base_overlay())
         if ruling.blocks():

@@ -500,9 +500,8 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
         if rec["type"] != "ruling":
             continue
         path = fw.resolve_path(rec["law"])
-        multi = frozenset().union(*(d.multi for d in path.docs))
         state = ControlState(
-            [parse_term(s) for s in rec["stateBefore"].split(";") if s], multi)
+            [parse_term(s) for s in rec["stateBefore"].split(";") if s], path.multi)
         overlay = [parse_term(s) for s in rec["overlay"].split(";") if s]
         event = _event_from_record(rec, overlay)
         ruling = derive_ruling(path, event, state.with_overlay(overlay))

@@ -20,15 +20,32 @@ seals that aspect (a provision is irreversible unless deviation is
 explicitly permitted). Audit operations of an overridden superior ruling
 are retained, and a ruling that ends up blocked sheds its audit
 operations: the audit trail records messages that actually flowed.
+
+A path is compiled once, on first use, from its own documents: per level,
+the rules not sealed above it, indexed by event kind and, for ``sent`` and
+``arrived``, by payload functor, each aspect's mode precomputed. The
+framework hands out one path per leaf, so every agent and every replayed
+ruling under a leaf share one compiled form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional
 
-from .core import AuditLog, Block, ControlState, Event, FdsError, Ruling, hash_law
-from .lawlang import MODE_RANK, LawDoc, default_ruling, first_match
+from .core import AuditLog, Block, ControlState, Event, FdsError, Ruling, Term, hash_law
+from .lawlang import (
+    MODE_RANK,
+    WILDCARD,
+    LawDoc,
+    PTerm,
+    Var,
+    aspect_matches,
+    default_ruling,
+    event_args,
+    first_match,
+)
 
 
 class FrameworkError(FdsError):
@@ -50,6 +67,99 @@ class LawPath:
     def leaf(self) -> str:
         return self.hashes[-1]
 
+    @cached_property
+    def multi(self) -> frozenset:
+        """Set-valued functors declared anywhere on the path."""
+        return frozenset().union(*(doc.multi for doc in self.docs))
+
+    @cached_property
+    def default(self) -> str:
+        """Leafmost default directive; a path that declares none blocks."""
+        for doc in reversed(self.docs):
+            if doc.default is not None:
+                return doc.default
+        return "block"
+
+    @cached_property
+    def compiled(self) -> tuple:
+        """One ``CompiledLevel`` per law, root first, built on first use."""
+        return tuple(CompiledLevel.build(self.docs, level)
+                     for level in range(len(self.docs)))
+
+    def initial_state(self, name: str, division: str) -> ControlState:
+        """Control state of an agent adopted under this path: the leaf's
+        init, each superior init term whose functor is still absent, the
+        path's multi set, and the identity terms the controller supplies."""
+        st = self.docs[-1].initial_state()
+        for doc in self.docs[:-1]:
+            for t in doc.init:
+                if not st.lookup(t.functor):
+                    st = st.add(t)
+        st = ControlState(st.terms(), self.multi)
+        return st.add(Term("name", (name,))).add(Term("division", (division,)))
+
+
+PAYLOAD_KINDS = ("sent", "arrived")  # event kinds whose args[1] is the payload
+
+
+def _payload_key(rule):
+    """Functor a rule's payload pattern can match, or None for any.
+
+    A bare atom ``p`` also matches the term ``p()``, so it keys on ``p``;
+    an integer matches no term and keys on itself, which no functor equals.
+    """
+    p = rule.pattern[1]
+    if isinstance(p, PTerm):
+        return p.functor
+    if p is WILDCARD or isinstance(p, Var):
+        return None
+    return p
+
+
+@dataclass(frozen=True)
+class CompiledLevel:
+    """One law of a compiled path.
+
+    ``rules`` maps an event kind to the law's rules on it that no superior
+    seals, in textual order. For each payload kind, ``by_functor`` narrows
+    that list: each functor some rule keys on maps to the rules a payload
+    with that functor can match, and ``None`` to the rules any functor can
+    match (variables and ``_``). ``modes`` maps each aspect to the room a
+    winning rule on it leaves deeper laws.
+    """
+
+    doc: LawDoc
+    rules: dict
+    by_functor: dict
+    modes: dict
+
+    @classmethod
+    def build(cls, docs, level: int) -> "CompiledLevel":
+        doc = docs[level]
+        sealed = _sealed_aspects(docs[:level])
+        live = [r for r in doc.rules
+                if not any(aspect_matches(s, r.aspect) for s in sealed)]
+        modes = {r.aspect: effective_mode(docs[: level + 1], r.aspect) or "sealed"
+                 for r in live}
+        rules, by_functor = {}, {}
+        for r in live:
+            rules.setdefault(r.event_kind, []).append(r)
+        for kind in PAYLOAD_KINDS:
+            keyed = [(_payload_key(r), r) for r in rules.get(kind, ())]
+            if keyed:
+                by_functor[kind] = {
+                    f: tuple(r for k, r in keyed if k is None or k == f)
+                    for f in {None}.union(k for k, _ in keyed)}
+        return cls(doc, {k: tuple(v) for k, v in rules.items()}, by_functor, modes)
+
+    def candidates(self, kind: str, payload) -> tuple:
+        """Rules of this law that may fire for an event of ``kind``."""
+        index = self.by_functor.get(kind)
+        if index is not None and isinstance(payload, Term):
+            bucket = index.get(payload.functor)
+            return index[None] if bucket is None else bucket
+        return self.rules.get(kind, ())
+
 
 class Framework:
     """Append-only tree of published laws, keyed by hash."""
@@ -59,6 +169,7 @@ class Framework:
         self.docs: Dict[str, LawDoc] = {}
         self.texts: Dict[str, str] = {}
         self.parent: Dict[str, Optional[str]] = {}
+        self._paths: Dict[str, LawPath] = {}  # leaf -> path; safe, append-only
 
     def publish_root(self, doc: LawDoc) -> str:
         if self.root is not None:
@@ -103,6 +214,10 @@ class Framework:
         return self.texts[h]
 
     def resolve_path(self, leaf: str) -> LawPath:
+        """The one path of a leaf (later publishes never change it)."""
+        path = self._paths.get(leaf)
+        if path is not None:
+            return path
         if leaf not in self.docs:
             raise FrameworkError("unknown law hash %s" % leaf)
         hashes = []
@@ -111,7 +226,9 @@ class Framework:
             hashes.append(cur)
             cur = self.parent[cur]
         hashes.reverse()
-        return LawPath(tuple(hashes), tuple(self.docs[h] for h in hashes))
+        path = self._paths[leaf] = LawPath(tuple(hashes),
+                                           tuple(self.docs[h] for h in hashes))
+        return path
 
     def lowest_common_ancestor(self, a: str, b: str) -> str:
         pa = self.resolve_path(a).hashes
@@ -209,39 +326,28 @@ def _sealed_aspects(superiors):
 
 def derive_ruling(path: LawPath, event: Event, state: ControlState) -> Ruling:
     """Effective ruling for one event under a root-to-leaf law path."""
-    winner = None  # (level, rule, ruling)
+    kind, args = event_args(event, state)
+    payload = args[1] if kind in PAYLOAD_KINDS else None
+    winner = None  # the ruling in force so far
     winner_mode = None  # room left for deeper laws to deviate from winner
     retained_audits = []
-    for level, doc in enumerate(path.docs):
-        skip = _sealed_aspects(path.docs[:level]) if level else ()
-        hit = first_match(doc, event, state, skip_aspects=skip)
+    for level in path.compiled:
+        hit = first_match(level.doc, event, state,
+                          rules=level.candidates(kind, payload), args=args)
         if hit is None:
             continue
         rule, ruling = hit
-        if winner is None:
-            pass
-        elif winner_mode == "sealed":
-            break
-        elif winner_mode == "tighten" and winner[2].blocks():
-            break  # a block under tighten is final
-        else:
-            retained_audits.extend(o for o in winner[2].ops if isinstance(o, AuditLog))
-        winner = (level, rule, ruling)
-        winner_mode = effective_mode(path.docs[: level + 1], rule.aspect) or "sealed"
+        if winner is not None:
+            if winner_mode == "tighten" and winner.blocks():
+                break  # a block under tighten is final
+            retained_audits.extend(o for o in winner.ops if isinstance(o, AuditLog))
+        winner = ruling
+        winner_mode = level.modes[rule.aspect]
         if winner_mode == "sealed":
             break
     if winner is None:
-        default = _effective_default(path)
-        return default_ruling(default, event, state)
-    ruling = winner[2]
-    ops = tuple(retained_audits) + ruling.ops
+        return default_ruling(path.default, event, state)
+    ops = tuple(retained_audits) + winner.ops
     if any(isinstance(o, Block) for o in ops):
         ops = tuple(o for o in ops if not isinstance(o, AuditLog))
-    return Ruling(ruling.new_state, ops)
-
-
-def _effective_default(path: LawPath) -> str:
-    for doc in reversed(path.docs):
-        if doc.default is not None:
-            return doc.default
-    return "block"
+    return Ruling(winner.new_state, ops)

@@ -986,18 +986,18 @@ def instantiate_ops(rule: GroundRule, b: dict, event: Event):
     return tuple(ops)
 
 
-def first_match(doc: LawDoc, event: Event, state: ControlState, skip_aspects=()):
+def first_match(doc: LawDoc, event: Event, state: ControlState, rules=None, args=None):
     """First rule of ``doc`` that fires for the event, with its ruling.
 
-    Returns (rule, Ruling) or None. ``skip_aspects`` suppresses rules whose
-    aspect is sealed higher up (runtime defense in depth).
+    Returns (rule, Ruling) or None. A compiled law path passes ``rules``,
+    the candidates of the event's kind in textual order, together with the
+    event's ``event_args`` view as ``args``; without them every rule of
+    ``doc`` on the event's kind is tried.
     """
-    kind, args = event_args(event, state)
-    for rule in doc.rules:
-        if rule.event_kind != kind:
-            continue
-        if any(aspect_matches(s, rule.aspect) for s in skip_aspects):
-            continue
+    if rules is None:
+        kind, args = event_args(event, state)
+        rules = [r for r in doc.rules if r.event_kind == kind]
+    for rule in rules:
         b = match_pattern(rule.pattern, args)
         if b is None:
             continue

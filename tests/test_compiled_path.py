@@ -1,0 +1,226 @@
+"""Compiled law paths against the uncompiled derivation they replace.
+
+The reference below re-derives every level's sealed skips and the winner's
+meta mode per event and tries every rule of the event's kind, as
+``derive_ruling`` did before paths were compiled. Random paths of one to
+three laws (meta modes with ``*`` patterns, rules on every event kind,
+payload patterns of every shape, with and without guards, deltas that rule
+on sealed aspects) and random events must get the same ruling, or the same
+law error, from both.
+"""
+
+from hypothesis import example, given, settings, strategies as st
+
+from fds.core import (
+    Adopted,
+    AgentName,
+    Arrived,
+    AuditLog,
+    Block,
+    ControlState,
+    FdsError,
+    ObligationDue,
+    Ruling,
+    Sent,
+    Term,
+    apply_ruling,
+)
+from fds.hierarchy import LawPath, derive_ruling, effective_mode
+from fds.lawlang import (
+    META_MODES,
+    aspect_matches,
+    default_ruling,
+    eval_guard,
+    event_args,
+    instantiate_ops,
+    match_pattern,
+    parse_law,
+)
+
+# -- reference: the per-event derivation --------------------------------------
+
+
+def _ref_sealed_aspects(superiors):
+    sealed = []
+    for doc in superiors:
+        for key, mode in doc.meta:
+            if mode == "sealed":
+                sealed.append(key)
+        for r in doc.rules:
+            if doc.meta_mode(r.aspect) is None:
+                sealed.append(r.aspect)
+    return sealed
+
+
+def _ref_first_match(doc, event, state, skip_aspects=()):
+    kind, args = event_args(event, state)
+    for rule in doc.rules:
+        if rule.event_kind != kind:
+            continue
+        if any(aspect_matches(s, rule.aspect) for s in skip_aspects):
+            continue
+        b = match_pattern(rule.pattern, args)
+        if b is None:
+            continue
+        b = eval_guard(rule.guard, b, state)
+        if b is None:
+            continue
+        ops = instantiate_ops(rule, b, event)
+        new_state = apply_ruling(state, Ruling(state, ops)).without_overlay()
+        return rule, Ruling(new_state, ops)
+    return None
+
+
+def reference_ruling(path, event, state):
+    winner = None  # (level, rule, ruling)
+    winner_mode = None
+    retained_audits = []
+    for level, doc in enumerate(path.docs):
+        skip = _ref_sealed_aspects(path.docs[:level]) if level else ()
+        hit = _ref_first_match(doc, event, state, skip_aspects=skip)
+        if hit is None:
+            continue
+        rule, ruling = hit
+        if winner is None:
+            pass
+        elif winner_mode == "sealed":
+            break
+        elif winner_mode == "tighten" and winner[2].blocks():
+            break
+        else:
+            retained_audits.extend(o for o in winner[2].ops if isinstance(o, AuditLog))
+        winner = (level, rule, ruling)
+        winner_mode = effective_mode(path.docs[: level + 1], rule.aspect) or "sealed"
+        if winner_mode == "sealed":
+            break
+    if winner is None:
+        default = next((d.default for d in reversed(path.docs) if d.default is not None),
+                       "block")
+        return default_ruling(default, event, state)
+    ruling = winner[2]
+    ops = tuple(retained_audits) + ruling.ops
+    if any(isinstance(o, Block) for o in ops):
+        ops = tuple(o for o in ops if not isinstance(o, AuditLog))
+    return Ruling(ruling.new_state, ops)
+
+
+# -- generated laws ------------------------------------------------------------
+
+ASPECTS = ("a:x", "a:y", "b:x")
+META_KEYS = ASPECTS + ("a:*", "b:*")
+PAYLOAD_PATTERNS = ("m", "n", "m(X)", "n(X)", "m(1)", "m(_)", "n()", "X", "_", "1")
+GUARDS = ("X < 3", "X != 1", "clock(T)@CS, T > 20", "k(1)@CS")
+# each rule also adds its own k(N), so the ruling shows which rule fired
+OPS = {
+    "sent": ("forward", 'block("{id}")', "audit; forward", 'audit; block("{id}")'),
+    "arrived": ("deliver", 'block("{id}")', "audit; deliver"),
+    "adopted": ("audit", 'block("{id}")'),
+    "obligationDue": ('block("{id}")', 'forward("b", m(1))', 'deliver(n(2))'),
+}
+# weighted toward the payload kinds, which the functor index serves
+RULE_KINDS = ("sent", "sent", "arrived", "adopted", "obligationDue")
+HEADS = {
+    "sent": "sent(_, {p}, _)",
+    "arrived": "arrived(_, {p}, _)",
+    "obligationDue": "obligationDue({p})",
+}
+
+
+@st.composite
+def rule_texts(draw, rule_id, mark):
+    kind = draw(st.sampled_from(RULE_KINDS))
+    if kind == "adopted":
+        pattern = draw(st.sampled_from(("_", "X", "cert(_, _, _)", "stack(_)")))
+        head = "adopted(%s)" % pattern
+    else:
+        pattern = draw(st.sampled_from(PAYLOAD_PATTERNS))
+        head = HEADS[kind].format(p=pattern)
+    guards = [g for g in GUARDS if "X" not in g or "X" in pattern]
+    guard = draw(st.sampled_from([None, None] + guards))
+    op = draw(st.sampled_from(OPS[kind])).format(id=rule_id)
+    return "rule %s aspect %s on %s%s do { add k(%d); %s }" % (
+        rule_id, draw(st.sampled_from(ASPECTS)), head,
+        "" if guard is None else " when " + guard, mark, op)
+
+
+def _path(*texts):
+    docs = tuple(parse_law(t) for t in texts)
+    return LawPath(tuple("h%d" % i for i in range(len(docs))), docs)
+
+
+@st.composite
+def law_paths(draw):
+    """A path of one to three laws, built without the publish-time check,
+    so deltas may rule on aspects their superiors seal."""
+    texts = []
+    for level in range(draw(st.sampled_from((1, 2, 3, 3)))):
+        lines = ["law l%d" % level]
+        if level:
+            lines.append("extends l%d" % (level - 1))
+        default = draw(st.sampled_from(("block", "pass")) if not level
+                       else st.none() | st.sampled_from(("block", "pass")))
+        if default:
+            lines.append("default " + default)
+        lines.append("multi { k }")
+        meta = draw(st.lists(st.tuples(st.sampled_from(META_KEYS),
+                                       st.sampled_from(META_MODES)), max_size=4))
+        if meta:
+            lines.append("meta { %s }" % "; ".join("%s %s" % km for km in meta))
+        for i in range(draw(st.integers(0, 6))):
+            lines.append(draw(rule_texts("r%d_%d" % (level, i), 10 * level + i + 10)))
+        texts.append("\n".join(lines) + "\n")
+    return _path(*texts)
+
+
+payloads = st.builds(Term, st.sampled_from(("m", "m", "n", "o")),
+                     st.sampled_from(((), (0,), (1,), (2,), (5,), ("s",))))
+sends = st.builds(Sent, st.just(AgentName("b")), payloads)
+events = st.one_of(
+    sends,
+    sends,
+    st.builds(Arrived, st.just(AgentName("b", "D")), st.just("h"), payloads),
+    st.builds(Adopted, st.sampled_from((Term("cert", ("a", "D", "CA")),
+                                        Term("stack", ("h",))))),
+    st.builds(ObligationDue, payloads),
+)
+states = st.builds(
+    lambda ks, clock: ControlState([Term("name", ("a",))] + [Term("k", (k,)) for k in ks],
+                                   frozenset({"k"})).with_overlay([Term("clock", (clock,))]),
+    st.lists(st.integers(1, 4), max_size=2, unique=True),
+    st.integers(0, 40),
+)
+
+
+def _outcome(derive, path, event, state):
+    try:
+        ruling = derive(path, event, state)
+    except FdsError as exc:
+        return "error", type(exc).__name__, str(exc)
+    return ruling.canonical_ops(), ruling.new_state.canonical()
+
+
+ROOT = "law l0\ndefault block\nmulti { k }\n"
+DELTA = "law l1\nextends l0\n"
+SEND_M = [(Sent(AgentName("b"), Term("m", (1,))), ControlState([Term("name", ("a",))]))]
+SEND_N = [(Sent(AgentName("b"), Term("n", (1,))), ControlState([Term("name", ("a",))]))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(law_paths(), st.lists(st.tuples(events, states), min_size=1, max_size=12))
+# a variable rule ahead of a functor rule in the same bucket
+@example(_path(ROOT + "rule v aspect a:x on sent(_, X, _) do { add k(10); forward }\n"
+                      'rule f aspect a:y on sent(_, m(_), _) do { add k(11); block("f") }\n'),
+         SEND_M)
+# the winner's mode counts its own law's meta: root's open lets the delta override
+@example(_path(ROOT + "meta { a:x open }\n"
+                      'rule r aspect a:x on sent(_, m(_), _) do { add k(10); block("r") }\n',
+               DELTA + "rule d aspect a:y on sent(_, _, _) do { add k(20); forward }\n"),
+         SEND_M)
+# a forged delta's rule on an aspect the root seals never fires
+@example(_path(ROOT + 'rule s aspect a:x on sent(_, m(_), _) do { add k(10); block("s") }\n',
+               DELTA + "rule f aspect a:x on sent(_, _, _) do { add k(20); forward }\n"),
+         SEND_N)
+def test_compiled_path_rules_like_the_per_event_derivation(path, probes):
+    for event, state in probes:
+        assert (_outcome(derive_ruling, path, event, state)
+                == _outcome(reference_ruling, path, event, state)), (event, state)

@@ -167,3 +167,87 @@ class TestDeriveRuling:
             a = derive_ruling(fw.resolve_path(root), _send(payload), _state())
             b = derive_ruling(fw.resolve_path(leaf), _send(payload), _state())
             assert a.canonical_ops() == b.canonical_ops()
+
+
+SUB = ("law sub\nextends corp\n"
+       "rule o aspect open-area on sent(_, open(_), _) do { forward }\n")
+
+
+def _tables(path):
+    return [(lvl.rules, lvl.by_functor, lvl.modes) for lvl in path.compiled]
+
+
+class TestCompiledPath:
+    def test_candidates_index_payload_functors_in_textual_order(self):
+        doc = parse_law(
+            "law c\ndefault block\nmeta { x open }\n"
+            "rule a aspect x on sent(_, m(_), _) do { forward }\n"
+            "rule v aspect x on sent(_, X, _) do { forward }\n"
+            "rule b aspect x on sent(_, m, _) do { forward }\n"
+            "rule n aspect x on sent(_, n(1), _) do { forward }\n"
+            "rule w aspect x on arrived(_, _, _) do { deliver }\n"
+            "rule d aspect x on adopted(_) do { audit }\n")
+        level = LawPath(("h",), (doc,)).compiled[0]
+
+        def ids(kind, payload):
+            return [r.rule_id for r in level.candidates(kind, payload)]
+
+        assert ids("sent", Term("m")) == ["a", "v", "b"]
+        assert ids("sent", Term("n", (1,))) == ["v", "n"]
+        assert ids("sent", Term("unindexed")) == ["v"]
+        assert ids("arrived", Term("m")) == ["w"]
+        assert ids("adopted", None) == ["d"]
+        assert ids("obligationDue", Term("m")) == []
+
+    def test_rules_sealed_above_are_not_candidates(self):
+        fw = Framework()
+        root = fw.publish_root(parse_law(ROOT))
+        forged = parse_law(
+            "law forged\nextends corp\nmeta { open-area tighten }\n"
+            "rule s aspect sealed-area on sent(_, sealed(_), _) do { forward }\n"
+            "rule o aspect open-area on sent(_, open(_), _) do { forward }\n")
+        level = LawPath((root, "forged-hash"), (fw.docs[root], forged)).compiled[1]
+        assert [r.rule_id for r in level.rules["sent"]] == ["o"]
+        # the winner's mode counts the ruling law's own meta, not only its superiors'
+        assert level.modes == {"open-area": "tighten"}
+
+
+class TestResolvePathMemo:
+    def test_one_path_object_per_leaf(self):
+        fw = Framework()
+        root = fw.publish_root(parse_law(ROOT))
+        leaf = fw.publish_delta(root, parse_law(SUB))
+        assert fw.resolve_path(leaf) is fw.resolve_path(leaf)
+        assert fw.resolve_path(root) is fw.resolve_path(root)
+        assert fw.resolve_path(leaf).docs[0] is fw.resolve_path(root).docs[0]
+
+    def test_later_publish_leaves_existing_paths_and_tables(self):
+        fw = Framework()
+        root = fw.publish_root(parse_law(ROOT))
+        leaf = fw.publish_delta(root, parse_law(SUB))
+        path = fw.resolve_path(leaf)
+        compiled = path.compiled
+        tables = _tables(path)
+        before = derive_ruling(path, _send(Term("tight", (1,))), _state()).canonical_ops()
+        child = fw.publish_delta(leaf, parse_law(
+            "law subsub\nextends sub\n"
+            "rule t aspect tight-area on sent(_, tight(_), _) do { block(\"deeper\") }\n"))
+        fw.publish_delta(root, parse_law("law other\nextends corp\ndefault pass\n"))
+        assert fw.resolve_path(leaf) is path
+        assert path.hashes == (root, leaf)
+        assert path.compiled is compiled and _tables(path) == tables
+        assert before == 'forward("y",tight(1))'
+        assert derive_ruling(path, _send(Term("tight", (1,))), _state()).canonical_ops() == before
+        assert fw.resolve_path(child).hashes == (root, leaf, child)
+        assert derive_ruling(fw.resolve_path(child), _send(Term("tight", (1,))),
+                             _state()).blocks()
+
+    def test_identical_republish_keeps_the_path(self):
+        fw = Framework()
+        root = fw.publish_root(parse_law(ROOT))
+        leaf = fw.publish_delta(root, parse_law(SUB))
+        path = fw.resolve_path(leaf)
+        compiled = path.compiled
+        assert fw.publish_delta(root, parse_law(SUB)) == leaf
+        assert len(fw.docs) == 2
+        assert fw.resolve_path(leaf) is path and path.compiled is compiled
