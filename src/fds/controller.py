@@ -107,6 +107,11 @@ class ControllerPool:
         self.metrics: List[Tuple[str, int]] = []  # (leaf law, wall time ns) per ruling
         self._obligations: List[tuple] = []  # heap: (due, seq, rec, idx, canon, term)
         self._oblig_seq = 0
+        # overlay terms are built once and keep their rendered text: one
+        # clock term per clock value, four peer terms per (peer, division,
+        # law, same)
+        self._clock = Term("clock", (net.scheduler.now,))
+        self._peer_terms: Dict[tuple, Tuple[Term, ...]] = {}
         net.scheduler.add_ticker(self.tick)
 
     @property
@@ -250,7 +255,8 @@ class ControllerPool:
         order = list(range(len(rec.chains)))
         # crosscutting overlays inspect arrivals before the native law
         first = order[-1:] + order[:-1] if len(order) > 1 else order
-        work = [(first[0], Arrived(sender, env.sender_law, env.payload_term()))]
+        payload = env.payload_term()
+        work = [(first[0], Arrived(sender, env.sender_law, payload))]
         audited = False
         delivered = []
         while work:
@@ -272,12 +278,12 @@ class ControllerPool:
                         work.append((first[nxt], Arrived(sender, env.sender_law, op.payload)))
                     else:
                         delivered.append(op.payload)
-        for payload in delivered:
+        for term in delivered:
             self.trace.add("deliver", agent=name, sender=env.sender_name,
-                           payload=payload.canonical(), envelope=env_seq)
-            rec.actor.on_deliver(env.sender_name, payload)
+                           payload=term.canonical(), envelope=env_seq)
+            rec.actor.on_deliver(env.sender_name, term)
         if audited and delivered:
-            self._audit_record("arrive", rec, env.sender_name, env.payload_term(),
+            self._audit_record("arrive", rec, env.sender_name, payload,
                                peer_division=env.sender_division,
                                peer_law=env.sender_law)
 
@@ -334,24 +340,30 @@ class ControllerPool:
             law = rec.chains[0].leaf if rec else ""
             if same is None:
                 same = 1 if law == own_leaf else 0
-        return self._base_overlay() + [
-            Term("peerName", (peer,)),
-            Term("peerDivision", (division,)),
-            Term("peerLaw", (law,)),
-            Term("peerSameLaw", (same,)),
-        ]
+        key = (peer, division, law, same)
+        terms = self._peer_terms.get(key)
+        if terms is None:
+            terms = self._peer_terms[key] = (
+                Term("peerName", (peer,)),
+                Term("peerDivision", (division,)),
+                Term("peerLaw", (law,)),
+                Term("peerSameLaw", (same,)),
+            )
+        return [*self._base_overlay(), *terms]
 
     def _base_overlay(self):
-        return [Term("clock", (self.now,))]
+        if self._clock.args[0] != self.now:
+            self._clock = Term("clock", (self.now,))
+        return [self._clock]
 
     def _rule(self, rec: AgentRecord, idx: int, event: Event, overlay,
               envelope: Optional[int] = None):
         path = rec.chains[idx]
         state = rec.states[idx].with_overlay(overlay)
         t0 = _time.perf_counter_ns()
-        ruling = derive_ruling(path, event, state)
+        kind, args = view = event_args(event, state)
+        ruling = derive_ruling(path, event, state, view)
         self.metrics.append((path.leaf, _time.perf_counter_ns() - t0))
-        kind, args = event_args(event, state)
         seq = self.trace.add(
             "ruling",
             agent=rec.name,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional, Union
 
 
@@ -27,20 +27,63 @@ class StateError(FdsError):
 TermArg = Union[int, str, "Term"]
 
 
-@dataclass(frozen=True)
 class Term:
-    """A ground functional term, e.g. ``changeDelay(50)`` or ``order("x",30)``."""
+    """A ground functional term, e.g. ``changeDelay(50)`` or ``order("x",30)``.
 
-    functor: str
-    args: tuple = ()
+    Immutable, slotted and without an instance ``__dict__``. ``canonical()``
+    renders the text on first use and keeps it, so a term is rendered at
+    most once however often it is sorted, recorded or nested in another.
+    Equality, hashing and ``repr`` are those of a frozen dataclass over
+    ``(functor, args)``; the kept text takes no part in them.
+    """
+
+    __slots__ = ("functor", "args", "_text")
+
+    def __init__(self, functor: str, args: tuple = ()):
+        _set_functor(self, functor)
+        _set_args(self, args)
+        _set_text(self, None)
 
     def canonical(self) -> str:
-        if not self.args:
-            return self.functor
-        return "%s(%s)" % (self.functor, ",".join(_render_arg(a) for a in self.args))
+        text = self._text
+        if text is None:
+            if self.args:
+                text = "%s(%s)" % (self.functor, ",".join(_render_arg(a) for a in self.args))
+            else:
+                text = self.functor
+            _set_text(self, text)
+        return text
 
     def __str__(self) -> str:
         return self.canonical()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.functor, self.args) == (other.functor, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.functor, self.args))
+
+    def __repr__(self):
+        return "%s(functor=%r, args=%r)" % (self.__class__.__qualname__, self.functor,
+                                            self.args)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which __setattr__ refuses
+        return Term, (self.functor, self.args)
+
+
+# slot setters: the only writes a Term ever sees, from __init__ and the memo
+_set_functor = Term.functor.__set__
+_set_args = Term.args.__set__
+_set_text = Term._text.__set__
 
 
 def _render_arg(a: TermArg) -> str:
@@ -62,6 +105,40 @@ def parse_term(text: str) -> Term:
     if pos != len(text):
         raise TermSyntaxError("trailing input at %d in %r" % (pos, text))
     return term
+
+
+def as_parsed(t: Term) -> Term:
+    """What ``parse_term(t.canonical())`` returns, without rendering or
+    parsing, for a term whose functors are identifiers: a zero-arity term
+    nested as an argument reads back as its bare atom, a string. Returns
+    ``t`` itself when no argument changes, which is the common case."""
+    args = None
+    for i, a in enumerate(t.args):
+        if isinstance(a, Term):
+            b = as_parsed(a) if a.args else a.functor
+            if b is not a:
+                if args is None:
+                    args = list(t.args)
+                args[i] = b
+    return t if args is None else Term(t.functor, tuple(args))
+
+
+def parse_terms(text: str) -> list:
+    """Parse a ``;``-separated list of terms, as ``ControlState.canonical``
+    writes a state and the trace an overlay. A ``;`` inside a string
+    argument is part of the string. Empty text is the empty list."""
+    terms, pos = [], _skip_ws(text, 0)
+    if pos == len(text):
+        return terms
+    while True:
+        term, pos = _parse_term(text, pos)
+        terms.append(term)
+        pos = _skip_ws(text, pos)
+        if pos == len(text):
+            return terms
+        if text[pos] != ";":
+            raise TermSyntaxError("expected ';' at %d in %r" % (pos, text))
+        pos += 1
 
 
 def _skip_ws(s: str, i: int) -> int:
@@ -334,8 +411,9 @@ class ControlState:
     - ``with_overlay`` and ``without_overlay`` share the base dict and
       change only the overlay.
     - Building a state from an iterable sorts each bucket once.
-    - ``canonical()`` is computed at most once per state, and versions that
-      differ only in their overlay share it.
+    - ``canonical()`` is computed at most once per state, by joining the
+      terms' kept texts, and versions that differ only in their overlay
+      share it. Buckets sort and bisect on the same kept texts.
     """
 
     __slots__ = ("_terms", "multi", "_overlay", "_canonical")
@@ -424,7 +502,7 @@ class ControlState:
 
     def canonical(self) -> str:
         if self._canonical is None:
-            self._canonical = ";".join(t.canonical() for t in self.terms())
+            self._canonical = ";".join([t.canonical() for t in self.terms()])
         return self._canonical
 
     def __eq__(self, other):

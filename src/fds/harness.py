@@ -30,6 +30,7 @@ from .core import (
     Term,
     hash_law,
     parse_term,
+    parse_terms,
 )
 from .hierarchy import Bundle, Framework, FrameworkError, derive_ruling, publish_laws
 from .lawlang import parse_law
@@ -500,9 +501,8 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
         if rec["type"] != "ruling":
             continue
         path = fw.resolve_path(rec["law"])
-        state = ControlState(
-            [parse_term(s) for s in rec["stateBefore"].split(";") if s], path.multi)
-        overlay = [parse_term(s) for s in rec["overlay"].split(";") if s]
+        state = ControlState(parse_terms(rec["stateBefore"]), path.multi)
+        overlay = parse_terms(rec["overlay"])
         event = _event_from_record(rec, overlay)
         ruling = derive_ruling(path, event, state.with_overlay(overlay))
         if ruling.canonical_ops() != rec["ops"]:

@@ -324,9 +324,14 @@ def _sealed_aspects(superiors):
     return sealed
 
 
-def derive_ruling(path: LawPath, event: Event, state: ControlState) -> Ruling:
-    """Effective ruling for one event under a root-to-leaf law path."""
-    kind, args = event_args(event, state)
+def derive_ruling(path: LawPath, event: Event, state: ControlState,
+                  view: Optional[tuple] = None) -> Ruling:
+    """Effective ruling for one event under a root-to-leaf law path.
+
+    ``view`` is the event's ``event_args(event, state)``, for a caller that
+    has computed it already; it is computed here when absent.
+    """
+    kind, args = view or event_args(event, state)
     payload = args[1] if kind in PAYLOAD_KINDS else None
     winner = None  # the ruling in force so far
     winner_mode = None  # room left for deeper laws to deviate from winner

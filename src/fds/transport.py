@@ -14,10 +14,10 @@ import json
 import random
 import socket
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import FdsError, Term, parse_term
+from .core import FdsError, Term, as_parsed, parse_term
 
 ENVELOPE_VERSION = 1
 
@@ -30,6 +30,16 @@ class CodecError(FdsError):
 
 @dataclass(frozen=True)
 class Envelope:
+    """One message on the wire.
+
+    ``payload`` is the canonical term text, which the codec writes. An
+    envelope built by ``make_envelope`` from a ``Term`` also carries that
+    term, read back as ``parse_term(payload)`` would read it, in ``term``;
+    equality, hashing, ``repr`` and the codec ignore it. ``payload_term()``
+    returns the carried term and parses only an envelope that has none,
+    such as a decoded one.
+    """
+
     version: int
     kind: str
     sender_name: str
@@ -39,8 +49,11 @@ class Envelope:
     target: str
     payload: str  # canonical term text
     sent_at: int
+    term: Optional[Term] = field(default=None, compare=False, repr=False)
 
     def payload_term(self) -> Term:
+        if self.term is not None:
+            return self.term
         return parse_term(self.payload)
 
 
@@ -74,6 +87,7 @@ def make_envelope(kind, sender_name, sender_division, sender_path, target, paylo
         target=target,
         payload=payload if isinstance(payload, str) else payload.canonical(),
         sent_at=sent_at,
+        term=None if isinstance(payload, str) else as_parsed(payload),
     )
 
 

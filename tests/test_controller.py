@@ -13,7 +13,7 @@ from fds.core import Deliver, FdsError, Forward, ObligationDue, Term, parse_term
 from fds.library import build_acme_hierarchy, make_token_ring_law
 from fds.lawlang import parse_law
 from fds.hierarchy import Framework, publish_laws
-from fds.transport import Scheduler, SimNet, SimNetConfig, Trace, make_envelope
+from fds.transport import Envelope, Scheduler, SimNet, SimNetConfig, Trace, make_envelope
 
 
 def make_pool(framework):
@@ -79,6 +79,25 @@ class TestMediation:
         assert pool.send("a", "b", Term("m", (1,)))
         pool.net.scheduler.run()
         assert [(s, p.canonical()) for _, s, p in b.deliveries] == [("a", "m(1)")]
+
+    def _send_nested_atom(self, acme):
+        pool, sched, trace = make_pool(acme.framework)
+        b = SinkActor()
+        pool.adopt(SinkActor(), issue_certificate("a", "D1"), acme.d1)
+        pool.adopt(b, issue_certificate("b", "D1"), acme.d1)
+        assert pool.send("a", "b", Term("f", (Term("a"),)))
+        sched.run()
+        return trace.records, b.deliveries
+
+    def test_receiver_rules_on_the_term_the_wire_text_reads_as(self, acme, monkeypatch):
+        records, deliveries = self._send_nested_atom(acme)
+        rulings = [r for r in records if r["type"] == "ruling" and r["event"] != "adopted"]
+        assert [(r["event"], r["eventArgs"][1]) for r in rulings] == [
+            ("sent", "f(a)"), ("arrived", 'f("a")')]
+        assert [(s, p) for _, s, p in deliveries] == [("a", Term("f", ("a",)))]
+        # the same records as when the receiver parses the wire text
+        monkeypatch.setattr(Envelope, "payload_term", lambda env: parse_term(env.payload))
+        assert self._send_nested_atom(acme) == (records, deliveries)
 
     def test_interdivision_blocked_under_root_only(self, acme, pool):
         a = SinkActor()

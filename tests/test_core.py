@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,8 +19,10 @@ from fds.core import (
     Term,
     TermSyntaxError,
     apply_ruling,
+    as_parsed,
     op_canonical,
     parse_term,
+    parse_terms,
 )
 
 
@@ -57,6 +63,123 @@ class TestTermSyntax:
         max_leaves=8).filter(lambda v: isinstance(v, Term)))
     def test_round_trip_property(self, term):
         assert parse_term(term.canonical()) == term
+
+
+# Terms of any shape the syntax can write: identifier functors, negative
+# integers, strings with the characters it quotes or splits on, and nested
+# terms of any arity, zero included.
+TERM_FUNCTORS = st.from_regex(r"[a-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+TERM_ATOMS = st.one_of(st.integers(-10**6, 10**6),
+                       st.text(st.sampled_from('ab ;,()"\\'), max_size=6))
+TERMS = st.recursive(
+    TERM_ATOMS,
+    lambda children: st.builds(Term, TERM_FUNCTORS,
+                               st.lists(children, max_size=3).map(tuple)),
+    max_leaves=8).filter(lambda v: isinstance(v, Term))
+
+
+@dataclass(frozen=True)
+class _DataclassTerm:
+    """``Term`` as a plain frozen dataclass: the reference for its equality,
+    hashing and ``repr``."""
+
+    functor: str
+    args: tuple = ()
+
+
+_DataclassTerm.__qualname__ = "Term"
+
+
+def _as_dataclass(v):
+    if isinstance(v, Term):
+        return _DataclassTerm(v.functor, tuple(_as_dataclass(a) for a in v.args))
+    return v
+
+
+def _render(v):
+    """Reference rendering, independent of any kept text."""
+    if isinstance(v, Term):
+        if not v.args:
+            return v.functor
+        return "%s(%s)" % (v.functor, ",".join(_render(a) for a in v.args))
+    if isinstance(v, str):
+        return '"%s"' % v.replace("\\", "\\\\").replace('"', '\\"')
+    return str(v)
+
+
+class TestTermMemo:
+    @given(TERMS)
+    def test_kept_text_equals_a_fresh_render(self, term):
+        first = term.canonical()
+        assert term.canonical() is first
+        assert first == _render(term) == str(term)
+        for a in term.args:
+            if isinstance(a, Term):
+                assert a.canonical() == _render(a)
+
+    @given(TERMS, TERMS)
+    def test_eq_hash_and_repr_are_the_frozen_dataclass_ones(self, t1, t2):
+        for a, b in ((t1, t2), (t1, parse_term(t1.canonical())), (t1, _copy(t1))):
+            a.canonical()  # a kept text takes no part in any of them
+            assert (a == b) == (_as_dataclass(a) == _as_dataclass(b))
+            assert (a != b) == (_as_dataclass(a) != _as_dataclass(b))
+            assert hash(a) == hash(_as_dataclass(a))
+            assert repr(a) == repr(_as_dataclass(a))
+        assert t1 == _copy(t1) and hash(t1) == hash(_copy(t1))
+        assert t1 != _as_dataclass(t1) and t1 != (t1.functor, t1.args)
+
+    @given(TERMS)
+    def test_as_parsed_is_what_the_text_reads_as(self, term):
+        read = as_parsed(term)
+        assert read == parse_term(term.canonical())
+        # the term itself unless some argument reads differently
+        assert (read is term) == (read == term)
+
+    def test_terms_are_immutable(self):
+        t = Term("f", (1, Term("g", ("x",))))
+        t.canonical()
+        for name in ("functor", "args", "_text", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, name, "z")
+            with pytest.raises(FrozenInstanceError):
+                delattr(t, name)
+        assert (t.functor, t.args, t.canonical()) == ("f", (1, Term("g", ("x",))), 'f(1,g("x"))')
+
+    def test_copies_and_pickles_are_equal_terms(self):
+        t = Term("f", (1, Term("g", ("x;y",))))
+        t.canonical()
+        for c in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert c == t and c.canonical() == t.canonical()
+
+    @given(TERMS)
+    def test_no_instance_has_a_dict(self, term):
+        term.canonical()
+        assert not hasattr(term, "__dict__")
+
+
+def _copy(t: Term) -> Term:
+    return Term(t.functor, tuple(_copy(a) if isinstance(a, Term) else a for a in t.args))
+
+
+class TestTermLists:
+    @given(st.lists(TERMS, max_size=5))
+    def test_reads_what_parse_term_reads_term_by_term(self, terms):
+        text = ";".join(t.canonical() for t in terms)
+        assert parse_terms(text) == [parse_term(t.canonical()) for t in terms]
+
+    def test_separator_inside_a_string_is_part_of_it(self):
+        st_ = ControlState([Term("q", (0, Term("m", ("a;b", 3)))), Term("z", (";",))],
+                           multi=frozenset({"q"}))
+        assert st_.canonical() == 'q(0,m("a;b",3));z(";")'
+        assert ControlState(parse_terms(st_.canonical()), st_.multi) == st_
+
+    def test_empty_text_is_no_terms(self):
+        assert parse_terms("") == parse_terms("  ") == []
+
+    def test_rejects_malformed_lists(self):
+        for text in [";", "a;", "a;;b", "a b", 'a;f("x;y)', "f(1);g("]:
+            with pytest.raises(TermSyntaxError):
+                parse_terms(text)
 
 
 class TestControlState:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -11,10 +12,13 @@ from fds.harness import (
     load_laws_dir,
     load_scenario,
     rebuild_framework,
+    replay_report,
     replay_report_file,
     run_scenario,
 )
 from fds.library import build_acme_hierarchy, make_acme_root, make_division_law
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "src" / "fds" / "scenarios"
 
 MINI = {
     "name": "mini",
@@ -113,6 +117,16 @@ class TestReplay:
         p.write_text(json.dumps(data))
         ok, problems = replay_report_file(p)
         assert not ok and problems
+
+    def test_state_strings_with_separators_replay(self):
+        scenario = load_scenario(SCENARIOS / "rc-buffer.json")
+        scenario["timeline"] = [dict(e, payload=e["payload"].replace('"a"', '"a;b"'))
+                                for e in scenario["timeline"]]
+        scenario["assertions"] = []
+        report = run_scenario(scenario)
+        assert any('"a;b"' in r["stateBefore"] for r in report.records
+                   if r["type"] == "ruling")
+        assert replay_report(report) == (True, [])
 
     def test_rebuild_framework_restores_hashes(self):
         acme = build_acme_hierarchy()

@@ -1,8 +1,9 @@
 import socket
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fds.core import Term
+from fds.core import Term, parse_term
 from fds.transport import (
     CodecError,
     Scheduler,
@@ -60,6 +61,45 @@ class TestCodec:
         data = encode_envelope(_env()).replace(b'"lgi-message"', b"not-json")
         with pytest.raises(CodecError):
             decode_envelope(data)
+
+
+# payloads the wire must carry exactly: nested terms of any arity (a nested
+# zero-arity term reads back as its bare atom), negative integers, and
+# strings with the characters the syntax quotes, escapes or splits on
+WIRE_TERMS = st.recursive(
+    st.one_of(st.integers(-10**6, 10**6),
+              st.text(st.sampled_from('ab ;,()"\\'), max_size=6)),
+    lambda children: st.builds(Term, st.sampled_from(["f", "g", "a", "m_1"]),
+                               st.lists(children, max_size=3).map(tuple)),
+    max_leaves=8).filter(lambda v: isinstance(v, Term))
+
+
+class TestCarriedTerm:
+    @given(WIRE_TERMS)
+    def test_carried_term_is_what_the_text_parses_to(self, term):
+        env = _env(payload=term)
+        assert env.payload == term.canonical()
+        assert env.term == parse_term(env.payload) == env.payload_term()
+        # its own text is that of the parsed term, not the sender's
+        assert env.term.canonical() == parse_term(env.payload).canonical()
+        back = decode_envelope(encode_envelope(env))
+        assert back == env and back.term is None
+        assert back.payload_term() == env.payload_term()
+
+    def test_nested_zero_arity_term_reads_as_its_atom(self):
+        env = _env(payload=Term("f", (Term("a"), Term("g", (Term("b", ()), 1)))))
+        assert env.payload == "f(a,g(b,1))"
+        assert env.term == Term("f", ("a", Term("g", ("b", 1))))
+        assert env.term.canonical() == 'f("a",g("b",1))'
+
+    def test_plain_term_travels_as_the_same_object(self):
+        term = Term("m", (1, "x", Term("n", (-2,))))
+        assert _env(payload=term).payload_term() is term
+
+    def test_envelope_from_text_parses_on_demand(self):
+        env = _env(payload='m(1,"x")')
+        assert env.term is None and env.payload_term() == Term("m", (1, "x"))
+        assert env == _env()
 
 
 class TestScheduler:
