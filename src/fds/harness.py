@@ -27,7 +27,10 @@ from .core import (
     FdsError,
     ObligationDue,
     Sent,
+    StateAdd,
+    StateReplace,
     Term,
+    as_parsed,
     hash_law,
     parse_term,
     parse_terms,
@@ -493,16 +496,54 @@ def _event_from_record(rec: dict, overlay):
     return ExceptionEvent(args[0])
 
 
+def _reads_back(ops) -> bool:
+    """Whether every term the ops write is the term its text parses to.
+
+    A zero-arity term nested as an argument is not: its text reads back as
+    a bare-atom string.
+    """
+    for op in ops:
+        if isinstance(op, StateAdd):
+            written = op.term
+        elif isinstance(op, StateReplace):
+            written = op.new
+        else:
+            continue
+        if as_parsed(written) is not written:
+            return False
+    return True
+
+
 def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
-    """Re-derive every recorded ruling offline from the trace alone."""
+    """Re-derive every recorded ruling offline from the trace alone.
+
+    Every ruling is derived again and checked against its recorded ``ops``
+    and ``stateAfter``. The state it starts from is carried per (agent,
+    chain, law): when the state derived for that chain's previous ruling
+    renders exactly as this ruling's ``stateBefore``, it is reused;
+    otherwise ``stateBefore`` is parsed. A derived state is carried only
+    from a ruling that matched its record and only when parsing its text
+    gives back the same terms, so a reused state is always the one parsing
+    would give. Carrying checks no continuity: a ``stateBefore`` that
+    differs from the derived state is parsed and trusted, as it always was.
+    """
     fw = report.framework or rebuild_framework(report.laws)
     problems: List[str] = []
+    carried: Dict[tuple, ControlState] = {}
+    # one-entry memo: a ruling repeats the previous ruling's overlay text in
+    # 57 % of ring-large's rulings and 18 % of buffer-deep's (seed 5)
+    overlay_text, overlay = None, []
     for rec in report.records:
         if rec["type"] != "ruling":
             continue
         path = fw.resolve_path(rec["law"])
-        state = ControlState(parse_terms(rec["stateBefore"]), path.multi)
-        overlay = parse_terms(rec["overlay"])
+        key = (rec["agent"], rec["chain"], rec["law"])
+        text = rec["stateBefore"]
+        state = carried.pop(key, None)
+        if state is None or state.canonical() != text:
+            state = ControlState(parse_terms(text), path.multi)
+        if rec["overlay"] != overlay_text:
+            overlay_text, overlay = rec["overlay"], parse_terms(rec["overlay"])
         event = _event_from_record(rec, overlay)
         ruling = derive_ruling(path, event, state.with_overlay(overlay))
         if ruling.canonical_ops() != rec["ops"]:
@@ -512,6 +553,10 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
             problems.append("seq %d: state %r != %r"
                             % (rec["seq"], ruling.new_state.canonical(),
                                rec["stateAfter"]))
+        elif state.canonical() == text and _reads_back(ruling.ops):
+            # the start state is what its text parses to, and the ruling
+            # wrote only terms that read back: stateAfter parses to new_state
+            carried[key] = ruling.new_state
     return not problems, problems
 
 
