@@ -1,4 +1,4 @@
-"""Parser and evaluator for the declarative law language.
+"""Parser, compiler and evaluator for the declarative law language.
 
 A law is a list of event-condition-action rules over an agent's control
 state. Rules are tried in textual order; the first rule whose pattern
@@ -6,12 +6,22 @@ unifies with the event and whose guard holds supplies the ruling. A law
 also carries a default directive for unmatched send/arrive events, an
 initial control state, set-valued functor declarations, and the meta
 permissions that circumscribe subordinate laws.
+
+Parsing yields a syntax tree per rule. The first time a rule is tried it
+is compiled, once, into three closures (``CompiledRule``): a pattern
+matcher specialised to the pattern's shape, a guard whose state queries
+and comparisons pass on to the rest of the conjunction, and an ops
+builder whose constant parts are built ahead of time. Events run only the
+closures; nothing walks the tree after compilation (Feeley & Lapalme,
+"Using closures for code generation", 1987).
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -171,6 +181,11 @@ class GroundRule:
     pattern: tuple  # arg patterns, arity fixed by event kind
     guard: tuple  # guard atoms
     ops: tuple  # op templates
+
+    @cached_property
+    def compiled(self) -> "CompiledRule":
+        """The rule's closures, compiled on first use and kept."""
+        return CompiledRule(self)
 
 
 @dataclass
@@ -463,16 +478,21 @@ def _reject_arith(node, cur):
 def _parse_guard_atom(cur: _Cursor):
     mark = cur.i
     # try a state query first: <pterm> @ CS
+    query = None
     try:
         pt = _parse_pterm(cur)
         if cur.accept("@"):
             cs = cur.next()
             if cs.value != "CS":
                 raise LawSyntaxError("state query must end in @CS", cs.line, cs.col)
-            return StateQuery(pt)
-        cur.i = mark
+            query = StateQuery(pt)
     except LawSyntaxError:
-        cur.i = mark
+        pass
+    if query is not None:
+        # a query pattern is matched against state terms, like an event pattern
+        _reject_arith(query.pattern, cur)
+        return query
+    cur.i = mark
     left = _parse_expr(cur)
     t = cur.next()
     if t.value not in ("==", "!=", "<", "<=", ">", ">="):
@@ -804,7 +824,7 @@ def _render_op(op) -> str:
 
 
 # ---------------------------------------------------------------------------
-# matching and evaluation
+# rules compiled to closures
 
 
 def event_args(event: Event, state: ControlState):
@@ -827,170 +847,353 @@ def _self_name(state: ControlState) -> str:
     return ""
 
 
-def match_pattern(pattern: tuple, args: tuple, bindings=None):
-    """Unify a rule's pattern with positional event args.
+class CompiledRule:
+    """A rule as three closures, built once from its syntax tree.
 
-    Returns the (possibly extended) bindings dict, or None on mismatch.
+    Each variable of the rule owns a slot in a list, numbered in the order
+    matching first meets it, so whether an occurrence binds or compares is
+    decided here rather than per event.
+
+    - ``match(args)`` unifies the pattern with an event's positional args
+      and returns a fresh slot list, or None.
+    - ``guard(slots, state)`` fills the guard's slots in place and returns
+      whether it holds; None for a rule without a guard. State queries
+      backtrack over candidate terms in canonical order, so a later
+      comparison can reject one candidate and the query tries the next;
+      the first complete solution wins.
+    - ``build(slots, event)`` returns the ruling's operations. Sub-terms
+      without variables, audit ops and block ops are built once, here.
+
+    ``writes`` tells whether the operations can change the state. A part
+    of a guard or template that references something unresolvable (an
+    unbound variable, ``_`` where a value is needed) compiles to a closure
+    that raises ``GuardError`` when evaluation reaches it, so a law error
+    surfaces at the same point, with the same message, as it would if the
+    tree were read per event.
     """
-    b = dict(bindings or {})
-    for p, v in zip(pattern, args):
-        if not _match_node(p, v, b):
-            return None
-    return b
+
+    __slots__ = ("match", "guard", "build", "writes")
+
+    def __init__(self, rule: "GroundRule"):
+        slots = {}  # variable name -> slot index
+        pattern = _compile_args(rule.pattern, slots)
+        self.guard = _compile_guard(rule.guard, slots)
+        self.build = _compile_ops(rule.ops, slots)
+        self.writes = any(isinstance(t, (TReplace, TAdd, TRemove)) for t in rule.ops)
+        n = len(slots)
+        if pattern is None:
+            self.match = lambda args: [None] * n
+        else:
+            def match(args):
+                b = [None] * n
+                return b if pattern(args, b) else None
+
+            self.match = match
 
 
-def _match_node(p, v, b) -> bool:
-    if p is WILDCARD:
-        return True
+def _raiser(msg: str):
+    def fail(*_):
+        raise GuardError(msg)
+
+    return fail
+
+
+def _compile_node(p, slots):
+    """Matcher ``m(value, b) -> bool`` for one pattern node that is neither
+    ``_`` nor a variable's first occurrence; a later occurrence compares
+    with the variable's slot."""
     if isinstance(p, Var):
-        if p.name in b:
-            return b[p.name] == v
-        b[p.name] = v
-        return True
+        i = slots[p.name]
+        return lambda v, b: b[i] == v
     if isinstance(p, str):
-        # a bare atom matches both the string and the zero-argument term
-        if isinstance(v, Term):
-            return not v.args and v.functor == p
-        return p == v
+        def atom(v, b):
+            # a bare atom matches both the string and the zero-argument term
+            if isinstance(v, Term):
+                return not v.args and v.functor == p
+            return p == v
+
+        return atom
     if isinstance(p, int):
-        return p == v
+        return lambda v, b: p == v
     if isinstance(p, PTerm):
-        if not isinstance(v, Term) or v.functor != p.functor or len(v.args) != len(p.args):
-            return False
-        return all(_match_node(pa, va, b) for pa, va in zip(p.args, v.args))
-    raise GuardError("invalid pattern node %r" % (p,))
+        functor, n = p.functor, len(p.args)
+        args = _compile_args(p.args, slots)
+        if args is None:
+            return lambda v, b: isinstance(v, Term) and v.functor == functor and len(v.args) == n
+        return lambda v, b: (isinstance(v, Term) and v.functor == functor
+                             and len(v.args) == n and args(v.args, b))
+    return _raiser("invalid pattern node %r" % (p,))
 
 
-def eval_guard(guard: tuple, bindings: dict, state: ControlState):
-    """Evaluate a guard conjunction. Returns extended bindings or None.
+def _compile_args(nodes, slots):
+    """Matcher ``m(values, b) -> bool`` for a tuple of pattern nodes; None
+    when every node is ``_``.
 
-    State queries backtrack over candidate terms (in canonical order), so a
-    later comparison can reject one candidate and the query will try the
-    next; the first complete solution wins, deterministically.
+    A variable met here for the first time gets the next slot and is bound
+    before the other nodes are tried, left to right. Binding cannot fail,
+    and any later occurrence of the variable lies to its right or inside a
+    node tried after it, so the outcome is that of a left-to-right match.
     """
-    return _guard_from(guard, 0, dict(bindings), state)
+    binds, steps = [], []
+    for j, p in enumerate(nodes):
+        if isinstance(p, Var) and p.name not in slots:
+            binds.append((j, slots.setdefault(p.name, len(slots))))
+        elif p is not WILDCARD:
+            steps.append((j, _compile_node(p, slots)))
+    if not steps:
+        if not binds:
+            return None
+        if len(binds) == 1:
+            (j, i), = binds
+
+            def bind_one(a, b):
+                b[i] = a[j]
+                return True
+
+            return bind_one
+    if not binds and len(steps) == 1:
+        (j, m), = steps
+        return lambda a, b: m(a[j], b)
+
+    def match_all(a, b):
+        for j, i in binds:
+            b[i] = a[j]
+        for j, m in steps:
+            if not m(a[j], b):
+                return False
+        return True
+
+    return match_all
 
 
-def _guard_from(guard: tuple, i: int, b: dict, state: ControlState):
-    if i == len(guard):
-        return b
-    atom = guard[i]
+def _compile_guard(atoms, slots):
+    """``g(b, state) -> bool`` for a guard conjunction, each atom passing
+    on to the rest; None for an empty one."""
+    if not atoms:
+        return None
+    atom = atoms[0]
     if isinstance(atom, StateQuery):
         pat = atom.pattern
-        for cand in state.visible(pat.functor):
-            if len(cand.args) != len(pat.args):
-                continue
-            trial = dict(b)
-            if all(_match_node(p, v, trial) for p, v in zip(pat.args, cand.args)):
-                out = _guard_from(guard, i + 1, trial, state)
-                if out is not None:
-                    return out
-        return None
-    if not _eval_comparison(atom, b):
-        return None
-    return _guard_from(guard, i + 1, b, state)
+        functor, n = pat.functor, len(pat.args)
+        args = _compile_args(pat.args, slots)
+        rest = _compile_guard(atoms[1:], slots)
+
+        def query(b, state):
+            for cand in state.visible(functor):
+                a = cand.args
+                if (len(a) == n and (args is None or args(a, b))
+                        and (rest is None or rest(b, state))):
+                    return True
+            return False
+
+        return query
+    test = _compile_comparison(atom, slots)
+    rest = _compile_guard(atoms[1:], slots)
+    if rest is None:
+        return lambda b, state: test(b)
+    return lambda b, state: test(b) and rest(b, state)
 
 
-def _eval_comparison(cmp: Comparison, b: dict) -> bool:
-    left = eval_expr(cmp.left, b)
-    right = eval_expr(cmp.right, b)
-    if cmp.op == "==":
-        return left == right
-    if cmp.op == "!=":
-        return left != right
-    if not isinstance(left, int) or not isinstance(right, int):
-        raise GuardError("ordering comparison on non-integers: %r %s %r" % (left, cmp.op, right))
-    if cmp.op == "<":
-        return left < right
-    if cmp.op == "<=":
-        return left <= right
-    if cmp.op == ">":
-        return left > right
-    return left >= right
+_AUDIT = AuditLog()
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def eval_expr(node, b: dict):
-    if isinstance(node, int) or isinstance(node, str):
-        return node
+def _compile_comparison(cmp: Comparison, slots):
+    """``t(b) -> bool``; a side that is a bound variable or a literal is
+    read straight from its slot or the closure."""
+    op = cmp.op
+    left = _compile_expr(cmp.left, slots)
+    right = _compile_expr(cmp.right, slots)
+    if op in ("==", "!="):
+        i, j = _slot_of(cmp.left, slots), _slot_of(cmp.right, slots)
+        literal = cmp.right if isinstance(cmp.right, (int, str)) else None
+        if op == "==":
+            if i is not None and j is not None:
+                return lambda b: b[i] == b[j]
+            if i is not None and literal is not None:
+                return lambda b: b[i] == literal
+            return lambda b: left(b) == right(b)
+        if i is not None and j is not None:
+            return lambda b: b[i] != b[j]
+        if i is not None and literal is not None:
+            return lambda b: b[i] != literal
+        return lambda b: left(b) != right(b)
+    order = _ORDERINGS[op]
+
+    def ordered(b):
+        lv = left(b)
+        rv = right(b)
+        if not isinstance(lv, int) or not isinstance(rv, int):
+            raise GuardError("ordering comparison on non-integers: %r %s %r" % (lv, op, rv))
+        return order(lv, rv)
+
+    return ordered
+
+
+def _slot_of(node, slots):
+    """Slot of a variable that is bound where ``node`` is read, else None."""
+    return slots.get(node.name) if isinstance(node, Var) else None
+
+
+def _folded(fn, node):
+    """``fn``, the closure compiled for ``node``, or, when the node reads no
+    variable and evaluates without error, a closure over its one value."""
+    if next(_expr_vars(node), None) is not None:
+        return fn
+    try:
+        value = fn(None)
+    except GuardError:
+        return fn  # raises for every event, when the ruling reaches it
+    return lambda _: value
+
+
+def _compile_expr(node, slots):
+    """``e(b) -> value`` for a guard or template expression."""
+    if isinstance(node, (int, str)):
+        return lambda b: node
     if isinstance(node, Var):
-        if node.name not in b:
-            raise GuardError("unbound variable %s" % node.name)
-        return b[node.name]
+        i = slots.get(node.name)
+        if i is None:
+            return _raiser("unbound variable %s" % node.name)
+        return operator.itemgetter(i)
     if isinstance(node, FunctorOf):
-        v = b.get(node.var.name)
-        if not isinstance(v, Term):
-            raise GuardError("functor() of a non-term value %r" % (v,))
-        return v.functor
+        i = slots.get(node.var.name)
+
+        def functor_of(b):
+            v = None if i is None else b[i]
+            if not isinstance(v, Term):
+                raise GuardError("functor() of a non-term value %r" % (v,))
+            return v.functor
+
+        return functor_of
     if isinstance(node, BinExpr):
-        left = eval_expr(node.left, b)
-        right = eval_expr(node.right, b)
-        if not isinstance(left, int) or not isinstance(right, int):
-            raise GuardError("arithmetic on non-integers")
-        return left + right if node.op == "+" else left - right
+        left = _compile_expr(node.left, slots)
+        right = _compile_expr(node.right, slots)
+        plus = node.op == "+"
+
+        def arith(b):
+            lv = left(b)
+            rv = right(b)
+            if not isinstance(lv, int) or not isinstance(rv, int):
+                raise GuardError("arithmetic on non-integers")
+            return lv + rv if plus else lv - rv
+
+        return _folded(arith, node)
     if isinstance(node, PTerm):
-        return instantiate_term(node, b)
-    raise GuardError("cannot evaluate %r" % (node,))
+        return _compile_term(node, slots)
+    return _raiser("cannot evaluate %r" % (node,))
 
 
-def instantiate_term(pt: PTerm, b: dict) -> Term:
-    args = []
-    for a in pt.args:
-        v = eval_expr(a, b)
-        args.append(v)
-    return Term(pt.functor, tuple(args))
+def _compile_term(pt: PTerm, slots):
+    """``e(b) -> Term`` for a term template; a ground one is built once."""
+    functor = pt.functor
+    args = [_compile_expr(a, slots) for a in pt.args]
+    if len(args) == 1:
+        a0, = args
+
+        def term(b):
+            return Term(functor, (a0(b),))
+    else:
+        def term(b):
+            return Term(functor, tuple([a(b) for a in args]))
+
+    return _folded(term, pt)
 
 
-def instantiate_ops(rule: GroundRule, b: dict, event: Event):
-    ops = []
-    for t in rule.ops:
-        if isinstance(t, TForward):
-            if t.target is None:
-                assert isinstance(event, Sent)
-                ops.append(Forward(event.target.name, event.payload))
-            else:
-                target = eval_expr(t.target, b)
-                if not isinstance(target, str):
-                    raise GuardError("forward target must be an agent name string")
-                payload = eval_expr(t.payload, b)
-                if not isinstance(payload, Term):
-                    raise GuardError("forward payload must be a term")
-                ops.append(Forward(target, payload))
-        elif isinstance(t, TDeliver):
-            if t.payload is None:
-                assert isinstance(event, Arrived)
-                ops.append(Deliver(event.payload))
-            else:
-                payload = eval_expr(t.payload, b)
-                if not isinstance(payload, Term):
-                    raise GuardError("deliver payload must be a term")
-                ops.append(Deliver(payload))
-        elif isinstance(t, TReplace):
-            ops.append(StateReplace(instantiate_term(t.old, b), instantiate_term(t.new, b)))
-        elif isinstance(t, TAdd):
-            ops.append(StateAdd(instantiate_term(t.term, b)))
-        elif isinstance(t, TRemove):
-            ops.append(StateRemove(instantiate_term(t.term, b)))
-        elif isinstance(t, TOblige):
-            due = eval_expr(t.due_in, b)
+def _compile_op(t, slots):
+    """``o(b, event) -> operation`` for one op template."""
+    if isinstance(t, TForward):
+        if t.target is None:
+            return lambda b, event: Forward(event.target.name, event.payload)
+        target = _compile_expr(t.target, slots)
+        payload = _compile_expr(t.payload, slots)
+
+        def forward(b, event):
+            to = target(b)
+            if not isinstance(to, str):
+                raise GuardError("forward target must be an agent name string")
+            msg = payload(b)
+            if not isinstance(msg, Term):
+                raise GuardError("forward payload must be a term")
+            return Forward(to, msg)
+
+        return forward
+    if isinstance(t, TDeliver):
+        if t.payload is None:
+            return lambda b, event: Deliver(event.payload)
+        payload = _compile_expr(t.payload, slots)
+
+        def deliver(b, event):
+            msg = payload(b)
+            if not isinstance(msg, Term):
+                raise GuardError("deliver payload must be a term")
+            return Deliver(msg)
+
+        return deliver
+    if isinstance(t, TReplace):
+        old = _compile_term(t.old, slots)
+        new = _compile_term(t.new, slots)
+        return lambda b, event: StateReplace(old(b), new(b))
+    if isinstance(t, TAdd):
+        term = _compile_term(t.term, slots)
+        return lambda b, event: StateAdd(term(b))
+    if isinstance(t, TRemove):
+        term = _compile_term(t.term, slots)
+        return lambda b, event: StateRemove(term(b))
+    if isinstance(t, TOblige):
+        due_in = _compile_expr(t.due_in, slots)
+        name = _compile_term(t.name, slots)
+
+        def oblige(b, event):
+            due = due_in(b)
             if not isinstance(due, int) or due < 0:
                 raise GuardError("obligation due-in must be a non-negative integer")
-            ops.append(ImposeObligation(instantiate_term(t.name, b), due))
-        elif isinstance(t, TRepeal):
-            ops.append(RepealObligation(instantiate_term(t.name, b)))
-        elif isinstance(t, TAudit):
-            ops.append(AuditLog())
-        elif isinstance(t, TBlock):
-            ops.append(Block(t.reason or "blocked-by-law"))
-        else:
-            raise GuardError("unknown op template %r" % (t,))
-    return tuple(ops)
+            return ImposeObligation(name(b), due)
+
+        return oblige
+    if isinstance(t, TRepeal):
+        name = _compile_term(t.name, slots)
+        return lambda b, event: RepealObligation(name(b))
+    if isinstance(t, TAudit):
+        return lambda b, event: _AUDIT
+    if isinstance(t, TBlock):
+        block = Block(t.reason or "blocked-by-law")
+        return lambda b, event: block
+    return _raiser("unknown op template %r" % (t,))
+
+
+def _compile_ops(templates, slots):
+    """``build(b, event) -> ops``. Audit and block ops are built once, and
+    a rule whose every op is one of them shares one tuple of ops."""
+    ops = [_compile_op(t, slots) for t in templates]
+    if all(isinstance(t, (TAudit, TBlock)) for t in templates):
+        ruling_ops = tuple(op(None, None) for op in ops)
+        return lambda b, event: ruling_ops
+    if len(ops) == 1:
+        op, = ops
+        return lambda b, event: (op(b, event),)
+    return lambda b, event: tuple([op(b, event) for op in ops])
+
+
+def match_pattern(crule: CompiledRule, args: tuple):
+    """Unify a compiled rule's pattern with an event's positional args:
+    the rule's binding slots, or None on mismatch."""
+    return crule.match(args)
+
+
+def eval_guard(crule: CompiledRule, b: list, state: ControlState):
+    """Run a compiled rule's guard over the slots ``match_pattern`` bound:
+    the completed slots, or None when the guard fails."""
+    return b if crule.guard is None or crule.guard(b, state) else None
 
 
 def first_match(doc: LawDoc, event: Event, state: ControlState, rules=None, args=None):
     """First rule of ``doc`` that fires for the event, with its ruling.
 
-    Returns (rule, Ruling) or None. A compiled law path passes ``rules``,
-    the candidates of the event's kind in textual order, together with the
+    Returns (rule, Ruling) or None. Each rule is tried through its
+    ``CompiledRule``, built on first use and kept on the rule, so no event
+    walks a rule's syntax tree. A compiled law path passes ``rules``, the
+    candidates of the event's kind in textual order, together with the
     event's ``event_args`` view as ``args``; without them every rule of
     ``doc`` on the event's kind is tried.
     """
@@ -998,15 +1201,16 @@ def first_match(doc: LawDoc, event: Event, state: ControlState, rules=None, args
         kind, args = event_args(event, state)
         rules = [r for r in doc.rules if r.event_kind == kind]
     for rule in rules:
-        b = match_pattern(rule.pattern, args)
+        crule = rule.compiled
+        b = match_pattern(crule, args)
         if b is None:
             continue
-        b = eval_guard(rule.guard, b, state)
+        b = eval_guard(crule, b, state)
         if b is None:
             continue
-        ops = instantiate_ops(rule, b, event)
-        new_state = apply_ruling(state, Ruling(state, ops)).without_overlay()
-        return rule, Ruling(new_state, ops)
+        ops = crule.build(b, event)
+        new_state = apply_ruling(state, Ruling(state, ops)) if crule.writes else state
+        return rule, Ruling(new_state.without_overlay(), ops)
     return None
 
 

@@ -1,0 +1,219 @@
+"""Reference model: a tree-walking interpreter for law rules.
+
+``fds.lawlang`` compiles each rule once into closures. This module keeps
+the interpreter those closures replaced, as the model they are tested
+against: it reads the rule's syntax tree afresh for every event, binds
+variables in a dict by name, and copies the bindings for every candidate a
+state query tries. It shares only data types, ``event_args`` and the law
+parser with ``src/fds``.
+"""
+
+from fds.core import (
+    Arrived,
+    AuditLog,
+    Block,
+    Deliver,
+    Forward,
+    ImposeObligation,
+    RepealObligation,
+    Ruling,
+    Sent,
+    StateAdd,
+    StateRemove,
+    StateReplace,
+    Term,
+    apply_ruling,
+)
+from fds.lawlang import (
+    WILDCARD,
+    BinExpr,
+    FunctorOf,
+    GuardError,
+    PTerm,
+    StateQuery,
+    TAdd,
+    TAudit,
+    TBlock,
+    TDeliver,
+    TForward,
+    TOblige,
+    TRemove,
+    TRepeal,
+    TReplace,
+    Var,
+    event_args,
+)
+
+
+def match_pattern(pattern: tuple, args: tuple, bindings=None):
+    """Unify a rule's pattern with positional event args.
+
+    Returns the (possibly extended) bindings dict, or None on mismatch.
+    """
+    b = dict(bindings or {})
+    for p, v in zip(pattern, args):
+        if not _match_node(p, v, b):
+            return None
+    return b
+
+
+def _match_node(p, v, b) -> bool:
+    if p is WILDCARD:
+        return True
+    if isinstance(p, Var):
+        if p.name in b:
+            return b[p.name] == v
+        b[p.name] = v
+        return True
+    if isinstance(p, str):
+        # a bare atom matches both the string and the zero-argument term
+        if isinstance(v, Term):
+            return not v.args and v.functor == p
+        return p == v
+    if isinstance(p, int):
+        return p == v
+    if isinstance(p, PTerm):
+        if not isinstance(v, Term) or v.functor != p.functor or len(v.args) != len(p.args):
+            return False
+        return all(_match_node(pa, va, b) for pa, va in zip(p.args, v.args))
+    raise GuardError("invalid pattern node %r" % (p,))
+
+
+def eval_guard(guard: tuple, bindings: dict, state):
+    """Evaluate a guard conjunction. Returns extended bindings or None.
+
+    State queries backtrack over candidate terms (in canonical order), so a
+    later comparison can reject one candidate and the query will try the
+    next; the first complete solution wins, deterministically.
+    """
+    return _guard_from(guard, 0, dict(bindings), state)
+
+
+def _guard_from(guard: tuple, i: int, b: dict, state):
+    if i == len(guard):
+        return b
+    atom = guard[i]
+    if isinstance(atom, StateQuery):
+        pat = atom.pattern
+        for cand in state.visible(pat.functor):
+            if len(cand.args) != len(pat.args):
+                continue
+            trial = dict(b)
+            if all(_match_node(p, v, trial) for p, v in zip(pat.args, cand.args)):
+                out = _guard_from(guard, i + 1, trial, state)
+                if out is not None:
+                    return out
+        return None
+    if not _eval_comparison(atom, b):
+        return None
+    return _guard_from(guard, i + 1, b, state)
+
+
+def _eval_comparison(cmp, b: dict) -> bool:
+    left = eval_expr(cmp.left, b)
+    right = eval_expr(cmp.right, b)
+    if cmp.op == "==":
+        return left == right
+    if cmp.op == "!=":
+        return left != right
+    if not isinstance(left, int) or not isinstance(right, int):
+        raise GuardError("ordering comparison on non-integers: %r %s %r" % (left, cmp.op, right))
+    if cmp.op == "<":
+        return left < right
+    if cmp.op == "<=":
+        return left <= right
+    if cmp.op == ">":
+        return left > right
+    return left >= right
+
+
+def eval_expr(node, b: dict):
+    if isinstance(node, int) or isinstance(node, str):
+        return node
+    if isinstance(node, Var):
+        if node.name not in b:
+            raise GuardError("unbound variable %s" % node.name)
+        return b[node.name]
+    if isinstance(node, FunctorOf):
+        v = b.get(node.var.name)
+        if not isinstance(v, Term):
+            raise GuardError("functor() of a non-term value %r" % (v,))
+        return v.functor
+    if isinstance(node, BinExpr):
+        left = eval_expr(node.left, b)
+        right = eval_expr(node.right, b)
+        if not isinstance(left, int) or not isinstance(right, int):
+            raise GuardError("arithmetic on non-integers")
+        return left + right if node.op == "+" else left - right
+    if isinstance(node, PTerm):
+        return instantiate_term(node, b)
+    raise GuardError("cannot evaluate %r" % (node,))
+
+
+def instantiate_term(pt: PTerm, b: dict) -> Term:
+    return Term(pt.functor, tuple(eval_expr(a, b) for a in pt.args))
+
+
+def instantiate_ops(rule, b: dict, event):
+    ops = []
+    for t in rule.ops:
+        if isinstance(t, TForward):
+            if t.target is None:
+                assert isinstance(event, Sent)
+                ops.append(Forward(event.target.name, event.payload))
+            else:
+                target = eval_expr(t.target, b)
+                if not isinstance(target, str):
+                    raise GuardError("forward target must be an agent name string")
+                payload = eval_expr(t.payload, b)
+                if not isinstance(payload, Term):
+                    raise GuardError("forward payload must be a term")
+                ops.append(Forward(target, payload))
+        elif isinstance(t, TDeliver):
+            if t.payload is None:
+                assert isinstance(event, Arrived)
+                ops.append(Deliver(event.payload))
+            else:
+                payload = eval_expr(t.payload, b)
+                if not isinstance(payload, Term):
+                    raise GuardError("deliver payload must be a term")
+                ops.append(Deliver(payload))
+        elif isinstance(t, TReplace):
+            ops.append(StateReplace(instantiate_term(t.old, b), instantiate_term(t.new, b)))
+        elif isinstance(t, TAdd):
+            ops.append(StateAdd(instantiate_term(t.term, b)))
+        elif isinstance(t, TRemove):
+            ops.append(StateRemove(instantiate_term(t.term, b)))
+        elif isinstance(t, TOblige):
+            due = eval_expr(t.due_in, b)
+            if not isinstance(due, int) or due < 0:
+                raise GuardError("obligation due-in must be a non-negative integer")
+            ops.append(ImposeObligation(instantiate_term(t.name, b), due))
+        elif isinstance(t, TRepeal):
+            ops.append(RepealObligation(instantiate_term(t.name, b)))
+        elif isinstance(t, TAudit):
+            ops.append(AuditLog())
+        elif isinstance(t, TBlock):
+            ops.append(Block(t.reason or "blocked-by-law"))
+        else:
+            raise GuardError("unknown op template %r" % (t,))
+    return tuple(ops)
+
+
+def first_match(doc, event, state, rules=None):
+    """First of ``rules`` (by default every rule of ``doc`` on the event's
+    kind) that fires for the event, as (rule, Ruling), or None."""
+    kind, args = event_args(event, state)
+    if rules is None:
+        rules = [r for r in doc.rules if r.event_kind == kind]
+    for rule in rules:
+        b = match_pattern(rule.pattern, args)
+        if b is None:
+            continue
+        b = eval_guard(rule.guard, b, state)
+        if b is None:
+            continue
+        ops = instantiate_ops(rule, b, event)
+        new_state = apply_ruling(state, Ruling(state, ops)).without_overlay()
+        return rule, Ruling(new_state, ops)
+    return None

@@ -2,7 +2,8 @@
 
 The reference below re-derives every level's sealed skips and the winner's
 meta mode per event and tries every rule of the event's kind, as
-``derive_ruling`` did before paths were compiled. Random paths of one to
+``derive_ruling`` did before paths were compiled, through the tree-walking
+rule interpreter of ``reference.py``. Random paths of one to
 three laws (meta modes with ``*`` patterns, rules on every event kind,
 payload patterns of every shape, with and without guards, deltas that rule
 on sealed aspects) and random events must get the same ruling, or the same
@@ -11,6 +12,7 @@ law error, from both.
 
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from fds.core import (
     Adopted,
     AgentName,
@@ -23,19 +25,9 @@ from fds.core import (
     Ruling,
     Sent,
     Term,
-    apply_ruling,
 )
 from fds.hierarchy import LawPath, derive_ruling, effective_mode
-from fds.lawlang import (
-    META_MODES,
-    aspect_matches,
-    default_ruling,
-    eval_guard,
-    event_args,
-    instantiate_ops,
-    match_pattern,
-    parse_law,
-)
+from fds.lawlang import META_MODES, aspect_matches, default_ruling, event_args, parse_law
 
 # -- reference: the per-event derivation --------------------------------------
 
@@ -53,22 +45,10 @@ def _ref_sealed_aspects(superiors):
 
 
 def _ref_first_match(doc, event, state, skip_aspects=()):
-    kind, args = event_args(event, state)
-    for rule in doc.rules:
-        if rule.event_kind != kind:
-            continue
-        if any(aspect_matches(s, rule.aspect) for s in skip_aspects):
-            continue
-        b = match_pattern(rule.pattern, args)
-        if b is None:
-            continue
-        b = eval_guard(rule.guard, b, state)
-        if b is None:
-            continue
-        ops = instantiate_ops(rule, b, event)
-        new_state = apply_ruling(state, Ruling(state, ops)).without_overlay()
-        return rule, Ruling(new_state, ops)
-    return None
+    kind, _ = event_args(event, state)
+    rules = [r for r in doc.rules if r.event_kind == kind
+             and not any(aspect_matches(s, r.aspect) for s in skip_aspects)]
+    return reference.first_match(doc, event, state, rules)
 
 
 def reference_ruling(path, event, state):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fds import library
-from fds.core import Arrived, AgentName, ControlState, Sent, Term, parse_term
+from fds.core import Arrived, AgentName, ControlState, Sent, Term, op_canonical, parse_term
 from fds.lawlang import (
     LawSyntaxError,
     aspect_matches,
@@ -55,6 +55,23 @@ class TestParsing:
             parse_law("law bad\ndefault block\n"
                       "rule r1 aspect a on sent(_, _) do { block }\n")
 
+    @pytest.mark.parametrize("query", ["budget(B + 1)@CS", "seen(functor(M))@CS",
+                                       "q(n(1 - B))@CS"])
+    def test_query_patterns_reject_arithmetic(self, query):
+        # rejected when the law is parsed, as in an event pattern, rather than
+        # failing with a GuardError when a run first reaches the query
+        with pytest.raises(LawSyntaxError, match="arithmetic is not allowed in match patterns"):
+            parse_law("law bad\ndefault block\nrule r aspect a on sent(_, M, _) when "
+                      "budget(B)@CS, %s do { block }\n" % query)
+        with pytest.raises(LawSyntaxError, match="arithmetic is not allowed in match patterns"):
+            parse_law("law bad\ndefault block\n"
+                      "rule r aspect a on sent(_, m(B + 1), _) do { block }\n")
+
+    def test_query_patterns_keep_terms_and_wildcards(self):
+        doc = parse_law('law ok\ndefault block\nrule r aspect a on sent(_, M, _) when '
+                        'q(n(_, "s"), F, M)@CS, F == functor(M) do { block }\n')
+        assert serialize_law(parse_law(doc.canonical())) == doc.canonical()
+
     def test_comments_are_ignored(self):
         doc = parse_law("law c  # trailing\ndefault block\n# whole line\n")
         assert doc.name == "c"
@@ -65,28 +82,37 @@ class TestParsing:
         assert aspect_matches("mgr:stop", "mgr:stop")
 
 
+def _rule(text):
+    return parse_law("law t\ndefault block\n" + text + "\n").rules[0]
+
+
 class TestMatching:
     def test_variable_binding_and_consistency(self):
-        b = match_pattern((parse_law(
-            'law t\ndefault block\n'
-            'rule r aspect a on sent(X, m(X), _) do { block }\n'
-        ).rules[0].pattern), ("a", Term("m", ("a",)), "b"))
-        assert b == {"X": "a"}
+        # X owns slot 0: its first occurrence binds it, the second agrees
+        rule = _rule('rule r aspect a on sent(X, m(X), _) do { forward("x", m(X)) }')
+        b = match_pattern(rule.compiled, ("a", Term("m", ("a",)), "b"))
+        assert b == ["a"]
+        ops = rule.compiled.build(b, Sent(AgentName("b"), Term("m", ("a",))))
+        assert [op_canonical(o) for o in ops] == ['forward("x",m("a"))']
 
     def test_inconsistent_repeat_binding_fails(self):
-        rule = parse_law(
-            'law t\ndefault block\n'
-            'rule r aspect a on sent(X, m(X), _) do { block }\n'
-        ).rules[0]
-        assert match_pattern(rule.pattern, ("a", Term("m", ("z",)), "b")) is None
+        rule = _rule("rule r aspect a on sent(X, m(X), _) do { block }")
+        assert match_pattern(rule.compiled, ("a", Term("m", ("z",)), "b")) is None
+        # the repeat is checked inside a nested term and across arguments
+        rule = _rule("rule r aspect a on sent(_, m(X, n(X)), X) do { block }")
+        assert match_pattern(rule.compiled, ("s", Term("m", (1, Term("n", (1,)))), 1)) == [1]
+        assert match_pattern(rule.compiled, ("s", Term("m", (1, Term("n", (2,)))), 1)) is None
+        assert match_pattern(rule.compiled, ("s", Term("m", (1, Term("n", (1,)))), 2)) is None
 
     def test_bare_atom_matches_zero_arg_term_and_string(self):
-        rule = parse_law(
-            "law t\ndefault block\n"
-            "rule r aspect a on obligationDue(flush()) do { }\n"
-        ).rules[0]
-        assert match_pattern(rule.pattern, (Term("flush"),)) is not None
-        assert match_pattern(rule.pattern, (Term("other"),)) is None
+        rule = _rule("rule r aspect a on obligationDue(flush()) do { }")
+        assert match_pattern(rule.compiled, (Term("flush"),)) is not None
+        assert match_pattern(rule.compiled, (Term("other"),)) is None
+        atom = _rule('rule r aspect a on sent("mgr", stop(go), _) do { block }')
+        assert match_pattern(atom.compiled, ("mgr", Term("stop", ("go",)), "b")) is not None
+        assert match_pattern(atom.compiled, ("mgr", Term("stop", (Term("go"),)), "b")) is not None
+        assert match_pattern(atom.compiled, ("mgr", Term("stop", (Term("go", (1,)),)), "b")) is None
+        assert match_pattern(atom.compiled, (Term("mgr"), Term("stop", ("go",)), "b")) is not None
 
 
 class TestGuards:
@@ -122,7 +148,14 @@ class TestGuards:
         assert first_match(doc, event, early) is None
 
     def test_guard_failure_is_none_not_error(self):
-        assert eval_guard((), {}, ControlState()) == {}
+        state = ControlState([Term("k", (2,))])
+        open_rule = _rule("rule r aspect a on obligationDue(_) do { }")
+        b = match_pattern(open_rule.compiled, (Term("due"),))
+        assert eval_guard(open_rule.compiled, b, state) is b
+        for guard in ("k(1)@CS", "missing(_)@CS", "k(K)@CS, K > 2", "1 == 2"):
+            rule = _rule("rule r aspect a on obligationDue(_) when %s do { }" % guard)
+            b = match_pattern(rule.compiled, (Term("due"),))
+            assert eval_guard(rule.compiled, b, state) is None, guard
 
 
 class TestEvaluation:
