@@ -857,38 +857,34 @@ class CompiledRule:
     - ``match(args)`` unifies the pattern with an event's positional args
       and returns a fresh slot list, or None.
     - ``guard(slots, state)`` fills the guard's slots in place and returns
-      whether it holds; None for a rule without a guard. State queries
+      whether it holds; an empty guard always holds. State queries
       backtrack over candidate terms in canonical order, so a later
       comparison can reject one candidate and the query tries the next;
       the first complete solution wins.
     - ``build(slots, event)`` returns the ruling's operations. Sub-terms
       without variables, audit ops and block ops are built once, here.
 
-    ``writes`` tells whether the operations can change the state. A part
-    of a guard or template that references something unresolvable (an
+    A part of a guard or template that references something unresolvable (an
     unbound variable, ``_`` where a value is needed) compiles to a closure
     that raises ``GuardError`` when evaluation reaches it, so a law error
     surfaces at the same point, with the same message, as it would if the
     tree were read per event.
     """
 
-    __slots__ = ("match", "guard", "build", "writes")
+    __slots__ = ("match", "guard", "build")
 
     def __init__(self, rule: "GroundRule"):
         slots = {}  # variable name -> slot index
         pattern = _compile_args(rule.pattern, slots)
         self.guard = _compile_guard(rule.guard, slots)
         self.build = _compile_ops(rule.ops, slots)
-        self.writes = any(isinstance(t, (TReplace, TAdd, TRemove)) for t in rule.ops)
         n = len(slots)
-        if pattern is None:
-            self.match = lambda args: [None] * n
-        else:
-            def match(args):
-                b = [None] * n
-                return b if pattern(args, b) else None
 
-            self.match = match
+        def match(args):
+            b = [None] * n
+            return b if pattern(args, b) else None
+
+        self.match = match
 
 
 def _raiser(msg: str):
@@ -918,16 +914,13 @@ def _compile_node(p, slots):
     if isinstance(p, PTerm):
         functor, n = p.functor, len(p.args)
         args = _compile_args(p.args, slots)
-        if args is None:
-            return lambda v, b: isinstance(v, Term) and v.functor == functor and len(v.args) == n
         return lambda v, b: (isinstance(v, Term) and v.functor == functor
                              and len(v.args) == n and args(v.args, b))
     return _raiser("invalid pattern node %r" % (p,))
 
 
 def _compile_args(nodes, slots):
-    """Matcher ``m(values, b) -> bool`` for a tuple of pattern nodes; None
-    when every node is ``_``.
+    """Matcher ``m(values, b) -> bool`` for a tuple of pattern nodes.
 
     A variable met here for the first time gets the next slot and is bound
     before the other nodes are tried, left to right. Binding cannot fail,
@@ -940,20 +933,6 @@ def _compile_args(nodes, slots):
             binds.append((j, slots.setdefault(p.name, len(slots))))
         elif p is not WILDCARD:
             steps.append((j, _compile_node(p, slots)))
-    if not steps:
-        if not binds:
-            return None
-        if len(binds) == 1:
-            (j, i), = binds
-
-            def bind_one(a, b):
-                b[i] = a[j]
-                return True
-
-            return bind_one
-    if not binds and len(steps) == 1:
-        (j, m), = steps
-        return lambda a, b: m(a[j], b)
 
     def match_all(a, b):
         for j, i in binds:
@@ -968,9 +947,9 @@ def _compile_args(nodes, slots):
 
 def _compile_guard(atoms, slots):
     """``g(b, state) -> bool`` for a guard conjunction, each atom passing
-    on to the rest; None for an empty one."""
+    on to the rest."""
     if not atoms:
-        return None
+        return lambda b, state: True
     atom = atoms[0]
     if isinstance(atom, StateQuery):
         pat = atom.pattern
@@ -981,16 +960,13 @@ def _compile_guard(atoms, slots):
         def query(b, state):
             for cand in state.visible(functor):
                 a = cand.args
-                if (len(a) == n and (args is None or args(a, b))
-                        and (rest is None or rest(b, state))):
+                if len(a) == n and args(a, b) and rest(b, state):
                     return True
             return False
 
         return query
     test = _compile_comparison(atom, slots)
     rest = _compile_guard(atoms[1:], slots)
-    if rest is None:
-        return lambda b, state: test(b)
     return lambda b, state: test(b) and rest(b, state)
 
 
@@ -999,24 +975,13 @@ _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": opera
 
 
 def _compile_comparison(cmp: Comparison, slots):
-    """``t(b) -> bool``; a side that is a bound variable or a literal is
-    read straight from its slot or the closure."""
+    """``t(b) -> bool``, the operator chosen here rather than per event."""
     op = cmp.op
     left = _compile_expr(cmp.left, slots)
     right = _compile_expr(cmp.right, slots)
-    if op in ("==", "!="):
-        i, j = _slot_of(cmp.left, slots), _slot_of(cmp.right, slots)
-        literal = cmp.right if isinstance(cmp.right, (int, str)) else None
-        if op == "==":
-            if i is not None and j is not None:
-                return lambda b: b[i] == b[j]
-            if i is not None and literal is not None:
-                return lambda b: b[i] == literal
-            return lambda b: left(b) == right(b)
-        if i is not None and j is not None:
-            return lambda b: b[i] != b[j]
-        if i is not None and literal is not None:
-            return lambda b: b[i] != literal
+    if op == "==":
+        return lambda b: left(b) == right(b)
+    if op == "!=":
         return lambda b: left(b) != right(b)
     order = _ORDERINGS[op]
 
@@ -1028,11 +993,6 @@ def _compile_comparison(cmp: Comparison, slots):
         return order(lv, rv)
 
     return ordered
-
-
-def _slot_of(node, slots):
-    """Slot of a variable that is bound where ``node`` is read, else None."""
-    return slots.get(node.name) if isinstance(node, Var) else None
 
 
 def _folded(fn, node):
@@ -1088,14 +1048,9 @@ def _compile_term(pt: PTerm, slots):
     """``e(b) -> Term`` for a term template; a ground one is built once."""
     functor = pt.functor
     args = [_compile_expr(a, slots) for a in pt.args]
-    if len(args) == 1:
-        a0, = args
 
-        def term(b):
-            return Term(functor, (a0(b),))
-    else:
-        def term(b):
-            return Term(functor, tuple([a(b) for a in args]))
+    def term(b):
+        return Term(functor, tuple([a(b) for a in args]))
 
     return _folded(term, pt)
 
@@ -1163,15 +1118,8 @@ def _compile_op(t, slots):
 
 
 def _compile_ops(templates, slots):
-    """``build(b, event) -> ops``. Audit and block ops are built once, and
-    a rule whose every op is one of them shares one tuple of ops."""
+    """``build(b, event) -> ops``, one closure per op template in order."""
     ops = [_compile_op(t, slots) for t in templates]
-    if all(isinstance(t, (TAudit, TBlock)) for t in templates):
-        ruling_ops = tuple(op(None, None) for op in ops)
-        return lambda b, event: ruling_ops
-    if len(ops) == 1:
-        op, = ops
-        return lambda b, event: (op(b, event),)
     return lambda b, event: tuple([op(b, event) for op in ops])
 
 
@@ -1184,7 +1132,7 @@ def match_pattern(crule: CompiledRule, args: tuple):
 def eval_guard(crule: CompiledRule, b: list, state: ControlState):
     """Run a compiled rule's guard over the slots ``match_pattern`` bound:
     the completed slots, or None when the guard fails."""
-    return b if crule.guard is None or crule.guard(b, state) else None
+    return b if crule.guard(b, state) else None
 
 
 def first_match(doc: LawDoc, event: Event, state: ControlState, rules=None, args=None):
@@ -1209,7 +1157,7 @@ def first_match(doc: LawDoc, event: Event, state: ControlState, rules=None, args
         if b is None:
             continue
         ops = crule.build(b, event)
-        new_state = apply_ruling(state, Ruling(state, ops)) if crule.writes else state
+        new_state = apply_ruling(state, Ruling(state, ops))
         return rule, Ruling(new_state.without_overlay(), ops)
     return None
 

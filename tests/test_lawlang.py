@@ -63,6 +63,8 @@ class TestParsing:
         with pytest.raises(LawSyntaxError, match="arithmetic is not allowed in match patterns"):
             parse_law("law bad\ndefault block\nrule r aspect a on sent(_, M, _) when "
                       "budget(B)@CS, %s do { block }\n" % query)
+
+    def test_event_patterns_reject_arithmetic(self):
         with pytest.raises(LawSyntaxError, match="arithmetic is not allowed in match patterns"):
             parse_law("law bad\ndefault block\n"
                       "rule r aspect a on sent(_, m(B + 1), _) do { block }\n")
