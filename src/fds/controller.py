@@ -4,9 +4,18 @@ A controller pool hosts one logical controller per adopted agent. Each
 agent runs under one or more law chains (a native chain plus optional
 crosscutting overlays). Outbound messages are evaluated native chain
 first; what that chain forwards is re-submitted to the next chain, and
-only the survivors reach the wire. Inbound traffic runs the chains in the
-opposite order, so a crosscutting law sees arrivals before the native law
-does. The pool also keeps the obligation clock and the audit sink.
+only the survivors reach the wire. Inbound traffic runs the last
+(crosscutting) chain first and then the others in order, so a
+crosscutting law sees arrivals before the native law does. The pool also
+keeps the obligation clock and the audit sink.
+
+Every ruling goes through one mediation step, ``ControllerPool._mediate``:
+it derives the ruling of one chain on one event, records it in the trace,
+and commits it. It alone knows the commit rule: a ruling that blocks an
+``adopted`` event commits nothing, since the adoption is refused; every
+other ruling, blocked or not, commits its new state and its obligation
+ops. Sends and arrivals pass through the chains by one chain walk,
+``ControllerPool._walk``.
 """
 
 from __future__ import annotations
@@ -26,13 +35,11 @@ from .core import (
     ControlState,
     Deliver,
     Event,
-    ExceptionEvent,
     FdsError,
     Forward,
     ImposeObligation,
     ObligationDue,
     RepealObligation,
-    Ruling,
     Sent,
     Term,
 )
@@ -137,13 +144,10 @@ class ControllerPool:
         states = [path.initial_state(name, cert.division) for path in chains]
         rec = AgentRecord(name, cert.division, actor, chains, states,
                           [dict() for _ in chains])
-        for idx, path in enumerate(rec.chains):
-            event = Adopted(cert.to_term())
-            ruling, _ = self._rule(rec, idx, event, overlay=self._base_overlay())
-            if ruling.blocks():
+        event = Adopted(cert.to_term())
+        for idx in range(len(chains)):
+            if self._mediate(rec, idx, event, self._base_overlay())[0].blocks():
                 raise AdoptionError("adoption-refused: %s" % name)
-            rec.states[idx] = ruling.new_state
-            self._side_effects(rec, idx, ruling, event)
         self.agents[name] = rec
         self.net.register(name, self._make_inbox(name))
         self.net.register_actor(name, actor)
@@ -162,25 +166,18 @@ class ControllerPool:
             raise AdoptionError("unknown-agent: %s" % name)
         path = self.framework.resolve_path(second)
         st = path.initial_state(name, rec.division)
-        native_event = Adopted(Term("stack", (path.leaf,)))
-        ruling, _ = self._rule(rec, 0, native_event, overlay=self._base_overlay())
-        if ruling.blocks():
+        native = Adopted(Term("stack", (path.leaf,)))
+        if self._mediate(rec, 0, native, self._base_overlay())[0].blocks():
             raise AdoptionError("stack-refused: %s" % name)
-        rec.states[0] = ruling.new_state
-        self._side_effects(rec, 0, ruling, native_event)
         rec.chains.append(path)
         rec.states.append(st)
         rec.obligations.append({})
-        idx = len(rec.chains) - 1
         event = Adopted(Term("stack", (rec.chains[0].leaf,)))
-        ruling, _ = self._rule(rec, idx, event, overlay=self._base_overlay())
-        if ruling.blocks():
+        if self._mediate(rec, len(rec.chains) - 1, event, self._base_overlay())[0].blocks():
             rec.chains.pop()
             rec.states.pop()
             rec.obligations.pop()
             raise AdoptionError("stack-refused: %s" % name)
-        rec.states[idx] = ruling.new_state
-        self._side_effects(rec, idx, ruling, event)
         self.trace.add("stack-adopt", agent=name, law=path.leaf)
         return rec
 
@@ -198,44 +195,31 @@ class ControllerPool:
         rec = self.agents.get(sender)
         if rec is None:
             raise FdsError("unknown agent %s" % sender)
-        work = [(0, Sent(self._peer(target), payload))]
-        ruling_seqs: List[int] = []
-        out: List[Tuple[int, Forward]] = []  # (chain idx of final stage, op)
-        audited = False
-        blocked_reason = None
-        while work:
-            idx, event = work.pop(0)
-            ruling, seq = self._rule(rec, idx, event,
-                                     overlay=self._peer_overlay(event.target.name,
-                                                                rec.chains[idx].leaf))
-            ruling_seqs.append(seq)
-            rec.states[idx] = ruling.new_state
-            self._side_effects(rec, idx, ruling, event)
-            audited = audited or any(isinstance(o, AuditLog) for o in ruling.ops)
-            if ruling.blocks():
-                blocked_reason = next(o.reason for o in ruling.ops if isinstance(o, Block))
-                continue
-            for op in ruling.ops:
-                if isinstance(op, Forward):
-                    if idx + 1 < len(rec.chains):
-                        work.append((idx + 1, Sent(self._peer(op.target), op.payload)))
-                    else:
-                        out.append((idx, op))
+        out, seqs, audited, reason = self._walk(
+            rec, range(len(rec.chains)), self._sent(target, payload), Forward,
+            lambda op: self._sent(op.target, op.payload))
         sent_any = False
         for idx, op in out:
-            env = make_envelope(
-                "lgi-message", rec.name, rec.division,
-                rec.chains[idx].hashes, op.target, op.payload, self.now,
-            )
-            if self.net.send(env, from_rulings=ruling_seqs) is not None:
+            if self._emit(rec, idx, op, seqs) is not None:
                 sent_any = True
         if audited and sent_any:
-            self._audit_record("send", rec, target, payload)
-        if not sent_any and blocked_reason is not None:
+            self._audit_record(rec.name, rec.division, rec.chains[0].leaf, target, payload)
+        if not sent_any and reason is not None:
             notify = getattr(rec.actor, "on_blocked", None)
             if notify is not None:
-                notify(target, payload, blocked_reason)
+                notify(target, payload, reason)
         return sent_any
+
+    def _sent(self, target: str, payload: Term):
+        """The sent event of a message to ``target``, and its peer for the overlay."""
+        peer = self.agents.get(target)
+        division, law = (peer.division, peer.chains[0].leaf) if peer else ("", "")
+        return Sent(AgentName(target, division), payload), (target, division, law)
+
+    def _emit(self, rec: AgentRecord, idx: int, op: Forward, rulings):
+        env = make_envelope("lgi-message", rec.name, rec.division,
+                            rec.chains[idx].hashes, op.target, op.payload, self.now)
+        return self.net.send(env, from_rulings=rulings)
 
     # -- inbound -----------------------------------------------------------
 
@@ -252,40 +236,20 @@ class ControllerPool:
                            payload=env.payload, envelope=env_seq)
             return
         sender = AgentName(env.sender_name, env.sender_division)
-        order = list(range(len(rec.chains)))
-        # crosscutting overlays inspect arrivals before the native law
-        first = order[-1:] + order[:-1] if len(order) > 1 else order
+        peer = (env.sender_name, env.sender_division, env.sender_law)
+        last = len(rec.chains) - 1
         payload = env.payload_term()
-        work = [(first[0], Arrived(sender, env.sender_law, payload))]
-        audited = False
-        delivered = []
-        while work:
-            idx, event = work.pop(0)
-            same = 1 if env.sender_law == rec.chains[idx].leaf else 0
-            overlay = self._peer_overlay(env.sender_name, rec.chains[idx].leaf,
-                                         division=env.sender_division,
-                                         law=env.sender_law, same=same)
-            ruling, _ = self._rule(rec, idx, event, overlay=overlay, envelope=env_seq)
-            rec.states[idx] = ruling.new_state
-            self._side_effects(rec, idx, ruling, event)
-            audited = audited or any(isinstance(o, AuditLog) for o in ruling.ops)
-            if ruling.blocks():
-                continue
-            nxt = first.index(idx) + 1
-            for op in ruling.ops:
-                if isinstance(op, Deliver):
-                    if nxt < len(first):
-                        work.append((first[nxt], Arrived(sender, env.sender_law, op.payload)))
-                    else:
-                        delivered.append(op.payload)
-        for term in delivered:
+        # crosscutting overlays inspect arrivals before the native law
+        out, _, audited, _ = self._walk(
+            rec, [last, *range(last)], (Arrived(sender, env.sender_law, payload), peer),
+            Deliver, lambda op: (Arrived(sender, env.sender_law, op.payload), peer), env_seq)
+        for _, op in out:
             self.trace.add("deliver", agent=name, sender=env.sender_name,
-                           payload=term.canonical(), envelope=env_seq)
-            rec.actor.on_deliver(env.sender_name, term)
-        if audited and delivered:
-            self._audit_record("arrive", rec, env.sender_name, payload,
-                               peer_division=env.sender_division,
-                               peer_law=env.sender_law)
+                           payload=op.payload.canonical(), envelope=env_seq)
+            rec.actor.on_deliver(env.sender_name, op.payload)
+        if audited and out:
+            self._audit_record(env.sender_name, env.sender_division, env.sender_law,
+                               name, payload)
 
     # -- obligations and time ----------------------------------------------
 
@@ -299,47 +263,19 @@ class ControllerPool:
                     or rec.obligations[idx].get(canon) != (when, seq)):
                 continue  # agent quit, or obligation repealed or re-imposed
             del rec.obligations[idx][canon]
-            event = ObligationDue(term)
-            ruling, rseq = self._rule(rec, idx, event, overlay=self._base_overlay())
-            rec.states[idx] = ruling.new_state
-            self._side_effects(rec, idx, ruling, event)
+            ruling, rseq = self._mediate(rec, idx, ObligationDue(term), self._base_overlay())
             if ruling.blocks():
                 continue
             for op in ruling.ops:
                 if isinstance(op, Forward):
-                    env = make_envelope("lgi-message", rec.name, rec.division,
-                                        rec.chains[idx].hashes, op.target, op.payload,
-                                        self.now)
-                    self.net.send(env, from_rulings=[rseq])
+                    self._emit(rec, idx, op, [rseq])
                 elif isinstance(op, Deliver):
                     rec.actor.on_deliver(rec.name, op.payload)
 
-    def raise_exception(self, name: str, reason: str):
-        rec = self.agents.get(name)
-        if rec is None:
-            return
-        for idx in range(len(rec.chains)):
-            event = ExceptionEvent(reason)
-            ruling, _ = self._rule(rec, idx, event, overlay=self._base_overlay())
-            rec.states[idx] = ruling.new_state
-            self._side_effects(rec, idx, ruling, event)
-
     # -- internals ---------------------------------------------------------
 
-    def _peer(self, target: str) -> AgentName:
-        peer = self.agents.get(target)
-        if peer is None:
-            return AgentName(target)
-        return AgentName(target, peer.division)
-
-    def _peer_overlay(self, peer: str, own_leaf: str, division=None, law=None,
-                      same=None):
-        if division is None or law is None:
-            rec = self.agents.get(peer)
-            division = rec.division if rec else ""
-            law = rec.chains[0].leaf if rec else ""
-            if same is None:
-                same = 1 if law == own_leaf else 0
+    def _peer_overlay(self, own_leaf: str, peer: str, division: str, law: str):
+        same = 1 if law == own_leaf else 0
         key = (peer, division, law, same)
         terms = self._peer_terms.get(key)
         if terms is None:
@@ -356,14 +292,54 @@ class ControllerPool:
             self._clock = Term("clock", (self.now,))
         return [self._clock]
 
-    def _rule(self, rec: AgentRecord, idx: int, event: Event, overlay,
+    def _walk(self, rec: AgentRecord, order, first, passes, relay,
               envelope: Optional[int] = None):
+        """Mediate one message through ``rec``'s chains in ``order``.
+
+        ``first`` is the event the message submits to the first chain and
+        the peer ``(name, division, law)`` of its overlay. A chain passes
+        the message on by ops of type ``passes`` (``Forward`` or
+        ``Deliver``); ``relay(op)`` gives the event and peer such an op
+        submits to the next chain. Returns the ops the last chain passes
+        on, each with the index of that chain, the ruling seqs, whether any
+        ruling audited, and the reason of the last block.
+        """
+        work = [(0, first)]
+        out, seqs, audited, reason = [], [], False, None
+        while work:
+            pos, (event, peer) = work.pop(0)
+            idx = order[pos]
+            overlay = self._peer_overlay(rec.chains[idx].leaf, *peer)
+            ruling, seq = self._mediate(rec, idx, event, overlay, envelope)
+            seqs.append(seq)
+            audited = audited or any(isinstance(o, AuditLog) for o in ruling.ops)
+            if ruling.blocks():
+                reason = next(o.reason for o in ruling.ops if isinstance(o, Block))
+                continue
+            for o in ruling.ops:
+                if isinstance(o, passes):
+                    if pos + 1 < len(order):
+                        work.append((pos + 1, relay(o)))
+                    else:
+                        out.append((idx, o))
+        return out, seqs, audited, reason
+
+    def _mediate(self, rec: AgentRecord, idx: int, event: Event, overlay,
+                 envelope: Optional[int] = None):
+        """Derive chain ``idx``'s ruling on ``event``, record it and commit it.
+
+        A ruling that blocks an ``adopted`` event commits nothing; any other
+        commits its new state and its obligation ops. Returns the ruling and
+        the seq of its trace record.
+        """
         path = rec.chains[idx]
-        state = rec.states[idx].with_overlay(overlay)
+        before = rec.states[idx]
+        state = before.with_overlay(overlay)
         t0 = _time.perf_counter_ns()
         kind, args = view = event_args(event, state)
         ruling = derive_ruling(path, event, state, view)
         self.metrics.append((path.leaf, _time.perf_counter_ns() - t0))
+        blocked = ruling.blocks()
         seq = self.trace.add(
             "ruling",
             agent=rec.name,
@@ -372,15 +348,15 @@ class ControllerPool:
             event=kind,
             eventArgs=[a.canonical() if isinstance(a, Term) else a for a in args],
             overlay=";".join(t.canonical() for t in overlay),
-            stateBefore=rec.states[idx].canonical(),
+            stateBefore=before.canonical(),
             stateAfter=ruling.new_state.canonical(),
             ops=ruling.canonical_ops(),
-            blocked=ruling.blocks(),
+            blocked=blocked,
             **({"envelope": envelope} if envelope is not None else {}),
         )
-        return ruling, seq
-
-    def _side_effects(self, rec: AgentRecord, idx: int, ruling: Ruling, event: Event):
+        if blocked and kind == "adopted":
+            return ruling, seq
+        rec.states[idx] = ruling.new_state
         table = rec.obligations[idx]
         for op in ruling.ops:
             if isinstance(op, ImposeObligation):
@@ -394,27 +370,11 @@ class ControllerPool:
                 self.net.scheduler.schedule(due, _noop)
             elif isinstance(op, RepealObligation):
                 table.pop(op.name.canonical(), None)
+        return ruling, seq
 
-    def _audit_record(self, direction: str, rec: AgentRecord, peer: str,
-                      payload: Term, peer_division: Optional[str] = None,
-                      peer_law: str = ""):
-        if peer_division is None:
-            other = self.agents.get(peer)
-            peer_division = other.division if other else ""
-        if direction == "send":
-            entry = {
-                "senderName": rec.name, "senderDivision": rec.division,
-                "senderLaw": rec.chains[0].leaf,
-                "target": peer, "payloadFunctor": payload.functor,
-            }
-        else:
-            entry = {
-                "senderName": peer, "senderDivision": peer_division,
-                "senderLaw": peer_law,
-                "target": rec.name, "payloadFunctor": payload.functor,
-            }
-        entry["seq"] = len(self.audit)
-        entry["time"] = self.now
-        self.audit.append(entry)
-        self.trace.add("audit", auditSeq=entry["seq"],
-                       **{k: v for k, v in entry.items() if k not in ("time", "seq")})
+    def _audit_record(self, sender: str, division: str, law: str, target: str,
+                      payload: Term):
+        entry = {"senderName": sender, "senderDivision": division, "senderLaw": law,
+                 "target": target, "payloadFunctor": payload.functor}
+        self.trace.add("audit", auditSeq=len(self.audit), **entry)
+        self.audit.append(dict(entry, seq=len(self.audit), time=self.now))

@@ -477,21 +477,19 @@ def _reject_arith(node, cur):
 
 def _parse_guard_atom(cur: _Cursor):
     mark = cur.i
-    # try a state query first: <pterm> @ CS
-    query = None
+    # a term followed by @ is a state query, <pterm> @ CS; anything else is
+    # read again as a comparison
     try:
         pt = _parse_pterm(cur)
-        if cur.accept("@"):
-            cs = cur.next()
-            if cs.value != "CS":
-                raise LawSyntaxError("state query must end in @CS", cs.line, cs.col)
-            query = StateQuery(pt)
     except LawSyntaxError:
-        pass
-    if query is not None:
+        pt = None
+    if pt is not None and cur.accept("@"):
+        cs = cur.next()
+        if cs.value != "CS":
+            raise LawSyntaxError("state query must end in @CS", cs.line, cs.col)
         # a query pattern is matched against state terms, like an event pattern
-        _reject_arith(query.pattern, cur)
-        return query
+        _reject_arith(pt, cur)
+        return StateQuery(pt)
     cur.i = mark
     left = _parse_expr(cur)
     t = cur.next()

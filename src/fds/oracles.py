@@ -235,7 +235,7 @@ class RingVerdict:
     holds: Dict[str, List[int]]
 
 
-_TOKEN_PAYLOADS = ("token(1)", "seedToken()")
+_TOKEN_PAYLOADS = ("token(1)", "seedToken")  # envelope payloads are canonical text
 
 
 def ring_token_oracle(records, allowed_losses: int = 0,

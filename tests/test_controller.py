@@ -1,3 +1,5 @@
+import contextlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,11 +11,11 @@ from fds.controller import (
     issue_certificate,
     verify_certificate,
 )
-from fds.core import Deliver, FdsError, Forward, ObligationDue, Term, parse_term
+from fds.core import Deliver, FdsError, Forward, ObligationDue, StateError, Term, parse_term
 from fds.library import build_acme_hierarchy, make_token_ring_law
 from fds.lawlang import parse_law
 from fds.hierarchy import Framework, publish_laws
-from fds.transport import Envelope, Scheduler, SimNet, SimNetConfig, Trace, make_envelope
+from fds.transport import Envelope, Scheduler, SimNet, SimNetConfig, Trace
 
 
 def make_pool(framework):
@@ -281,18 +283,13 @@ class ScanPool(ControllerPool):
             if rec is None or rec.obligations[idx].get(canon, (None, None))[1] != seq:
                 continue
             del rec.obligations[idx][canon]
-            event = ObligationDue(parse_term(canon))
-            ruling, rseq = self._rule(rec, idx, event, overlay=self._base_overlay())
-            rec.states[idx] = ruling.new_state
-            self._side_effects(rec, idx, ruling, event)
+            ruling, rseq = self._mediate(rec, idx, ObligationDue(parse_term(canon)),
+                                         self._base_overlay())
             if ruling.blocks():
                 continue
             for op in ruling.ops:
                 if isinstance(op, Forward):
-                    env = make_envelope("lgi-message", rec.name, rec.division,
-                                        rec.chains[idx].hashes, op.target, op.payload,
-                                        self.now)
-                    self.net.send(env, from_rulings=[rseq])
+                    self._emit(rec, idx, op, [rseq])
                 elif isinstance(op, Deliver):
                     rec.actor.on_deliver(rec.name, op.payload)
 
@@ -392,3 +389,82 @@ class TestObligationClock:
             runs.append((_fired(trace), trace.records))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
+
+
+# A root that counts sends and three deltas: capped counts a send, imposes
+# nudge() and blocks it; fussy writes tried(1), imposes nudge() and refuses
+# any stacking; seen adds the single-valued seen(1) on every send.
+MINI_ROOT = """\
+law mini
+default pass
+init { count(0) }
+meta { mini:send open }
+rule s1 aspect mini:send on sent(_, _, _) when count(C)@CS do { replace count(C) <- count(C + 1); forward }
+"""
+MINI_DELTAS = {
+    "capped": 'rule c1 aspect mini:send on sent(_, _, _) when count(C)@CS do '
+              '{ replace count(C) <- count(C + 1); oblige nudge() in 1; block("capped") }',
+    "fussy": 'rule f1 aspect mini:stack on adopted(stack(_)) do '
+             '{ add tried(1); oblige nudge() in 1; block("no-stack") }',
+    "seen": "rule n1 aspect seen:send on sent(_, _, _) do { add seen(1); forward }",
+}
+
+
+class TestCommitRule:
+    """A ruling that blocks an adopted event commits nothing; every other
+    ruling, blocked or not, commits its state and its obligations."""
+
+    def _pool(self):
+        docs = {"root": parse_law(MINI_ROOT)}
+        for name, rule in MINI_DELTAS.items():
+            docs[name] = parse_law("law %s\nextends mini\n%s\n" % (name, rule))
+        bundle = publish_laws(docs)
+        pool, sched, trace = make_pool(bundle.framework)
+        return pool, sched, trace, bundle
+
+    def test_a_blocked_send_commits_its_state_and_obligations(self):
+        pool, sched, trace, bundle = self._pool()
+        a = SinkActor()
+        rec = pool.adopt(a, issue_certificate("a", ""), bundle.capped)
+        pool.adopt(SinkActor(), issue_certificate("b", ""), bundle.capped)
+        assert not pool.send("a", "b", Term("m"))
+        assert a.blocked[-1][2] == "capped"
+        assert rec.states[0].lookup("count") == [Term("count", (1,))]
+        sched.run(until=5)
+        assert _fired(trace) == [(1, "a", 0, "nudge")]
+
+    def test_a_stacking_the_native_chain_refuses_commits_nothing(self):
+        pool, sched, trace, bundle = self._pool()
+        rec = pool.adopt(SinkActor(), issue_certificate("a", ""), bundle.fussy)
+        before = rec.states[0].canonical()
+        with pytest.raises(AdoptionError, match="stack-refused"):
+            pool.stack_adopt("a", bundle.seen)
+        assert "tried(1)" in trace.of_type("ruling")[-1]["stateAfter"]
+        assert rec.states[0].canonical() == before
+        sched.run(until=5)
+        assert _fired(trace) == []
+
+    def test_a_refusing_new_chain_leaves_no_chain_or_obligation(self):
+        pool, sched, trace, bundle = self._pool()
+        rec = pool.adopt(SinkActor(), issue_certificate("a", ""), bundle.root)
+        with pytest.raises(AdoptionError, match="stack-refused"):
+            pool.stack_adopt("a", bundle.fussy)
+        refusal = trace.of_type("ruling")[-1]
+        assert refusal["chain"] == 1 and "oblige nudge in 1" in refusal["ops"]
+        assert len(rec.chains) == len(rec.states) == len(rec.obligations) == 1
+        sched.run(until=5)
+        assert _fired(trace) == []
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 3: a stacked send that fails in a later "
+                       "chain keeps what the earlier chains committed")
+    def test_roadmap_item_3_a_failed_send_commits_on_no_chain(self):
+        pool, sched, trace, bundle = self._pool()
+        rec = pool.adopt(SinkActor(), issue_certificate("a", ""), bundle.root)
+        pool.adopt(SinkActor(), issue_certificate("b", ""), bundle.root)
+        pool.stack_adopt("a", bundle.seen)
+        assert pool.send("a", "b", Term("m"))
+        before = rec.states[0].canonical()
+        with contextlib.suppress(StateError):  # seen(1) is already there in chain 1
+            pool.send("a", "b", Term("m"))
+        assert rec.states[0].canonical() == before

@@ -19,6 +19,7 @@ from fds.core import (
     FdsError,
     ObligationDue,
     Sent,
+    StateError,
     parse_term,
     parse_terms,
 )
@@ -531,6 +532,18 @@ class TestContinuityBreaks:
         assert "tried" not in stacked[1]["stateBefore"]
         assert self._replay_file(report, tmp_path) == (True, [])
         _assert_carried_replay_agrees(report)
+
+
+@pytest.mark.xfail(strict=True, raises=StateError,
+                   reason="ROADMAP item 3: a law error aborts the run instead of "
+                   "becoming an exception event for the law")
+def test_roadmap_item_3_a_law_error_does_not_abort_the_run():
+    # a second seed token makes the ring law add hasToken to a holder
+    scenario = _without_assertions(load_scenario(SCENARIOS / "ring-churn.json"))
+    scenario["timeline"] = scenario["timeline"] + [
+        {"action": "send", "at": at, "from": "ringmgr", "to": "m3", "payload": "seedToken()"}
+        for at in (50, 51)]
+    assert run_scenario(scenario).records
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: replay does not check that "

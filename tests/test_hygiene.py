@@ -2,10 +2,13 @@
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fds"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fds"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -32,3 +35,32 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_definitions(defining, naming):
+    """Functions, classes and methods (dunders aside) that the ``defining``
+    sources define and that no text in ``naming`` names beyond its
+    definitions."""
+    defined = Counter()
+    for source in defining:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                defined[node.name] += 1
+    words = Counter(w for text in naming for w in re.findall(r"\w+", text))
+    return sorted(name for name, n in defined.items() if words[name] <= n)
+
+
+def test_detects_a_dead_definition():
+    src = ("def used():\n    pass\n\ndef dead():\n    pass\n\n"
+           "class K:\n    def __init__(self):\n        pass\n\n"
+           "    def m(self):\n        used()\n")
+    assert dead_definitions([src], [src, "K().m()"]) == ["dead"]
+    # two definitions of one name need a use beyond both
+    assert dead_definitions([src, "def used():\n    pass\n"], [src, "K().m()"]) == [
+        "dead", "used"]
+
+
+def test_every_definition_is_named_elsewhere():
+    naming = [p.read_text() for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
+    assert dead_definitions([p.read_text() for p in SRC.glob("*.py")], naming) == []

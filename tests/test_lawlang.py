@@ -64,6 +64,12 @@ class TestParsing:
             parse_law("law bad\ndefault block\nrule r aspect a on sent(_, M, _) when "
                       "budget(B)@CS, %s do { block }\n" % query)
 
+    @pytest.mark.parametrize("query", ["budget(B)@XY", "budget(B)@"])
+    def test_state_query_error_names_the_cs_suffix(self, query):
+        with pytest.raises(LawSyntaxError, match="state query must end in @CS"):
+            parse_law("law bad\ndefault block\nrule r aspect a on sent(_, _, _) when "
+                      "%s do { block }\n" % query)
+
     def test_event_patterns_reject_arithmetic(self):
         with pytest.raises(LawSyntaxError, match="arithmetic is not allowed in match patterns"):
             parse_law("law bad\ndefault block\n"
