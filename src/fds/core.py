@@ -7,6 +7,7 @@ law identity by hash. Everything here is immutable and side-effect free.
 from __future__ import annotations
 
 import hashlib
+import re
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Optional, Union
@@ -33,8 +34,11 @@ class Term:
     Immutable, slotted and without an instance ``__dict__``. ``canonical()``
     renders the text on first use and keeps it, so a term is rendered at
     most once however often it is sorted, recorded or nested in another.
-    Equality, hashing and ``repr`` are those of a frozen dataclass over
-    ``(functor, args)``; the kept text takes no part in them.
+    A zero-arity term renders bare at the top (``flush``) and with its
+    parentheses as an argument (``f(a())``), so ``parse_term`` reads every
+    term's text back as that term. Equality, hashing and ``repr`` are those
+    of a frozen dataclass over ``(functor, args)``; the kept text takes no
+    part in them.
     """
 
     __slots__ = ("functor", "args", "_text")
@@ -92,132 +96,125 @@ def _render_arg(a: TermArg) -> str:
     if isinstance(a, int):
         return str(a)
     if isinstance(a, str):
-        return '"%s"' % a.replace("\\", "\\\\").replace('"', '\\"')
+        return quote(a)
     if isinstance(a, Term):
-        return a.canonical()
+        # nested, a zero-arity term keeps its parentheses: a bare atom reads
+        # as a string
+        return a.canonical() if a.args else a.functor + "()"
     raise TermSyntaxError("unsupported term argument: %r" % (a,))
 
 
+# ---------------------------------------------------------------------------
+# the lexical grammar of term text and law text
+
+# a backslash in a string stands for the one character after it
+_ESCAPE = r"\\."
+
+# The tokens of term text and of law text, each with the blanks before it.
+# ``bad`` is any other character, so every text is a run of tokens and blanks.
+TOKEN = re.compile(r"""
+    [ \t\r\n]*
+    (?:
+        (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<number>[0-9]+)
+      | (?P<string>"(?:[^"\\]|%s)*")
+      | (?P<op><-|<=|>=|==|!=|[<>+\-*@:(){},;])
+      | (?P<comment>\#[^\n]*)
+      | (?P<bad>[^ \t\r\n])
+    )
+""" % _ESCAPE, re.VERBOSE | re.DOTALL)
+
+_scan = TOKEN.match
+_unescape = re.compile(_ESCAPE, re.DOTALL).sub
+
+
+def quote(s: str) -> str:
+    """A string as a string token."""
+    return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def unquote(token: str) -> str:
+    """The string a string token stands for."""
+    body = token[1:-1]
+    return _unescape(lambda m: m[0][1], body) if "\\" in body else body
+
+
 def parse_term(text: str) -> Term:
-    """Parse the canonical term syntax. Bare lowercase atoms read as strings."""
-    term, pos = _parse_term(text, 0)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise TermSyntaxError("trailing input at %d in %r" % (pos, text))
+    """Parse the canonical term syntax. A bare identifier nested as an
+    argument reads as a string."""
+    term, m = _read_term(text, _scan(text))
+    if m is not None:
+        raise _unexpected(text, m)
     return term
-
-
-def as_parsed(t: Term) -> Term:
-    """What ``parse_term(t.canonical())`` returns, without rendering or
-    parsing, for a term whose functors are identifiers: a zero-arity term
-    nested as an argument reads back as its bare atom, a string. Returns
-    ``t`` itself when no argument changes, which is the common case."""
-    args = None
-    for i, a in enumerate(t.args):
-        if isinstance(a, Term):
-            b = as_parsed(a) if a.args else a.functor
-            if b is not a:
-                if args is None:
-                    args = list(t.args)
-                args[i] = b
-    return t if args is None else Term(t.functor, tuple(args))
 
 
 def parse_terms(text: str) -> list:
     """Parse a ``;``-separated list of terms, as ``ControlState.canonical``
     writes a state and the trace an overlay. A ``;`` inside a string
     argument is part of the string. Empty text is the empty list."""
-    terms, pos = [], _skip_ws(text, 0)
-    if pos == len(text):
-        return terms
+    m = _scan(text)
+    if m is None:
+        return []
+    terms = []
     while True:
-        term, pos = _parse_term(text, pos)
+        term, m = _read_term(text, m)
         terms.append(term)
-        pos = _skip_ws(text, pos)
-        if pos == len(text):
+        if m is None:
             return terms
-        if text[pos] != ";":
-            raise TermSyntaxError("expected ';' at %d in %r" % (pos, text))
-        pos += 1
+        if m["op"] != ";":
+            raise _unexpected(text, m)
+        m = _scan(text, m.end())
 
 
-def _skip_ws(s: str, i: int) -> int:
-    while i < len(s) and s[i] in " \t":
-        i += 1
-    return i
+def _unexpected(text: str, m) -> TermSyntaxError:
+    if m is None:
+        return TermSyntaxError("unexpected end of input in %r" % text)
+    kind = m.lastgroup
+    what = "unterminated string" if m[kind] == '"' else "unexpected %r" % m[kind]
+    return TermSyntaxError("%s at %d in %r" % (what, m.start(kind), text))
 
 
-def _parse_term(s: str, i: int):
-    i = _skip_ws(s, i)
-    j = i
-    while j < len(s) and (s[j].isalnum() or s[j] == "_"):
-        j += 1
-    if j == i or not (s[i].isalpha() or s[i] == "_"):
-        raise TermSyntaxError("expected functor at %d in %r" % (i, s))
-    functor = s[i:j]
-    j = _skip_ws(s, j)
-    if j >= len(s) or s[j] != "(":
-        return Term(functor), j
+def _read_term(text: str, m):
+    """The term whose functor is the token ``m``, and the token after it."""
+    functor = None if m is None else m["ident"]
+    if functor is None:
+        raise _unexpected(text, m)
+    pos = m.end()
+    # no blank between a functor and its "("
+    if text[pos:pos + 1] != "(":
+        return Term(functor), _scan(text, pos)
+    m = _scan(text, pos + 1)
+    if m is not None and m["op"] == ")":
+        return Term(functor), _scan(text, m.end())
     args = []
-    j += 1
-    j = _skip_ws(s, j)
-    if j < len(s) and s[j] == ")":
-        return Term(functor, ()), j + 1
     while True:
-        arg, j = _parse_arg(s, j)
+        arg, m = _read_arg(text, m)
         args.append(arg)
-        j = _skip_ws(s, j)
-        if j >= len(s):
-            raise TermSyntaxError("unterminated term in %r" % s)
-        if s[j] == ",":
-            j += 1
-            continue
-        if s[j] == ")":
-            return Term(functor, tuple(args)), j + 1
-        raise TermSyntaxError("unexpected %r at %d in %r" % (s[j], j, s))
+        p = None if m is None else m["op"]
+        if p == ")":
+            return Term(functor, tuple(args)), _scan(text, m.end())
+        if p != ",":
+            raise _unexpected(text, m)
+        m = _scan(text, m.end())
 
 
-def _parse_arg(s: str, i: int):
-    i = _skip_ws(s, i)
-    if i >= len(s):
-        raise TermSyntaxError("unexpected end of input in %r" % s)
-    c = s[i]
-    if c == '"':
-        return _parse_string(s, i)
-    if c.isdigit() or (c == "-" and i + 1 < len(s) and s[i + 1].isdigit()):
-        j = i + 1
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        return int(s[i:j]), j
-    if not (c.isalpha() or c == "_"):
-        raise TermSyntaxError("unexpected %r at %d in %r" % (c, i, s))
-    j = i
-    while j < len(s) and (s[j].isalnum() or s[j] == "_"):
-        j += 1
-    k = _skip_ws(s, j)
-    if k < len(s) and s[k] == "(":
-        return _parse_term(s, i)
-    # bare atom: reads as a string
-    return s[i:j], j
-
-
-def _parse_string(s: str, i: int):
-    assert s[i] == '"'
-    out = []
-    j = i + 1
-    while j < len(s):
-        c = s[j]
-        if c == "\\":
-            if j + 1 >= len(s):
-                break
-            out.append(s[j + 1])
-            j += 2
-            continue
-        if c == '"':
-            return "".join(out), j + 1
-        out.append(c)
-        j += 1
-    raise TermSyntaxError("unterminated string in %r" % s)
+def _read_arg(text: str, m):
+    """The argument that starts at the token ``m``, and the token after it."""
+    kind = None if m is None else m.lastgroup
+    if kind == "number":
+        return int(m["number"]), _scan(text, m.end())
+    if kind == "string":
+        return unquote(m["string"]), _scan(text, m.end())
+    if kind == "ident":
+        if text[m.end():m.end() + 1] == "(":
+            return _read_term(text, m)
+        return m["ident"], _scan(text, m.end())
+    if kind == "op" and m["op"] == "-":
+        # the minus sign of a negative integer, directly before its digits
+        n = _scan(text, m.end())
+        if n is not None and n.lastgroup == "number" and n.start("number") == m.end():
+            return -int(n["number"]), _scan(text, n.end())
+    raise _unexpected(text, m)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +296,6 @@ class Forward:
 @dataclass(frozen=True)
 class Deliver:
     payload: Term
-    certified_sender: Optional[str] = None
 
     op = "deliver"
 

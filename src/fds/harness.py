@@ -27,10 +27,7 @@ from .core import (
     FdsError,
     ObligationDue,
     Sent,
-    StateAdd,
-    StateReplace,
     Term,
-    as_parsed,
     hash_law,
     parse_term,
     parse_terms,
@@ -496,24 +493,6 @@ def _event_from_record(rec: dict, overlay):
     return ExceptionEvent(args[0])
 
 
-def _reads_back(ops) -> bool:
-    """Whether every term the ops write is the term its text parses to.
-
-    A zero-arity term nested as an argument is not: its text reads back as
-    a bare-atom string.
-    """
-    for op in ops:
-        if isinstance(op, StateAdd):
-            written = op.term
-        elif isinstance(op, StateReplace):
-            written = op.new
-        else:
-            continue
-        if as_parsed(written) is not written:
-            return False
-    return True
-
-
 def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     """Re-derive every recorded ruling offline from the trace alone.
 
@@ -521,11 +500,11 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     and ``stateAfter``. The state it starts from is carried per (agent,
     chain, law): when the state derived for that chain's previous ruling
     renders exactly as this ruling's ``stateBefore``, it is reused;
-    otherwise ``stateBefore`` is parsed. A derived state is carried only
-    from a ruling that matched its record and only when parsing its text
-    gives back the same terms, so a reused state is always the one parsing
-    would give. Carrying checks no continuity: a ``stateBefore`` that
-    differs from the derived state is parsed and trusted, as it always was.
+    otherwise ``stateBefore`` is parsed. Every ruling that matched its
+    record passes its state on. Since a term's text parses back to that
+    term, a reused state is always the one parsing would give. Carrying
+    checks no continuity: a ``stateBefore`` that differs from the derived
+    state is parsed and trusted, as it always was.
     """
     fw = report.framework or rebuild_framework(report.laws)
     problems: List[str] = []
@@ -553,9 +532,7 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
             problems.append("seq %d: state %r != %r"
                             % (rec["seq"], ruling.new_state.canonical(),
                                rec["stateAfter"]))
-        elif state.canonical() == text and _reads_back(ruling.ops):
-            # the start state is what its text parses to, and the ruling
-            # wrote only terms that read back: stateAfter parses to new_state
+        else:
             carried[key] = ruling.new_state
     return not problems, problems
 

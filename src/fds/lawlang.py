@@ -7,6 +7,11 @@ also carries a default directive for unmatched send/arrive events, an
 initial control state, set-valued functor declarations, and the meta
 permissions that circumscribe subordinate laws.
 
+Law text is read with the tokens of term text, ``core.TOKEN``: the same
+identifiers, unsigned integers, strings with their escapes and
+punctuation, plus ``#`` comments. Tokens are ``(kind, value, pos)``
+tuples; line and column are computed from ``pos`` only for an error.
+
 Parsing yields a syntax tree per rule. The first time a rule is tried it
 is compiled, once, into three closures (``CompiledRule``): a pattern
 matcher specialised to the pattern's shape, a guard whose state queries
@@ -19,7 +24,6 @@ closures; nothing walks the tree after compilation (Feeley & Lapalme,
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -42,8 +46,11 @@ from .core import (
     StateAdd,
     StateRemove,
     StateReplace,
+    TOKEN,
     Term,
     apply_ruling,
+    quote,
+    unquote,
 )
 
 
@@ -66,6 +73,9 @@ EVENT_KINDS = {
     "obligationDue": 1,
     "exception": 1,
 }
+
+# the header sections, in the order a law must write them
+_SECTIONS = ("default", "multi", "init", "meta")
 
 META_MODES = ("sealed", "tighten", "default-overridable", "open")
 
@@ -222,49 +232,23 @@ def aspect_matches(pattern: str, aspect: str) -> bool:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<string>"(?:\\.|[^"\\])*")
-  | (?P<number>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><-|<=|>=|==|!=|[<>+\-*@:(){},;])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # string | number | ident | op
-    value: str
-    line: int
-    col: int
-    pos: int
-
 
 def _tokenize(text: str):
+    """The ``(kind, value, pos)`` of each token of ``core.TOKEN`` in the law
+    text, comments left out: kind is ident, number, string or op."""
     toks = []
-    pos = 0
-    line = 1
-    col = 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise LawSyntaxError("unexpected character %r" % text[pos], line, col)
+    for m in TOKEN.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(Token(kind, value, line, col, pos))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
+        if kind == "bad":
+            raise LawSyntaxError("unexpected character %r" % m[kind],
+                                 *_line_col(text, m.start(kind)))
+        if kind != "comment":
+            toks.append((kind, m[kind], m.start(kind)))
     return toks
+
+
+def _line_col(text: str, pos: int):
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 class _Cursor:
@@ -273,19 +257,20 @@ class _Cursor:
         self.text = text
         self.i = 0
 
-    def peek(self) -> Optional[Token]:
+    def peek(self):
+        """The next ``(kind, value, pos)``, or None at the end."""
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def next(self) -> Token:
+    def at(self, value: str) -> bool:
+        t = self.peek()
+        return t is not None and t[1] == value
+
+    def next(self):
         t = self.peek()
         if t is None:
             raise LawSyntaxError("unexpected end of law text")
         self.i += 1
         return t
-
-    def at(self, value: str) -> bool:
-        t = self.peek()
-        return t is not None and t.value == value
 
     def accept(self, value: str) -> bool:
         if self.at(value):
@@ -293,19 +278,18 @@ class _Cursor:
             return True
         return False
 
-    def expect(self, value: str) -> Token:
+    def expect(self, value: str):
         t = self.peek()
-        if t is None or t.value != value:
-            got = "end of text" if t is None else repr(t.value)
-            line = None if t is None else t.line
-            col = None if t is None else t.col
-            raise LawSyntaxError("expected %r, got %s" % (value, got), line, col)
+        if t is None or t[1] != value:
+            got = "end of text" if t is None else repr(t[1])
+            self.err("expected %r, got %s" % (value, got), t)
         self.i += 1
         return t
 
-    def err(self, msg):
-        t = self.peek()
-        raise LawSyntaxError(msg, t.line if t else None, t.col if t else None)
+    def err(self, msg, tok=None):
+        """Raise ``msg`` at ``tok``, by default the next token."""
+        t = self.peek() if tok is None else tok
+        raise LawSyntaxError(msg, *(_line_col(self.text, t[2]) if t else (None, None)))
 
     def word(self) -> str:
         """A maximal run of adjacent tokens (no intervening whitespace).
@@ -314,35 +298,21 @@ class _Cursor:
         '-', ':' and '*' (e.g. ``send:rc``, ``interdivision-send``, ``send:*``).
         """
         t = self.next()
-        if t.kind not in ("ident", "number") and t.value not in ("*",):
-            raise LawSyntaxError("expected a word", t.line, t.col)
-        parts = [t.value]
-        end = t.pos + len(t.value)
+        if t[0] not in ("ident", "number") and t[1] != "*":
+            self.err("expected a word", t)
+        parts = [t[1]]
+        end = t[2] + len(t[1])
         while True:
             nxt = self.peek()
-            if nxt is None or nxt.pos != end:
+            if nxt is None or nxt[2] != end:
                 break
-            if nxt.kind in ("ident", "number") or nxt.value in ("-", ":", "*"):
-                parts.append(nxt.value)
-                end = nxt.pos + len(nxt.value)
+            if nxt[0] in ("ident", "number") or nxt[1] in ("-", ":", "*"):
+                parts.append(nxt[1])
+                end = nxt[2] + len(nxt[1])
                 self.i += 1
             else:
                 break
         return "".join(parts)
-
-
-def _unquote(raw: str) -> str:
-    body = raw[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        if body[i] == "\\" and i + 1 < len(body):
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(body[i])
-            i += 1
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +329,17 @@ def parse_law(text: str) -> LawDoc:
     default = None
     if cur.accept("default"):
         t = cur.next()
-        if t.value not in ("block", "pass"):
-            raise LawSyntaxError("default must be 'block' or 'pass'", t.line, t.col)
-        default = t.value
+        if t[1] not in ("block", "pass"):
+            cur.err("default must be 'block' or 'pass'", t)
+        default = t[1]
     multi = []
     if cur.accept("multi"):
         cur.expect("{")
         while not cur.accept("}"):
             t = cur.next()
-            if t.kind != "ident":
-                raise LawSyntaxError("expected functor name", t.line, t.col)
-            multi.append(t.value)
+            if t[0] != "ident":
+                cur.err("expected functor name", t)
+            multi.append(t[1])
             if not cur.at("}"):
                 cur.expect(";")
     init = []
@@ -395,8 +365,11 @@ def parse_law(text: str) -> LawDoc:
     while cur.accept("rule"):
         rules.append(_parse_rule(cur))
     t = cur.peek()
+    if t is not None and t[1] in _SECTIONS:
+        cur.err("%r section out of place: the header sections come before the rules, "
+                "in the order %s" % (t[1], ", ".join(_SECTIONS)))
     if t is not None:
-        raise LawSyntaxError("unexpected %r" % t.value, t.line, t.col)
+        cur.err("unexpected %r" % t[1])
     kind = "root" if superior is None else "delta"
     if kind == "root" and default is None:
         raise LawSyntaxError("root law must declare a default directive")
@@ -421,9 +394,9 @@ def _parse_rule(cur: _Cursor) -> GroundRule:
     aspect = cur.word()
     cur.expect("on")
     kind_tok = cur.next()
-    kind = kind_tok.value
+    kind = kind_tok[1]
     if kind not in EVENT_KINDS:
-        raise LawSyntaxError("unknown event kind %r" % kind, kind_tok.line, kind_tok.col)
+        cur.err("unknown event kind %r" % kind, kind_tok)
     cur.expect("(")
     pattern = []
     if not cur.at(")"):
@@ -433,12 +406,8 @@ def _parse_rule(cur: _Cursor) -> GroundRule:
                 break
     cur.expect(")")
     if len(pattern) != EVENT_KINDS[kind]:
-        raise LawSyntaxError(
-            "event %s takes %d pattern arguments, got %d"
-            % (kind, EVENT_KINDS[kind], len(pattern)),
-            kind_tok.line,
-            kind_tok.col,
-        )
+        cur.err("event %s takes %d pattern arguments, got %d"
+                % (kind, EVENT_KINDS[kind], len(pattern)), kind_tok)
     guard = []
     if cur.accept("when"):
         while True:
@@ -456,11 +425,9 @@ def _parse_rule(cur: _Cursor) -> GroundRule:
 
 
 def _parse_pattern_arg(cur: _Cursor):
-    t = cur.peek()
-    if t is None:
+    if cur.peek() is None:
         cur.err("unexpected end of pattern")
-    if t.value == "_":
-        cur.next()
+    if cur.accept("_"):
         return WILDCARD
     node = _parse_expr(cur)
     _reject_arith(node, cur)
@@ -485,28 +452,28 @@ def _parse_guard_atom(cur: _Cursor):
         pt = None
     if pt is not None and cur.accept("@"):
         cs = cur.next()
-        if cs.value != "CS":
-            raise LawSyntaxError("state query must end in @CS", cs.line, cs.col)
+        if cs[1] != "CS":
+            cur.err("state query must end in @CS", cs)
         # a query pattern is matched against state terms, like an event pattern
         _reject_arith(pt, cur)
         return StateQuery(pt)
     cur.i = mark
     left = _parse_expr(cur)
     t = cur.next()
-    if t.value not in ("==", "!=", "<", "<=", ">", ">="):
-        raise LawSyntaxError("expected comparison operator", t.line, t.col)
+    if t[1] not in ("==", "!=", "<", "<=", ">", ">="):
+        cur.err("expected comparison operator", t)
     right = _parse_expr(cur)
-    return Comparison(t.value, left, right)
+    return Comparison(t[1], left, right)
 
 
 def _parse_expr(cur: _Cursor):
     node = _parse_primary(cur)
     while True:
         t = cur.peek()
-        if t is not None and t.value in ("+", "-"):
+        if t is not None and t[1] in ("+", "-"):
             cur.next()
             right = _parse_primary(cur)
-            node = BinExpr(t.value, node, right)
+            node = BinExpr(t[1], node, right)
         else:
             return node
 
@@ -515,39 +482,40 @@ def _parse_primary(cur: _Cursor):
     t = cur.peek()
     if t is None:
         cur.err("unexpected end of expression")
-    if t.value == "(":
+    kind, value, _ = t
+    if value == "(":
         cur.next()
         node = _parse_expr(cur)
         cur.expect(")")
         return node
-    if t.kind == "number":
+    if kind == "number":
         cur.next()
-        return int(t.value)
-    if t.value == "-":
+        return int(value)
+    if value == "-":
         cur.next()
         n = cur.next()
-        if n.kind != "number":
-            raise LawSyntaxError("expected number after unary minus", n.line, n.col)
-        return -int(n.value)
-    if t.kind == "string":
+        if n[0] != "number":
+            cur.err("expected number after unary minus", n)
+        return -int(n[1])
+    if kind == "string":
         cur.next()
-        return _unquote(t.value)
-    if t.kind == "ident":
-        if t.value == "functor":
+        return unquote(value)
+    if kind == "ident":
+        if value == "functor":
             nxt = cur.toks[cur.i + 1] if cur.i + 1 < len(cur.toks) else None
-            if nxt is not None and nxt.value == "(":
+            if nxt is not None and nxt[1] == "(":
                 cur.next()
                 cur.expect("(")
                 v = cur.next()
-                if not _is_var_name(v.value):
-                    raise LawSyntaxError("functor() takes a variable", v.line, v.col)
+                if not _is_var_name(v[1]):
+                    cur.err("functor() takes a variable", v)
                 cur.expect(")")
-                return FunctorOf(Var(v.value))
-        if _is_var_name(t.value):
+                return FunctorOf(Var(v[1]))
+        if _is_var_name(value):
             cur.next()
-            return Var(t.value)
+            return Var(value)
         return _parse_pterm_or_atom(cur)
-    cur.err("unexpected %r in expression" % t.value)
+    cur.err("unexpected %r in expression" % value)
 
 
 def _is_var_name(name: str) -> bool:
@@ -556,26 +524,26 @@ def _is_var_name(name: str) -> bool:
 
 def _parse_pterm_or_atom(cur: _Cursor):
     t = cur.next()
-    if t.kind != "ident":
-        raise LawSyntaxError("expected term or atom", t.line, t.col)
+    kind, functor, pos = t
+    if kind != "ident":
+        cur.err("expected term or atom", t)
     nxt = cur.peek()
-    if nxt is not None and nxt.value == "(" and nxt.pos == t.pos + len(t.value):
+    # no blank between a functor and its "(", as in core.parse_term
+    if nxt is not None and nxt[1] == "(" and nxt[2] == pos + len(functor):
         args = []
         cur.next()
         if not cur.at(")"):
             while True:
-                a = cur.peek()
-                if a is not None and a.value == "_":
-                    cur.next()
+                if cur.accept("_"):
                     args.append(WILDCARD)
                 else:
                     args.append(_parse_expr(cur))
                 if not cur.accept(","):
                     break
         cur.expect(")")
-        return PTerm(t.value, tuple(args))
+        return PTerm(functor, tuple(args))
     # bare lowercase atom: a string literal
-    return t.value
+    return functor
 
 
 def _parse_pterm(cur: _Cursor) -> PTerm:
@@ -589,7 +557,7 @@ def _parse_pterm(cur: _Cursor) -> PTerm:
 
 def _parse_op(cur: _Cursor):
     t = cur.next()
-    kw = t.value
+    kw = t[1]
     if kw == "forward":
         if cur.at("("):
             cur.next()
@@ -628,12 +596,12 @@ def _parse_op(cur: _Cursor):
         if cur.at("("):
             cur.next()
             s = cur.next()
-            if s.kind != "string":
-                raise LawSyntaxError("block reason must be a string", s.line, s.col)
+            if s[0] != "string":
+                cur.err("block reason must be a string", s)
             cur.expect(")")
-            return TBlock(_unquote(s.value))
+            return TBlock(unquote(s[1]))
         return TBlock()
-    raise LawSyntaxError("unknown operation %r" % kw, t.line, t.col)
+    cur.err("unknown operation %r" % kw, t)
 
 
 def _ground(pt: PTerm, cur) -> Term:
@@ -775,7 +743,7 @@ def _render_node(node) -> str:
     if isinstance(node, int):
         return str(node)
     if isinstance(node, str):
-        return '"%s"' % node.replace("\\", "\\\\").replace('"', '\\"')
+        return quote(node)
     if isinstance(node, PTerm):
         # zero-argument term patterns keep their parentheses so they do not
         # re-read as bare string atoms
@@ -816,7 +784,7 @@ def _render_op(op) -> str:
         return "audit"
     if isinstance(op, TBlock):
         if op.reason:
-            return 'block("%s")' % op.reason.replace("\\", "\\\\").replace('"', '\\"')
+            return "block(%s)" % quote(op.reason)
         return "block"
     raise FdsError("cannot render op %r" % (op,))
 

@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import FdsError, Term, as_parsed, parse_term
+from .core import FdsError, Term, parse_term
 
 ENVELOPE_VERSION = 1
 
@@ -33,8 +33,8 @@ class Envelope:
     """One message on the wire.
 
     ``payload`` is the canonical term text, which the codec writes. An
-    envelope built by ``make_envelope`` from a ``Term`` also carries that
-    term, read back as ``parse_term(payload)`` would read it, in ``term``;
+    envelope built by ``make_envelope`` from a ``Term`` also carries the
+    sender's term itself in ``term``, which equals ``parse_term(payload)``;
     equality, hashing, ``repr`` and the codec ignore it. ``payload_term()``
     returns the carried term and parses only an envelope that has none,
     such as a decoded one.
@@ -87,7 +87,7 @@ def make_envelope(kind, sender_name, sender_division, sender_path, target, paylo
         target=target,
         payload=payload if isinstance(payload, str) else payload.canonical(),
         sent_at=sent_at,
-        term=None if isinstance(payload, str) else as_parsed(payload),
+        term=None if isinstance(payload, str) else payload,
     )
 
 

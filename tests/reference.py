@@ -1,4 +1,5 @@
-"""Reference model: a tree-walking interpreter for law rules.
+"""Reference models: a tree-walking interpreter for law rules, and the two
+scanners that read term text and law text before they shared one grammar.
 
 ``fds.lawlang`` compiles each rule once into closures. This module keeps
 the interpreter those closures replaced, as the model they are tested
@@ -6,7 +7,15 @@ against: it reads the rule's syntax tree afresh for every event, binds
 variables in a dict by name, and copies the bindings for every candidate a
 state query tries. It shares only data types, ``event_args`` and the law
 parser with ``src/fds``.
+
+``parse_term``/``parse_terms`` below scan term text one character at a
+time, and ``tokenize_law`` reads law text into ``Token`` objects with their
+line and column; ``tests/test_term_grammar.py`` compares ``fds.core``'s one
+scanner with them.
 """
+
+import re
+from dataclasses import dataclass
 
 from fds.core import (
     Arrived,
@@ -22,6 +31,7 @@ from fds.core import (
     StateRemove,
     StateReplace,
     Term,
+    TermSyntaxError,
     apply_ruling,
 )
 from fds.lawlang import (
@@ -29,6 +39,7 @@ from fds.lawlang import (
     BinExpr,
     FunctorOf,
     GuardError,
+    LawSyntaxError,
     PTerm,
     StateQuery,
     TAdd,
@@ -217,3 +228,158 @@ def first_match(doc, event, state, rules=None):
         new_state = apply_ruling(state, Ruling(state, ops)).without_overlay()
         return rule, Ruling(new_state, ops)
     return None
+
+
+# ---------------------------------------------------------------------------
+# term text, one character at a time
+
+
+def parse_term(text: str) -> Term:
+    """Parse the canonical term syntax. Bare lowercase atoms read as strings."""
+    term, pos = _parse_term(text, 0)
+    pos = _skip_ws(text, pos)
+    if pos != len(text):
+        raise TermSyntaxError("trailing input at %d in %r" % (pos, text))
+    return term
+
+
+def parse_terms(text: str) -> list:
+    """Parse a ``;``-separated list of terms. Empty text is the empty list."""
+    terms, pos = [], _skip_ws(text, 0)
+    if pos == len(text):
+        return terms
+    while True:
+        term, pos = _parse_term(text, pos)
+        terms.append(term)
+        pos = _skip_ws(text, pos)
+        if pos == len(text):
+            return terms
+        if text[pos] != ";":
+            raise TermSyntaxError("expected ';' at %d in %r" % (pos, text))
+        pos += 1
+
+
+def _skip_ws(s: str, i: int) -> int:
+    while i < len(s) and s[i] in " \t":
+        i += 1
+    return i
+
+
+def _parse_term(s: str, i: int):
+    i = _skip_ws(s, i)
+    j = i
+    while j < len(s) and (s[j].isalnum() or s[j] == "_"):
+        j += 1
+    if j == i or not (s[i].isalpha() or s[i] == "_"):
+        raise TermSyntaxError("expected functor at %d in %r" % (i, s))
+    functor = s[i:j]
+    j = _skip_ws(s, j)
+    if j >= len(s) or s[j] != "(":
+        return Term(functor), j
+    args = []
+    j += 1
+    j = _skip_ws(s, j)
+    if j < len(s) and s[j] == ")":
+        return Term(functor, ()), j + 1
+    while True:
+        arg, j = _parse_arg(s, j)
+        args.append(arg)
+        j = _skip_ws(s, j)
+        if j >= len(s):
+            raise TermSyntaxError("unterminated term in %r" % s)
+        if s[j] == ",":
+            j += 1
+            continue
+        if s[j] == ")":
+            return Term(functor, tuple(args)), j + 1
+        raise TermSyntaxError("unexpected %r at %d in %r" % (s[j], j, s))
+
+
+def _parse_arg(s: str, i: int):
+    i = _skip_ws(s, i)
+    if i >= len(s):
+        raise TermSyntaxError("unexpected end of input in %r" % s)
+    c = s[i]
+    if c == '"':
+        return _parse_string(s, i)
+    if c.isdigit() or (c == "-" and i + 1 < len(s) and s[i + 1].isdigit()):
+        j = i + 1
+        while j < len(s) and s[j].isdigit():
+            j += 1
+        return int(s[i:j]), j
+    if not (c.isalpha() or c == "_"):
+        raise TermSyntaxError("unexpected %r at %d in %r" % (c, i, s))
+    j = i
+    while j < len(s) and (s[j].isalnum() or s[j] == "_"):
+        j += 1
+    k = _skip_ws(s, j)
+    if k < len(s) and s[k] == "(":
+        return _parse_term(s, i)
+    # bare atom: reads as a string
+    return s[i:j], j
+
+
+def _parse_string(s: str, i: int):
+    out = []
+    j = i + 1
+    while j < len(s):
+        c = s[j]
+        if c == "\\":
+            if j + 1 >= len(s):
+                break
+            out.append(s[j + 1])
+            j += 2
+            continue
+        if c == '"':
+            return "".join(out), j + 1
+        out.append(c)
+        j += 1
+    raise TermSyntaxError("unterminated string in %r" % s)
+
+
+# ---------------------------------------------------------------------------
+# law text, into tokens that carry their line and column
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<string>"(?:\\.|[^"\\])*")
+  | (?P<number>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op><-|<=|>=|==|!=|[<>+\-*@:(){},;])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # string | number | ident | op
+    value: str
+    line: int
+    col: int
+    pos: int
+
+
+def tokenize_law(text: str):
+    toks = []
+    pos = 0
+    line = 1
+    col = 1
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise LawSyntaxError("unexpected character %r" % text[pos], line, col)
+        kind = m.lastgroup
+        value = m.group()
+        if kind not in ("ws", "comment"):
+            toks.append(Token(kind, value, line, col, pos))
+        nl = value.count("\n")
+        if nl:
+            line += nl
+            col = len(value) - value.rfind("\n")
+        else:
+            col += len(value)
+        pos = m.end()
+    return toks

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import fds
@@ -31,3 +32,13 @@ class TestRunAndReplay:
         assert "PASS replay-equiv" in capsys.readouterr().out
         assert main(["replay", str(trace)]) == 0
         assert capsys.readouterr().out.startswith("PASS replay")
+
+    def test_a_payload_that_is_no_term_is_an_error(self, tmp_path, capsys):
+        # a non-ASCII digit is no digit of the term syntax
+        scenario = json.loads(SCENARIO.read_text())
+        scenario["timeline"] = [{"action": "send", "at": 1, "from": "a", "to": "b",
+                                 "payload": "f(\u00b2)"}]
+        path = tmp_path / "bad-payload.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: unexpected '\u00b2' at 2 in 'f(")

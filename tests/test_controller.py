@@ -95,8 +95,8 @@ class TestMediation:
         records, deliveries = self._send_nested_atom(acme)
         rulings = [r for r in records if r["type"] == "ruling" and r["event"] != "adopted"]
         assert [(r["event"], r["eventArgs"][1]) for r in rulings] == [
-            ("sent", "f(a)"), ("arrived", 'f("a")')]
-        assert [(s, p) for _, s, p in deliveries] == [("a", Term("f", ("a",)))]
+            ("sent", "f(a())"), ("arrived", "f(a())")]
+        assert [(s, p) for _, s, p in deliveries] == [("a", Term("f", (Term("a"),)))]
         # the same records as when the receiver parses the wire text
         monkeypatch.setattr(Envelope, "payload_term", lambda env: parse_term(env.payload))
         assert self._send_nested_atom(acme) == (records, deliveries)

@@ -40,6 +40,24 @@ class TestParsing:
         with pytest.raises(LawSyntaxError):
             parse_law("law bad\nrule r1 aspect a on sent(_, _, _) do { forward }\n")
 
+    def test_a_header_section_out_of_order_is_named(self):
+        text = ("law x\ndefault block\nmeta { a sealed }\ninit { n(0) }\n"
+                "rule r1 aspect a on sent(_, _, _) do { forward }\n")
+        with pytest.raises(LawSyntaxError) as err:
+            parse_law(text)
+        assert str(err.value) == (
+            "'init' section out of place: the header sections come before the rules, "
+            "in the order default, multi, init, meta at line 4, col 1")
+        in_order = parse_law(text.replace("meta { a sealed }\ninit { n(0) }",
+                                          "init { n(0) }\nmeta { a sealed }"))
+        assert in_order.init == (Term("n", (0,)),) and in_order.meta == (("a", "sealed"),)
+
+    def test_init_terms_read_back_from_the_canonical_text(self):
+        doc = parse_law("law x\ndefault pass\ninit { seen(a(), b(c())) }\n")
+        assert doc.init == (Term("seen", (Term("a"), Term("b", (Term("c"),)))),)
+        assert "init { seen(a(),b(c())) }" in serialize_law(doc)
+        assert parse_law(serialize_law(doc)).init == doc.init
+
     def test_unbound_variable_rejected(self):
         with pytest.raises(LawSyntaxError, match="unbound"):
             parse_law('law bad\ndefault block\n'
