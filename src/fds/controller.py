@@ -30,8 +30,6 @@ from .core import (
     Adopted,
     AgentName,
     Arrived,
-    AuditLog,
-    Block,
     ControlState,
     Deliver,
     Event,
@@ -264,7 +262,7 @@ class ControllerPool:
                 continue  # agent quit, or obligation repealed or re-imposed
             del rec.obligations[idx][canon]
             ruling, rseq = self._mediate(rec, idx, ObligationDue(term), self._base_overlay())
-            if ruling.blocks():
+            if ruling.block is not None:
                 continue
             for op in ruling.ops:
                 if isinstance(op, Forward):
@@ -312,9 +310,9 @@ class ControllerPool:
             overlay = self._peer_overlay(rec.chains[idx].leaf, *peer)
             ruling, seq = self._mediate(rec, idx, event, overlay, envelope)
             seqs.append(seq)
-            audited = audited or any(isinstance(o, AuditLog) for o in ruling.ops)
-            if ruling.blocks():
-                reason = next(o.reason for o in ruling.ops if isinstance(o, Block))
+            audited = audited or ruling.audits
+            if ruling.block is not None:
+                reason = ruling.block.reason
                 continue
             for o in ruling.ops:
                 if isinstance(o, passes):
@@ -339,7 +337,7 @@ class ControllerPool:
         kind, args = view = event_args(event, state)
         ruling = derive_ruling(path, event, state, view)
         self.metrics.append((path.leaf, _time.perf_counter_ns() - t0))
-        blocked = ruling.blocks()
+        blocked = ruling.block is not None
         seq = self.trace.add(
             "ruling",
             agent=rec.name,
@@ -357,6 +355,8 @@ class ControllerPool:
         if blocked and kind == "adopted":
             return ruling, seq
         rec.states[idx] = ruling.new_state
+        if not ruling.obliges:
+            return ruling, seq
         table = rec.obligations[idx]
         for op in ruling.ops:
             if isinstance(op, ImposeObligation):

@@ -530,28 +530,71 @@ def _drop(terms: dict, t: Term):
         del terms[t.functor]
 
 
-@dataclass(frozen=True)
 class Ruling:
-    """The law's decision for one event: new state plus ordered operations."""
+    """The law's decision for one event: new state plus ordered operations.
 
-    new_state: ControlState
-    ops: tuple = ()
+    Slotted, immutable, and classified once, when built: ``block`` is its
+    first ``Block`` op or None, ``audits`` whether an op is an ``AuditLog``,
+    and ``obliges`` whether an op imposes or repeals an obligation, so no
+    caller scans ``ops`` for them. Equality and ``repr`` are those of a
+    frozen dataclass over ``(new_state, ops)``.
+    """
+
+    __slots__ = ("new_state", "ops", "block", "audits", "obliges")
+
+    def __init__(self, new_state: ControlState, ops: tuple = ()):
+        block, audits, obliges = None, False, False
+        for o in ops:
+            cls = o.__class__
+            if cls is Block:
+                if block is None:
+                    block = o
+            elif cls is AuditLog:
+                audits = True
+            elif cls is ImposeObligation or cls is RepealObligation:
+                obliges = True
+        _set_new_state(self, new_state)
+        _set_ops(self, ops)
+        _set_block(self, block)
+        _set_audits(self, audits)
+        _set_obliges(self, obliges)
 
     def blocks(self) -> bool:
-        return any(isinstance(o, Block) for o in self.ops)
+        return self.block is not None
 
     def canonical_ops(self) -> str:
         return ";".join(op_canonical(o) for o in self.ops)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.new_state, self.ops) == (other.new_state, other.ops)
+        return NotImplemented
 
-def apply_ruling(state: ControlState, ruling: Ruling) -> ControlState:
-    """Apply the state-update operations of a ruling, in order.
+    def __repr__(self):
+        return "Ruling(new_state=%r, ops=%r)" % (self.new_state, self.ops)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+
+_set_new_state = Ruling.new_state.__set__
+_set_ops = Ruling.ops.__set__
+_set_block = Ruling.block.__set__
+_set_audits = Ruling.audits.__set__
+_set_obliges = Ruling.obliges.__set__
+
+
+def apply_ops(state: ControlState, ops) -> ControlState:
+    """Apply the state-update operations among ``ops``, in order.
 
     Interactive operations (forward, deliver, block, ...) are ignored here;
     they are the controller's business.
     """
     st = state
-    for op in ruling.ops:
+    for op in ops:
         if isinstance(op, StateReplace):
             st = st.replace(op.old, op.new)
         elif isinstance(op, StateAdd):
@@ -559,3 +602,8 @@ def apply_ruling(state: ControlState, ruling: Ruling) -> ControlState:
         elif isinstance(op, StateRemove):
             st = st.remove(op.term)
     return st
+
+
+def apply_ruling(state: ControlState, ruling: Ruling) -> ControlState:
+    """Apply the state-update operations of a ruling, in order."""
+    return apply_ops(state, ruling.ops)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional
 
-from .core import AuditLog, Block, ControlState, Event, FdsError, Ruling, Term, hash_law
+from .core import AuditLog, ControlState, Event, FdsError, Ruling, Term, hash_law
 from .lawlang import (
     MODE_RANK,
     WILDCARD,
@@ -329,7 +329,9 @@ def derive_ruling(path: LawPath, event: Event, state: ControlState,
     """Effective ruling for one event under a root-to-leaf law path.
 
     ``view`` is the event's ``event_args(event, state)``, for a caller that
-    has computed it already; it is computed here when absent.
+    has computed it already; it is computed here when absent. The winning
+    level's ruling is returned itself unless audits must be added to it or
+    shed from it.
     """
     kind, args = view or event_args(event, state)
     payload = args[1] if kind in PAYLOAD_KINDS else None
@@ -343,16 +345,21 @@ def derive_ruling(path: LawPath, event: Event, state: ControlState,
             continue
         rule, ruling = hit
         if winner is not None:
-            if winner_mode == "tighten" and winner.blocks():
+            if winner_mode == "tighten" and winner.block is not None:
                 break  # a block under tighten is final
-            retained_audits.extend(o for o in winner.ops if isinstance(o, AuditLog))
+            if winner.audits:
+                retained_audits.extend(o for o in winner.ops if isinstance(o, AuditLog))
         winner = ruling
         winner_mode = level.modes[rule.aspect]
         if winner_mode == "sealed":
             break
     if winner is None:
         return default_ruling(path.default, event, state)
-    ops = tuple(retained_audits) + winner.ops
-    if any(isinstance(o, Block) for o in ops):
-        ops = tuple(o for o in ops if not isinstance(o, AuditLog))
-    return Ruling(winner.new_state, ops)
+    if winner.block is not None:
+        if not winner.audits:
+            return winner
+        return Ruling(winner.new_state,
+                      tuple(o for o in winner.ops if not isinstance(o, AuditLog)))
+    if not retained_audits:
+        return winner
+    return Ruling(winner.new_state, tuple(retained_audits) + winner.ops)

@@ -48,7 +48,7 @@ from .core import (
     StateReplace,
     TOKEN,
     Term,
-    apply_ruling,
+    apply_ops,
     quote,
     unquote,
 )
@@ -1123,8 +1123,7 @@ def first_match(doc: LawDoc, event: Event, state: ControlState, rules=None, args
         if b is None:
             continue
         ops = crule.build(b, event)
-        new_state = apply_ruling(state, Ruling(state, ops))
-        return rule, Ruling(new_state.without_overlay(), ops)
+        return rule, Ruling(apply_ops(state, ops).without_overlay(), ops)
     return None
 
 
