@@ -1,7 +1,9 @@
 """Core value types shared by every other module.
 
 Terms, interactive events, ruling operations, per-agent control state and
-law identity by hash. Everything here is immutable and side-effect free.
+law identity by hash. Everything here is side-effect free, and no value is
+changed once built: terms and states refuse or never make a write, and the
+other value types are written only by their ``__init__``.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import re
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Optional, Union
 
 
@@ -218,17 +220,47 @@ def _read_arg(text: str, m):
 
 
 # ---------------------------------------------------------------------------
-# agents and law identity
+# value types
 
 
-@dataclass(frozen=True)
-class AgentName:
-    name: str
-    division: str = ""
+class Value:
+    """Base of the slotted value types: agent names, events, ops, rulings
+    and envelopes.
 
-    def __post_init__(self):
-        if not self.name:
+    A subclass names its fields in ``_fields`` and its slots, the fields
+    and any kept beside them, in ``__slots__``; its plain ``__init__``
+    assigns each slot once, and nothing assigns one after. Equality,
+    hashing and ``repr`` are those of a frozen dataclass over ``_fields``,
+    per type: values of two types never compare equal.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__,
+                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class AgentName(Value):
+    __slots__ = _fields = ("name", "division")
+
+    def __init__(self, name: str, division: str = ""):
+        if not name:
             raise FdsError("agent name must be non-empty")
+        self.name = name
+        self.division = division
 
 
 def hash_law(canonical_text: str) -> str:
@@ -240,42 +272,47 @@ def hash_law(canonical_text: str) -> str:
 # interactive events
 
 
-@dataclass(frozen=True)
-class Adopted:
-    cert: Term  # cert(name, division, issuer)
-
+class Adopted(Value):
+    __slots__ = _fields = ("cert",)  # cert(name, division, issuer)
     kind = "adopted"
 
+    def __init__(self, cert: Term):
+        self.cert = cert
 
-@dataclass(frozen=True)
-class Sent:
-    target: AgentName
-    payload: Term
 
+class Sent(Value):
+    __slots__ = _fields = ("target", "payload")
     kind = "sent"
 
+    def __init__(self, target: AgentName, payload: Term):
+        self.target = target
+        self.payload = payload
 
-@dataclass(frozen=True)
-class Arrived:
-    sender: AgentName
-    sender_law: str
-    payload: Term
 
+class Arrived(Value):
+    __slots__ = _fields = ("sender", "sender_law", "payload")
     kind = "arrived"
 
+    def __init__(self, sender: AgentName, sender_law: str, payload: Term):
+        self.sender = sender
+        self.sender_law = sender_law
+        self.payload = payload
 
-@dataclass(frozen=True)
-class ObligationDue:
-    name: Term
 
+class ObligationDue(Value):
+    __slots__ = _fields = ("name",)
     kind = "obligationDue"
 
+    def __init__(self, name: Term):
+        self.name = name
 
-@dataclass(frozen=True)
-class ExceptionEvent:
-    reason: str
 
+class ExceptionEvent(Value):
+    __slots__ = _fields = ("reason",)
     kind = "exception"
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 Event = Union[Adopted, Sent, Arrived, ObligationDue, ExceptionEvent]
@@ -285,83 +322,83 @@ Event = Union[Adopted, Sent, Arrived, ObligationDue, ExceptionEvent]
 # ruling operations
 
 
-@dataclass(frozen=True)
-class Forward:
-    target: str
-    payload: Term
-
+class Forward(Value):
+    __slots__ = _fields = ("target", "payload")
     op = "forward"
 
+    def __init__(self, target: str, payload: Term):
+        self.target = target
+        self.payload = payload
 
-@dataclass(frozen=True)
-class Deliver:
-    payload: Term
 
+class Deliver(Value):
+    __slots__ = _fields = ("payload",)
     op = "deliver"
 
+    def __init__(self, payload: Term):
+        self.payload = payload
 
-@dataclass(frozen=True)
-class StateReplace:
-    old: Term
-    new: Term
 
+class StateReplace(Value):
+    __slots__ = _fields = ("old", "new")
     op = "replace"
 
+    def __init__(self, old: Term, new: Term):
+        self.old = old
+        self.new = new
 
-@dataclass(frozen=True)
-class StateAdd:
-    term: Term
 
+class StateAdd(Value):
+    __slots__ = _fields = ("term",)
     op = "add"
 
+    def __init__(self, term: Term):
+        self.term = term
 
-@dataclass(frozen=True)
-class StateRemove:
-    term: Term
 
+class StateRemove(Value):
+    __slots__ = _fields = ("term",)
     op = "remove"
 
+    def __init__(self, term: Term):
+        self.term = term
 
-@dataclass(frozen=True)
-class ImposeObligation:
-    name: Term
-    due_in: int
 
+class ImposeObligation(Value):
+    __slots__ = _fields = ("name", "due_in")
     op = "oblige"
 
+    def __init__(self, name: Term, due_in: int):
+        self.name = name
+        self.due_in = due_in
 
-@dataclass(frozen=True)
-class RepealObligation:
-    name: Term
 
+class RepealObligation(Value):
+    __slots__ = _fields = ("name",)
     op = "repeal"
 
+    def __init__(self, name: Term):
+        self.name = name
 
-@dataclass(frozen=True)
-class AuditLog:
-    record: Optional[Term] = None
 
+class AuditLog(Value):
+    __slots__ = _fields = ("record",)
     op = "audit"
 
+    def __init__(self, record: Optional[Term] = None):
+        self.record = record
 
-@dataclass(frozen=True)
-class Block:
-    reason: str = ""
 
+class Block(Value):
+    __slots__ = _fields = ("reason",)
     op = "block"
 
+    def __init__(self, reason: str = ""):
+        self.reason = reason
 
-Operation = Union[
-    Forward,
-    Deliver,
-    StateReplace,
-    StateAdd,
-    StateRemove,
-    ImposeObligation,
-    RepealObligation,
-    AuditLog,
-    Block,
-]
+
+Operation = Union[Forward, Deliver, StateReplace, StateAdd, StateRemove, ImposeObligation,
+                  RepealObligation, AuditLog, Block]
 
 
 def op_canonical(op: Operation) -> str:
@@ -530,61 +567,39 @@ def _drop(terms: dict, t: Term):
         del terms[t.functor]
 
 
-class Ruling:
+class Ruling(Value):
     """The law's decision for one event: new state plus ordered operations.
 
-    Slotted, immutable, and classified once, when built: ``block`` is its
-    first ``Block`` op or None, ``audits`` whether an op is an ``AuditLog``,
-    and ``obliges`` whether an op imposes or repeals an obligation, so no
-    caller scans ``ops`` for them. Equality and ``repr`` are those of a
-    frozen dataclass over ``(new_state, ops)``.
+    Classified once, when built: ``block`` is its first ``Block`` op or
+    None, ``audits`` whether an op is an ``AuditLog``, and ``obliges``
+    whether an op imposes or repeals an obligation, so no caller scans
+    ``ops`` for them. Its fields are ``new_state`` and ``ops``; like the
+    frozen dataclass it replaces, it has no hash, since a state has none.
     """
 
-    __slots__ = ("new_state", "ops", "block", "audits", "obliges")
+    _fields = ("new_state", "ops")
+    __slots__ = _fields + ("block", "audits", "obliges")
 
     def __init__(self, new_state: ControlState, ops: tuple = ()):
-        block, audits, obliges = None, False, False
+        self.new_state = new_state
+        self.ops = ops
+        self.block = None
+        self.audits = self.obliges = False
         for o in ops:
             cls = o.__class__
             if cls is Block:
-                if block is None:
-                    block = o
+                if self.block is None:
+                    self.block = o
             elif cls is AuditLog:
-                audits = True
+                self.audits = True
             elif cls is ImposeObligation or cls is RepealObligation:
-                obliges = True
-        _set_new_state(self, new_state)
-        _set_ops(self, ops)
-        _set_block(self, block)
-        _set_audits(self, audits)
-        _set_obliges(self, obliges)
+                self.obliges = True
 
     def blocks(self) -> bool:
         return self.block is not None
 
     def canonical_ops(self) -> str:
         return ";".join(op_canonical(o) for o in self.ops)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.new_state, self.ops) == (other.new_state, other.ops)
-        return NotImplemented
-
-    def __repr__(self):
-        return "Ruling(new_state=%r, ops=%r)" % (self.new_state, self.ops)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % name)
-
-
-_set_new_state = Ruling.new_state.__set__
-_set_ops = Ruling.ops.__set__
-_set_block = Ruling.block.__set__
-_set_audits = Ruling.audits.__set__
-_set_obliges = Ruling.obliges.__set__
 
 
 def apply_ops(state: ControlState, ops) -> ControlState:

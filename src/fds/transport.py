@@ -14,10 +14,10 @@ import json
 import random
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import FdsError, Term, parse_term
+from .core import FdsError, Term, Value, parse_term
 
 ENVELOPE_VERSION = 1
 
@@ -28,28 +28,34 @@ class CodecError(FdsError):
     pass
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(Value):
     """One message on the wire.
 
     ``payload`` is the canonical term text, which the codec writes. An
     envelope built by ``make_envelope`` from a ``Term`` also carries the
     sender's term itself in ``term``, which equals ``parse_term(payload)``;
-    equality, hashing, ``repr`` and the codec ignore it. ``payload_term()``
-    returns the carried term and parses only an envelope that has none,
-    such as a decoded one.
+    it is kept beside the fields, so equality, hashing, ``repr`` and the
+    codec ignore it. ``payload_term()`` returns the carried term and parses
+    only an envelope that has none, such as a decoded one.
     """
 
-    version: int
-    kind: str
-    sender_name: str
-    sender_division: str
-    sender_law: str
-    sender_path: tuple
-    target: str
-    payload: str  # canonical term text
-    sent_at: int
-    term: Optional[Term] = field(default=None, compare=False, repr=False)
+    _fields = ("version", "kind", "sender_name", "sender_division", "sender_law",
+               "sender_path", "target", "payload", "sent_at")
+    __slots__ = _fields + ("term",)
+
+    def __init__(self, version: int, kind: str, sender_name: str, sender_division: str,
+                 sender_law: str, sender_path: tuple, target: str, payload: str,
+                 sent_at: int, term: Optional[Term] = None):
+        self.version = version
+        self.kind = kind
+        self.sender_name = sender_name
+        self.sender_division = sender_division
+        self.sender_law = sender_law
+        self.sender_path = sender_path
+        self.target = target
+        self.payload = payload  # canonical term text
+        self.sent_at = sent_at
+        self.term = term
 
     def payload_term(self) -> Term:
         if self.term is not None:

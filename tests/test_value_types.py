@@ -1,0 +1,151 @@
+"""The slotted value types of ``fds.core`` and ``fds.transport`` against
+frozen-dataclass twins, and the classification a ``Ruling`` makes of its ops."""
+
+import copy
+import pickle
+from dataclasses import make_dataclass
+from itertools import combinations
+
+import pytest
+from hypothesis import given, strategies as st
+
+from fds.core import (
+    Adopted,
+    AgentName,
+    Arrived,
+    AuditLog,
+    Block,
+    ControlState,
+    Deliver,
+    ExceptionEvent,
+    FdsError,
+    Forward,
+    ImposeObligation,
+    ObligationDue,
+    RepealObligation,
+    Ruling,
+    Sent,
+    StateAdd,
+    StateRemove,
+    StateReplace,
+    Term,
+    Value,
+)
+from fds.transport import Envelope, make_envelope
+
+EVENTS = (Adopted, Sent, Arrived, ObligationDue, ExceptionEvent)
+OPS = (Forward, Deliver, StateReplace, StateAdd, StateRemove, ImposeObligation,
+       RepealObligation, AuditLog, Block)
+TYPES = (AgentName,) + EVENTS + OPS
+
+
+def _twin_class(cls):
+    twin = make_dataclass(cls.__name__, [(f, object) for f in cls._fields], frozen=True)
+    twin.__qualname__ = cls.__qualname__
+    return twin
+
+
+TWINS = {cls: _twin_class(cls) for cls in TYPES}
+
+
+def _twin(v):
+    """``v`` as an instance of its type's frozen-dataclass twin, nested
+    values included; terms are their own twins (``test_core`` checks them
+    against theirs)."""
+    if isinstance(v, Value):
+        return TWINS[v.__class__](*[_twin(getattr(v, f)) for f in v._fields])
+    return v
+
+
+TERMS = st.builds(Term, st.sampled_from("fgm"),
+                  st.lists(st.one_of(st.integers(-3, 3), st.sampled_from("ab")),
+                           max_size=2).map(tuple))
+NAMES = st.builds(AgentName, st.sampled_from("ab"), st.sampled_from(["", "D1"]))
+FIELDS = {
+    "name": st.one_of(TERMS, st.sampled_from("ab")),
+    "division": st.sampled_from(["", "D1"]),
+    "target": st.one_of(NAMES, st.sampled_from("ab")),
+    "sender": NAMES,
+    "sender_law": st.sampled_from(["h1", "h2"]),
+    "due_in": st.integers(0, 3),
+    "reason": st.sampled_from(["", "no-rule", "x"]),
+    "record": st.one_of(st.none(), TERMS),
+}
+
+
+def values(cls):
+    """Instances of ``cls`` over a few field values, so equal fields recur."""
+    return st.builds(cls, *[FIELDS.get(f, TERMS) for f in cls._fields])
+
+
+ANY_VALUE = st.one_of(*[values(cls) for cls in TYPES])
+
+
+class TestValueTypes:
+    @given(ANY_VALUE, ANY_VALUE)
+    def test_eq_hash_and_repr_are_the_frozen_dataclass_ones(self, a, b):
+        for x, y in ((a, b), (a, copy.deepcopy(a))):
+            assert (x == y) == (_twin(x) == _twin(y))
+            assert (x != y) == (_twin(x) != _twin(y))
+            assert hash(x) == hash(_twin(x))
+            assert repr(x) == repr(_twin(x))
+        assert a != _twin(a) and a != a._key()
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_types_with_equal_fields_compare_unequal(self, arity):
+        args = (Term("m", (1,)), Term("n"))[:arity]
+        same = [cls(*args) for cls in TYPES if len(cls._fields) == arity]
+        assert len(same) >= 5
+        for a, b in combinations(same, 2):
+            assert a != b and not a == b, (a, b)
+        assert Deliver(args[0]) != StateAdd(args[0])
+
+    @given(ANY_VALUE)
+    def test_values_are_slotted_and_copy_to_equals(self, v):
+        assert not hasattr(v, "__dict__")
+        with pytest.raises(AttributeError):
+            v.other = 1
+        for c in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert c == v and c.__class__ is v.__class__ and repr(c) == repr(v)
+
+    def test_defaults_and_the_empty_agent_name(self):
+        assert AgentName("a") == AgentName("a", "")
+        assert AuditLog().record is None and Block().reason == ""
+        with pytest.raises(FdsError):
+            AgentName("")
+
+    def test_envelope_equality_ignores_the_carried_term(self):
+        term = Term("m", (1, "x"))
+        carried = make_envelope("lgi-message", "a", "D1", ("h1",), "b", term, 7)
+        text = make_envelope("lgi-message", "a", "D1", ("h1",), "b", term.canonical(), 7)
+        assert carried.term is term and text.term is None
+        assert carried == text and hash(carried) == hash(text)
+        assert repr(carried) == repr(text) and "term=" not in repr(carried)
+        assert copy.copy(carried).term is term
+        assert carried != make_envelope("lgi-message", "a", "D1", ("h1",), "c", term, 7)
+        assert Envelope._fields + ("term",) == Envelope.__slots__
+
+
+OP_VALUES = st.one_of(*[values(cls) for cls in OPS])
+
+
+class TestRulingClassification:
+    @given(st.lists(OP_VALUES, max_size=6).map(tuple))
+    def test_fields_equal_a_plain_scan_of_the_ops(self, ops):
+        r = Ruling(ControlState(), ops)
+        assert r.block is next((o for o in ops if isinstance(o, Block)), None)
+        assert r.blocks() == any(isinstance(o, Block) for o in ops)
+        assert r.audits == any(isinstance(o, AuditLog) for o in ops)
+        assert r.obliges == any(isinstance(o, (ImposeObligation, RepealObligation))
+                                for o in ops)
+        assert r.ops is ops
+
+    def test_eq_and_repr_are_over_state_and_ops(self):
+        st_ = ControlState([Term("n", (0,))])
+        r = Ruling(st_, (Block("x"), AuditLog()))
+        assert r == Ruling(ControlState([Term("n", (0,))]), (Block("x"), AuditLog()))
+        assert r != Ruling(st_, (Block("y"),))
+        assert repr(r) == ("Ruling(new_state=ControlState{n(0)}, "
+                           "ops=(Block(reason='x'), AuditLog(record=None)))")
+        with pytest.raises(TypeError):
+            hash(r)
