@@ -204,7 +204,7 @@ def _read_arg(text: str, m):
     """The argument that starts at the token ``m``, and the token after it."""
     kind = None if m is None else m.lastgroup
     if kind == "number":
-        return int(m["number"]), _scan(text, m.end())
+        return _integer(text, m), _scan(text, m.end())
     if kind == "string":
         return unquote(m["string"]), _scan(text, m.end())
     if kind == "ident":
@@ -215,8 +215,17 @@ def _read_arg(text: str, m):
         # the minus sign of a negative integer, directly before its digits
         n = _scan(text, m.end())
         if n is not None and n.lastgroup == "number" and n.start("number") == m.end():
-            return -int(n["number"]), _scan(text, n.end())
+            return -_integer(text, n), _scan(text, n.end())
     raise _unexpected(text, m)
+
+
+def _integer(text: str, m) -> int:
+    """The integer of the number token ``m``."""
+    try:
+        return int(m["number"])
+    except ValueError:  # more digits than ``int`` converts
+        raise TermSyntaxError("integer of %d digits at %d in %r"
+                              % (len(m["number"]), m.start("number"), text)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -230,16 +230,6 @@ class Framework:
                                            tuple(self.docs[h] for h in hashes))
         return path
 
-    def lowest_common_ancestor(self, a: str, b: str) -> str:
-        pa = self.resolve_path(a).hashes
-        pb = self.resolve_path(b).hashes
-        lca = pa[0]
-        for x, y in zip(pa, pb):
-            if x != y:
-                break
-            lca = x
-        return lca
-
 
 @dataclass(frozen=True)
 class Bundle:
@@ -355,11 +345,9 @@ def derive_ruling(path: LawPath, event: Event, state: ControlState,
             break
     if winner is None:
         return default_ruling(path.default, event, state)
-    if winner.block is not None:
-        if not winner.audits:
-            return winner
+    if winner.block is not None and winner.audits:
         return Ruling(winner.new_state,
                       tuple(o for o in winner.ops if not isinstance(o, AuditLog)))
-    if not retained_audits:
-        return winner
-    return Ruling(winner.new_state, tuple(retained_audits) + winner.ops)
+    if winner.block is None and retained_audits:
+        return Ruling(winner.new_state, tuple(retained_audits) + winner.ops)
+    return winner

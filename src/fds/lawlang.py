@@ -489,14 +489,13 @@ def _parse_primary(cur: _Cursor):
         cur.expect(")")
         return node
     if kind == "number":
-        cur.next()
-        return int(value)
+        return _integer(cur, cur.next())
     if value == "-":
         cur.next()
         n = cur.next()
         if n[0] != "number":
             cur.err("expected number after unary minus", n)
-        return -int(n[1])
+        return -_integer(cur, n)
     if kind == "string":
         cur.next()
         return unquote(value)
@@ -516,6 +515,14 @@ def _parse_primary(cur: _Cursor):
             return Var(value)
         return _parse_pterm_or_atom(cur)
     cur.err("unexpected %r in expression" % value)
+
+
+def _integer(cur: _Cursor, t) -> int:
+    """The integer of the number token ``t``."""
+    try:
+        return int(t[1])
+    except ValueError:  # more digits than ``int`` converts
+        cur.err("integer of %d digits" % len(t[1]), t)
 
 
 def _is_var_name(name: str) -> bool:

@@ -1,19 +1,15 @@
-"""Envelope codec, trace, and the simulated message carrier.
+"""Envelopes, the trace, and the simulated message carrier.
 
 Envelopes travel over a deterministic simulated network driven by a
-logical-time scheduler; ``write_frame``/``read_frame`` carry the same
-encoded envelopes over any stream socket as length-prefixed frames. A
-rogue side channel delivers payloads actor-to-actor, bypassing all
-mediation, unless the simulated firewall is switched on.
+logical-time scheduler. A rogue side channel delivers payloads
+actor-to-actor, bypassing all mediation, unless the simulated firewall is
+switched on.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import random
-import socket
-import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -31,12 +27,12 @@ class CodecError(FdsError):
 class Envelope(Value):
     """One message on the wire.
 
-    ``payload`` is the canonical term text, which the codec writes. An
+    ``payload`` is the canonical term text, which the trace records. An
     envelope built by ``make_envelope`` from a ``Term`` also carries the
     sender's term itself in ``term``, which equals ``parse_term(payload)``;
-    it is kept beside the fields, so equality, hashing, ``repr`` and the
-    codec ignore it. ``payload_term()`` returns the carried term and parses
-    only an envelope that has none, such as a decoded one.
+    it is kept beside the fields, so equality, hashing and ``repr`` ignore
+    it. ``payload_term()`` returns the carried term and parses only an
+    envelope built from text.
     """
 
     _fields = ("version", "kind", "sender_name", "sender_division", "sender_law",
@@ -63,19 +59,6 @@ class Envelope(Value):
         return parse_term(self.payload)
 
 
-_FIELDS = (
-    ("kind", "kind"),
-    ("payload", "payload"),
-    ("senderDivision", "sender_division"),
-    ("senderLaw", "sender_law"),
-    ("senderName", "sender_name"),
-    ("senderPath", "sender_path"),
-    ("sentAt", "sent_at"),
-    ("target", "target"),
-    ("version", "version"),
-)
-
-
 def make_envelope(kind, sender_name, sender_division, sender_path, target, payload,
                   sent_at) -> Envelope:
     if kind not in ENVELOPE_KINDS:
@@ -83,67 +66,11 @@ def make_envelope(kind, sender_name, sender_division, sender_path, target, paylo
     path = tuple(sender_path)
     if not path:
         raise CodecError("sender path must be non-empty")
-    return Envelope(
-        version=ENVELOPE_VERSION,
-        kind=kind,
-        sender_name=sender_name,
-        sender_division=sender_division,
-        sender_law=path[-1],
-        sender_path=path,
-        target=target,
-        payload=payload if isinstance(payload, str) else payload.canonical(),
-        sent_at=sent_at,
-        term=None if isinstance(payload, str) else payload,
-    )
-
-
-def encode_envelope(e: Envelope) -> bytes:
-    lines = []
-    for wire, attr in _FIELDS:
-        v = getattr(e, attr)
-        if isinstance(v, tuple):
-            v = list(v)
-        lines.append("%s=%s" % (wire, json.dumps(v, separators=(",", ":"))))
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def decode_envelope(data: bytes) -> Envelope:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CodecError("malformed: not utf-8") from exc
-    fields = {}
-    for line in text.splitlines():
-        if not line:
-            continue
-        if "=" not in line:
-            raise CodecError("malformed line %r" % line)
-        key, _, raw = line.partition("=")
-        try:
-            fields[key] = json.loads(raw)
-        except ValueError as exc:
-            raise CodecError("malformed value for %r" % key) from exc
-    expected = {wire for wire, _ in _FIELDS}
-    if set(fields) != expected:
-        raise CodecError("malformed: fields %s" % sorted(set(fields) ^ expected))
-    if fields["version"] != ENVELOPE_VERSION:
-        raise CodecError("version mismatch: %r" % fields["version"])
-    if fields["kind"] not in ENVELOPE_KINDS:
-        raise CodecError("unknown kind %r" % fields["kind"])
-    path = tuple(fields["senderPath"])
-    if not path or fields["senderLaw"] != path[-1]:
-        raise CodecError("inconsistent-envelope: senderLaw is not the path tail")
-    return Envelope(
-        version=fields["version"],
-        kind=fields["kind"],
-        sender_name=fields["senderName"],
-        sender_division=fields["senderDivision"],
-        sender_law=fields["senderLaw"],
-        sender_path=path,
-        target=fields["target"],
-        payload=fields["payload"],
-        sent_at=fields["sentAt"],
-    )
+    if isinstance(payload, str):
+        return Envelope(ENVELOPE_VERSION, kind, sender_name, sender_division, path[-1], path,
+                        target, payload, sent_at)
+    return Envelope(ENVELOPE_VERSION, kind, sender_name, sender_division, path[-1], path,
+                    target, payload.canonical(), sent_at, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -282,35 +209,3 @@ class SimNet:
                 receive(from_actor, payload)
         return True
 
-
-# ---------------------------------------------------------------------------
-# stream framing: 4-byte big-endian length prefix + UTF-8 envelope text
-
-_LEN = struct.Struct(">I")
-
-
-def write_frame(sock: socket.socket, data: bytes):
-    sock.sendall(_LEN.pack(len(data)) + data)
-
-
-def read_frame(sock: socket.socket) -> Optional[bytes]:
-    header = _read_exact(sock, 4)
-    if header is None:
-        return None
-    (n,) = _LEN.unpack(header)
-    body = _read_exact(sock, n)
-    if body is None:
-        raise CodecError("malformed: truncated frame")
-    return body
-
-
-def _read_exact(sock, n):
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if buf:
-                raise CodecError("malformed: truncated frame")
-            return None
-        buf += chunk
-    return buf

@@ -1,11 +1,21 @@
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 import fds
 from fds.cli import main
+from fds.core import TermSyntaxError, parse_term, parse_terms
+from fds.lawlang import LawSyntaxError, parse_law
 from fds.library import build_acme_hierarchy, make_acme_root, make_division_law
 
 SCENARIO = Path(fds.__file__).parent / "scenarios" / "acme-basic.json"
+
+# one digit more than int() converts from text, on an interpreter with a limit
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (LIMIT + 1)
+needs_limit = pytest.mark.skipif(not LIMIT, reason="int() converts any number of digits")
 
 
 class TestLawsCheck:
@@ -42,3 +52,32 @@ class TestRunAndReplay:
         path.write_text(json.dumps(scenario))
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: unexpected '\u00b2' at 2 in 'f(")
+
+    @needs_limit
+    def test_a_payload_integer_too_long_to_convert_is_an_error(self, tmp_path, capsys):
+        scenario = json.loads(SCENARIO.read_text())
+        scenario["timeline"] = [{"action": "send", "at": 1, "from": "a", "to": "b",
+                                 "payload": "f(%s)" % LONG}]
+        path = tmp_path / "long-payload.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: integer of %d digits at 2 in 'f(" % len(LONG))
+
+
+@needs_limit
+@pytest.mark.parametrize("text", ["f(%s)" % LONG, "f(g(-%s))" % LONG, "a;f(%s)" % LONG])
+def test_term_text_with_an_integer_too_long_is_a_term_syntax_error(text):
+    with pytest.raises(TermSyntaxError, match="integer of %d digits" % len(LONG)):
+        parse_terms(text) if ";" in text else parse_term(text)
+
+
+@needs_limit
+@pytest.mark.parametrize("law", [
+    "law x\ndefault block\ninit { n(%s) }\n" % LONG,
+    "law x\ndefault block\nrule r aspect a on sent(_, m(X), _) when X < -%s do { forward }\n"
+    % LONG,
+])
+def test_law_text_with_an_integer_too_long_is_a_law_syntax_error(law):
+    with pytest.raises(LawSyntaxError, match="integer of %d digits" % len(LONG)):
+        parse_law(law)

@@ -71,15 +71,6 @@ class TestPublishing:
         with pytest.raises(FrameworkError):
             fw.get_text("deadbeef")
 
-    def test_lowest_common_ancestor(self):
-        fw = Framework()
-        root = fw.publish_root(parse_law(ROOT))
-        a = fw.publish_delta(root, parse_law("law a\nextends corp\n"))
-        b = fw.publish_delta(root, parse_law("law b\nextends corp\n"))
-        aa = fw.publish_delta(a, parse_law("law aa\nextends a\n"))
-        assert fw.lowest_common_ancestor(aa, b) == root
-        assert fw.lowest_common_ancestor(aa, a) == a
-
 
 class TestEffectiveMode:
     def test_ruling_without_meta_seals(self):

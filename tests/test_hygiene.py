@@ -64,3 +64,14 @@ def test_detects_a_dead_definition():
 def test_every_definition_is_named_elsewhere():
     naming = [p.read_text() for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
     assert dead_definitions([p.read_text() for p in SRC.glob("*.py")], naming) == []
+
+
+# Definitions that no run uses but tests do: the acceptance tests' oracle,
+# single-law evaluation and the prober's ancestor query, the trace's record
+# filter, and apply_ruling, which the test-side reference models use.
+TESTS_ONLY = ["CCOracle", "apply_ruling", "evaluate_law", "lca", "of_type"]
+
+
+def test_definitions_named_only_by_tests_are_the_allowed_ones():
+    naming = [p.read_text() for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")]
+    assert dead_definitions([p.read_text() for p in SRC.glob("*.py")], naming) == TESTS_ONLY

@@ -1,5 +1,3 @@
-import socket
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,11 +8,7 @@ from fds.transport import (
     SimNet,
     SimNetConfig,
     Trace,
-    decode_envelope,
-    encode_envelope,
     make_envelope,
-    read_frame,
-    write_frame,
 )
 
 
@@ -30,10 +24,6 @@ def _env(**overrides):
 
 
 class TestCodec:
-    def test_round_trip(self):
-        env = _env()
-        assert decode_envelope(encode_envelope(env)) == env
-
     def test_sender_law_is_path_tail(self):
         assert _env().sender_law == "h2"
 
@@ -44,23 +34,6 @@ class TestCodec:
     def test_empty_path_rejected(self):
         with pytest.raises(CodecError):
             _env(sender_path=())
-
-    def test_missing_field_rejected(self):
-        data = encode_envelope(_env())
-        trimmed = b"\n".join(line for line in data.splitlines()
-                             if not line.startswith(b"target=")) + b"\n"
-        with pytest.raises(CodecError, match="fields"):
-            decode_envelope(trimmed)
-
-    def test_tampered_sender_law_rejected(self):
-        data = encode_envelope(_env()).replace(b'senderLaw="h2"', b'senderLaw="h9"')
-        with pytest.raises(CodecError, match="inconsistent-envelope"):
-            decode_envelope(data)
-
-    def test_non_json_value_rejected(self):
-        data = encode_envelope(_env()).replace(b'"lgi-message"', b"not-json")
-        with pytest.raises(CodecError):
-            decode_envelope(data)
 
 
 # payloads the wire must carry exactly: nested terms of any arity, zero
@@ -81,7 +54,7 @@ class TestCarriedTerm:
         assert env.payload == term.canonical()
         assert env.term is term
         assert repr(parse_term(env.payload)) == repr(term) == repr(env.payload_term())
-        back = decode_envelope(encode_envelope(env))
+        back = _env(payload=env.payload)
         assert back == env and back.term is None
         assert back.payload_term() == env.payload_term()
 
@@ -89,7 +62,7 @@ class TestCarriedTerm:
         term = Term("f", (Term("a"), Term("g", (Term("b", ()), 1))))
         env = _env(payload=term)
         assert env.payload == "f(a(),g(b(),1))"
-        back = decode_envelope(encode_envelope(env)).payload_term()
+        back = _env(payload=env.payload).payload_term()
         assert back == env.payload_term() == term
         assert back.args[0] == Term("a") and back.args[0] != "a"
 
@@ -186,46 +159,3 @@ class TestSimNet:
         assert net.rogue_send("x", "b", Term("covert")) is True
         assert hits == [("x", Term("covert"))]
         assert trace.of_type("rogue")
-
-
-class TestSocketTransport:
-    """Length-prefixed envelope frames over a stream socket."""
-
-    def test_frames_round_trip_over_socketpair(self):
-        a, b = socket.socketpair()
-        try:
-            sent = [_env(payload=Term("m", (i,))) for i in range(3)]
-            for env in sent:
-                write_frame(a, encode_envelope(env))
-            a.close()
-            received = [decode_envelope(read_frame(b)) for _ in sent]
-            assert received == sent
-            assert read_frame(b) is None
-        finally:
-            b.close()
-
-    @pytest.mark.parametrize("sent", [
-        b"\x00\x00",  # header cut short: not a clean EOF
-        (10).to_bytes(4, "big") + b"abc",  # body cut short
-    ])
-    def test_truncated_frame_is_an_error(self, sent):
-        a, b = socket.socketpair()
-        try:
-            a.sendall(sent)
-            a.close()
-            with pytest.raises(CodecError, match="truncated frame"):
-                read_frame(b)
-        finally:
-            b.close()
-
-    def test_read_frame_reassembles_partial_writes(self):
-        a, b = socket.socketpair()
-        try:
-            data = encode_envelope(_env())
-            frame = len(data).to_bytes(4, "big") + data
-            a.sendall(frame[:5])
-            a.sendall(frame[5:])
-            assert read_frame(b) == data
-        finally:
-            a.close()
-            b.close()
