@@ -262,6 +262,10 @@ class Value:
                            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields))
 
 
+# ---------------------------------------------------------------------------
+# agents and law identity
+
+
 class AgentName(Value):
     __slots__ = _fields = ("name", "division")
 
@@ -406,8 +410,17 @@ class Block(Value):
         self.reason = reason
 
 
-Operation = Union[Forward, Deliver, StateReplace, StateAdd, StateRemove, ImposeObligation,
-                  RepealObligation, AuditLog, Block]
+Operation = Union[
+    Forward,
+    Deliver,
+    StateReplace,
+    StateAdd,
+    StateRemove,
+    ImposeObligation,
+    RepealObligation,
+    AuditLog,
+    Block,
+]
 
 
 def op_canonical(op: Operation) -> str:

@@ -66,11 +66,18 @@ def make_envelope(kind, sender_name, sender_division, sender_path, target, paylo
     path = tuple(sender_path)
     if not path:
         raise CodecError("sender path must be non-empty")
-    if isinstance(payload, str):
-        return Envelope(ENVELOPE_VERSION, kind, sender_name, sender_division, path[-1], path,
-                        target, payload, sent_at)
-    return Envelope(ENVELOPE_VERSION, kind, sender_name, sender_division, path[-1], path,
-                    target, payload.canonical(), sent_at, payload)
+    return Envelope(
+        version=ENVELOPE_VERSION,
+        kind=kind,
+        sender_name=sender_name,
+        sender_division=sender_division,
+        sender_law=path[-1],
+        sender_path=path,
+        target=target,
+        payload=payload if isinstance(payload, str) else payload.canonical(),
+        sent_at=sent_at,
+        term=None if isinstance(payload, str) else payload,
+    )
 
 
 # ---------------------------------------------------------------------------
