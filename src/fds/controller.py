@@ -125,8 +125,8 @@ class ControllerPool:
 
     # -- adoption ----------------------------------------------------------
 
-    def adopt(self, actor, cert: Certificate, law: str, stack=()) -> AgentRecord:
-        """Admit an actor under a law (plus optional crosscutting laws)."""
+    def adopt(self, actor, cert: Certificate, law: str) -> AgentRecord:
+        """Admit an actor under a law, opening its native chain."""
         if not verify_certificate(cert):
             raise AdoptionError("auth-failed")
         name = cert.subject
@@ -135,17 +135,13 @@ class ControllerPool:
         bind = getattr(actor, "bind", None)
         if bind is not None:
             bind(self, name)
-        chains = [self.framework.resolve_path(law)]
-        for extra in stack:
-            chains.append(self.framework.resolve_path(extra))
+        path = self.framework.resolve_path(law)
         # identity terms come from the controller, not from law operations
-        states = [path.initial_state(name, cert.division) for path in chains]
-        rec = AgentRecord(name, cert.division, actor, chains, states,
-                          [dict() for _ in chains])
-        event = Adopted(cert.to_term())
-        for idx in range(len(chains)):
-            if self._mediate(rec, idx, event, self._base_overlay())[0].blocks():
-                raise AdoptionError("adoption-refused: %s" % name)
+        rec = AgentRecord(name, cert.division, actor, [path],
+                          [path.initial_state(name, cert.division)], [{}])
+        if self._mediate(rec, 0, Adopted(cert.to_term()), self._base_overlay(),
+                         opens=True)[0].blocks():
+            raise AdoptionError("adoption-refused: %s" % name)
         self.agents[name] = rec
         self.net.register(name, self._make_inbox(name))
         self.net.register_actor(name, actor)
@@ -171,7 +167,8 @@ class ControllerPool:
         rec.states.append(st)
         rec.obligations.append({})
         event = Adopted(Term("stack", (rec.chains[0].leaf,)))
-        if self._mediate(rec, len(rec.chains) - 1, event, self._base_overlay())[0].blocks():
+        if self._mediate(rec, len(rec.chains) - 1, event, self._base_overlay(),
+                         opens=True)[0].blocks():
             rec.chains.pop()
             rec.states.pop()
             rec.obligations.pop()
@@ -323,12 +320,14 @@ class ControllerPool:
         return out, seqs, audited, reason
 
     def _mediate(self, rec: AgentRecord, idx: int, event: Event, overlay,
-                 envelope: Optional[int] = None):
+                 envelope: Optional[int] = None, opens: bool = False):
         """Derive chain ``idx``'s ruling on ``event``, record it and commit it.
 
         A ruling that blocks an ``adopted`` event commits nothing; any other
-        commits its new state and its obligation ops. Returns the ruling and
-        the seq of its trace record.
+        commits its new state and its obligation ops. Only the ruling that
+        ``opens`` the chain records the state it starts from; replay derives
+        every later state from it and the recorded ops. Returns the ruling
+        and the seq of its trace record.
         """
         path = rec.chains[idx]
         before = rec.states[idx]
@@ -346,11 +345,10 @@ class ControllerPool:
             event=kind,
             eventArgs=[a.canonical() if isinstance(a, Term) else a for a in args],
             overlay=";".join(t.canonical() for t in overlay),
-            stateBefore=before.canonical(),
-            stateAfter=ruling.new_state.canonical(),
             ops=ruling.canonical_ops(),
             blocked=blocked,
             **({"envelope": envelope} if envelope is not None else {}),
+            **({"stateBefore": before.canonical()} if opens else {}),
         )
         if blocked and kind == "adopted":
             return ruling, seq

@@ -12,7 +12,7 @@ import hashlib
 import re
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 
 class FdsError(Exception):
@@ -395,11 +395,8 @@ class RepealObligation(Value):
 
 
 class AuditLog(Value):
-    __slots__ = _fields = ("record",)
+    __slots__ = ()
     op = "audit"
-
-    def __init__(self, record: Optional[Term] = None):
-        self.record = record
 
 
 class Block(Value):
@@ -439,7 +436,7 @@ def op_canonical(op: Operation) -> str:
     if isinstance(op, RepealObligation):
         return "repeal %s" % op.name.canonical()
     if isinstance(op, AuditLog):
-        return "audit" if op.record is None else "audit %s" % op.record.canonical()
+        return "audit"
     if isinstance(op, Block):
         return "block(%s)" % _render_arg(op.reason)
     raise FdsError("unknown operation %r" % (op,))

@@ -107,6 +107,8 @@ def load_laws_dir(path) -> Bundle:
 # ---------------------------------------------------------------------------
 # run report
 
+TRACE_VERSION = 2  # a ruling records its stateBefore only if it opens a chain
+
 
 @dataclass
 class RunReport:
@@ -128,13 +130,15 @@ class RunReport:
         return all(v["ok"] for v in self.verdicts.values())
 
     def to_json(self) -> str:
+        # host latencies stay out of the file: two runs write the same bytes
         return json.dumps(
             {
+                "traceVersion": TRACE_VERSION,
                 "scenario": self.scenario,
                 "laws": self.laws,
                 "trace": self.records,
                 "audit": self.audit,
-                "metrics": self.metrics,
+                "metrics": {k: v for k, v in self.metrics.items() if k != "laws"},
                 "verdicts": self.verdicts,
                 "warnings": self.warnings,
             },
@@ -496,54 +500,55 @@ def _event_from_record(rec: dict, overlay):
 def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     """Re-derive every recorded ruling offline from the trace alone.
 
-    Every ruling is derived again and checked against its recorded ``ops``
-    and ``stateAfter``. The state it starts from is carried per (agent,
-    chain, law): when the state derived for that chain's previous ruling
-    renders exactly as this ruling's ``stateBefore``, it is reused;
-    otherwise ``stateBefore`` is parsed. Every ruling that matched its
-    record passes its state on. Since a term's text parses back to that
-    term, a reused state is always the one parsing would give. Carrying
-    checks no continuity: a ``stateBefore`` that differs from the derived
-    state is parsed and trusted, as it always was.
+    Each agent's open chains map (chain, law) to the state replay derived
+    for them. A chain opens with the ``stateBefore`` of its opening ruling,
+    advances by the controller's commit rule (a blocked ``adopted`` ruling
+    commits nothing) and closes at its agent's ``quit``. Replay reports,
+    and does not raise on, a ruling whose ops differ from its record, an
+    opening ruling of an open chain, any other ruling of a closed one, and
+    a ruling it cannot derive.
     """
     fw = report.framework or rebuild_framework(report.laws)
     problems: List[str] = []
-    carried: Dict[tuple, ControlState] = {}
+    open_chains: Dict[str, Dict[tuple, ControlState]] = {}
     # one-entry memo: a ruling repeats the previous ruling's overlay text in
     # 57 % of ring-large's rulings and 18 % of buffer-deep's (seed 5)
     overlay_text, overlay = None, []
     for rec in report.records:
+        if rec["type"] == "quit":
+            open_chains.pop(rec["agent"], None)
         if rec["type"] != "ruling":
             continue
-        path = fw.resolve_path(rec["law"])
-        key = (rec["agent"], rec["chain"], rec["law"])
-        text = rec["stateBefore"]
-        state = carried.pop(key, None)
-        if state is None or state.canonical() != text:
-            state = ControlState(parse_terms(text), path.multi)
-        if rec["overlay"] != overlay_text:
-            overlay_text, overlay = rec["overlay"], parse_terms(rec["overlay"])
-        event = _event_from_record(rec, overlay)
-        ruling = derive_ruling(path, event, state.with_overlay(overlay))
+        chains = open_chains.setdefault(rec["agent"], {})
+        key = (rec["chain"], rec["law"])
+        opens = "stateBefore" in rec
+        if opens == (key in chains):
+            problems.append("seq %d: chain %d of %s is %s" % (
+                rec["seq"], rec["chain"], rec["agent"], "open" if opens else "closed"))
+            continue
+        try:
+            path = fw.resolve_path(rec["law"])
+            state = ControlState(parse_terms(rec["stateBefore"]), path.multi) if opens \
+                else chains[key]
+            if rec["overlay"] != overlay_text:
+                overlay_text, overlay = rec["overlay"], parse_terms(rec["overlay"])
+            event = _event_from_record(rec, overlay)
+            ruling = derive_ruling(path, event, state.with_overlay(overlay))
+        except FdsError as exc:
+            problems.append("seq %d: %s" % (rec["seq"], exc))
+            continue
         if ruling.canonical_ops() != rec["ops"]:
             problems.append("seq %d: ops %r != %r"
                             % (rec["seq"], ruling.canonical_ops(), rec["ops"]))
-        elif ruling.new_state.canonical() != rec["stateAfter"]:
-            problems.append("seq %d: state %r != %r"
-                            % (rec["seq"], ruling.new_state.canonical(),
-                               rec["stateAfter"]))
-        else:
-            carried[key] = ruling.new_state
+        if ruling.block is None or rec["event"] != "adopted":
+            chains[key] = ruling.new_state
     return not problems, problems
 
 
 def replay_report_file(path) -> Tuple[bool, List[str]]:
     data = json.loads(Path(path).read_text())
-    report = RunReport(
-        scenario=data.get("scenario", {}),
-        laws=data["laws"],
-        records=data["trace"],
-        audit=data.get("audit", []),
-        metrics=data.get("metrics", {}),
-    )
-    return replay_report(report)
+    if data.get("traceVersion") != TRACE_VERSION:
+        return False, ["trace version %r is not %d" % (data.get("traceVersion"),
+                                                       TRACE_VERSION)]
+    return replay_report(RunReport(data.get("scenario", {}), data["laws"], data["trace"],
+                                   data.get("audit", []), data.get("metrics", {})))

@@ -439,7 +439,7 @@ class TestCommitRule:
         before = rec.states[0].canonical()
         with pytest.raises(AdoptionError, match="stack-refused"):
             pool.stack_adopt("a", bundle.seen)
-        assert "tried(1)" in trace.of_type("ruling")[-1]["stateAfter"]
+        assert "add tried(1)" in trace.of_type("ruling")[-1]["ops"]
         assert rec.states[0].canonical() == before
         sched.run(until=5)
         assert _fired(trace) == []

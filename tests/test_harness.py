@@ -2,27 +2,14 @@ import importlib.util
 import json
 import pathlib
 import re
-import sys
 from functools import lru_cache
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fds import harness
-from fds.core import (
-    Adopted,
-    AgentName,
-    Arrived,
-    ControlState,
-    ExceptionEvent,
-    FdsError,
-    ObligationDue,
-    Sent,
-    StateError,
-    parse_term,
-    parse_terms,
-)
+from fds import controller, harness
+from fds.core import FdsError, StateError, parse_term
 from fds.harness import (
     RunReport,
     ScenarioError,
@@ -150,14 +137,35 @@ class TestReplay:
         ok, problems = replay_report_file(p)
         assert not ok and problems
 
+    def test_report_files_of_two_runs_are_byte_identical(self):
+        scenario = load_scenario(SCENARIOS / "acme-basic.json")
+        first, second = run_scenario(scenario), run_scenario(scenario)
+        assert first.verdicts and first.to_json() == second.to_json()
+        # host latencies stay in memory, out of the file
+        assert "laws" in first.metrics
+        assert "laws" not in json.loads(first.to_json())["metrics"]
+
+    def test_a_report_file_of_another_trace_version_is_refused(self, tmp_path):
+        data = json.loads(run_scenario(MINI).to_json())
+        assert data["traceVersion"] == 2
+        p = tmp_path / "report.json"
+        for version, name in ((1, "1"), (None, "None"), ("2", "'2'")):
+            p.write_text(json.dumps(dict(data, traceVersion=version)))
+            assert replay_report_file(p) == (False, ["trace version %s is not 2" % name])
+        del data["traceVersion"]
+        p.write_text(json.dumps(data))
+        assert replay_report_file(p) == (False, ["trace version None is not 2"])
+
     def test_state_strings_with_separators_replay(self):
         scenario = load_scenario(SCENARIOS / "rc-buffer.json")
         scenario["timeline"] = [dict(e, payload=e["payload"].replace('"a"', '"a;b"'))
                                 for e in scenario["timeline"]]
         scenario["assertions"] = []
         report = run_scenario(scenario)
-        assert any('"a;b"' in r["stateBefore"] for r in report.records
-                   if r["type"] == "ruling")
+        ops = [r["ops"] for r in report.records if r["type"] == "ruling"]
+        # the buffer holds a term with the string, and replay must find it there
+        assert any('add q(0,m("a;b",1))' in o for o in ops)
+        assert any('remove q(0,m("a;b",1))' in o for o in ops)
         assert replay_report(report) == (True, [])
 
     def test_rebuild_framework_restores_hashes(self):
@@ -230,106 +238,23 @@ class TestLawsDir:
 # carried replay
 
 
-def _reference_event(rec, overlay):
-    kind = rec["event"]
-    args = rec["eventArgs"]
-    if kind == "sent":
-        return Sent(AgentName(args[2]), parse_term(args[1]))
-    if kind == "arrived":
-        ov = {t.functor: t for t in overlay}
-        division = ov["peerDivision"].args[0] if "peerDivision" in ov else ""
-        law = ov["peerLaw"].args[0] if "peerLaw" in ov else ""
-        return Arrived(AgentName(args[0], division), law, parse_term(args[1]))
-    if kind == "adopted":
-        return Adopted(parse_term(args[0]))
-    if kind == "obligationDue":
-        return ObligationDue(parse_term(args[0]))
-    return ExceptionEvent(args[0])
+def _starting_states(module, fn):
+    """``fn()``, with the base state each ruling ``module`` derives starts
+    from, in order."""
+    states = []
+    real = module.derive_ruling
+
+    def probe(path, event, state, view=None):
+        states.append(state.without_overlay())
+        return real(path, event, state, view)
+
+    with mock.patch.object(module, "derive_ruling", probe):
+        return fn(), states
 
 
-def _fresh_parse_replay(report):
-    """Replay as it was before states were carried: every ruling parses its
-    whole stateBefore and overlay. The reference carried replay must match."""
-    fw = report.framework or rebuild_framework(report.laws)
-    problems = []
-    for rec in report.records:
-        if rec["type"] != "ruling":
-            continue
-        path = fw.resolve_path(rec["law"])
-        state = ControlState(parse_terms(rec["stateBefore"]), path.multi)
-        overlay = parse_terms(rec["overlay"])
-        event = _reference_event(rec, overlay)
-        ruling = harness.derive_ruling(path, event, state.with_overlay(overlay))
-        if ruling.canonical_ops() != rec["ops"]:
-            problems.append("seq %d: ops %r != %r"
-                            % (rec["seq"], ruling.canonical_ops(), rec["ops"]))
-        elif ruling.new_state.canonical() != rec["stateAfter"]:
-            problems.append("seq %d: state %r != %r"
-                            % (rec["seq"], ruling.new_state.canonical(),
-                               rec["stateAfter"]))
-    return not problems, problems
-
-
-def _outcome(replay, report):
-    """What a replay returns, or the error it raises."""
-    try:
-        return replay(report)
-    except AssertionError:
-        raise
-    except Exception as exc:  # a tampered trace may not parse or evaluate
-        return type(exc), str(exc)
-
-
-class _CarryProbe:
-    """Stands in for ``derive_ruling`` during one replay and checks the state
-    each ruling starts from: term for term (argument types included) and
-    multi set, the state ``stateBefore`` parses to; and when that state is
-    one an earlier ruling derived (it shares its term dict), that ruling is
-    the latest of the same (agent, chain, law) and matched its record."""
-
-    def __init__(self, records):
-        self.rulings = [r for r in records if r["type"] == "ruling"]
-        self.done = 0
-        self.carried = 0
-        self.made_by = {}  # id of a derived state's term dict -> (key, index, matched)
-        self.latest = {}  # key -> index of its latest ruling
-        self.derived = []  # keeps derived states alive, so ids stay unique
-
-    def __call__(self, path, event, state, view=None):
-        rec = self.rulings[self.done]
-        key = (rec["agent"], rec["chain"], rec["law"])
-        fresh = ControlState(parse_terms(rec["stateBefore"]), path.multi)
-        assert [repr(t) for t in state.terms()] == [repr(t) for t in fresh.terms()], \
-            "seq %d" % rec["seq"]
-        assert state.multi == fresh.multi, "seq %d" % rec["seq"]
-        source = self.made_by.get(id(state._terms))
-        if source is not None:
-            self.carried += 1
-            assert source == (key, self.latest[key], True), "seq %d" % rec["seq"]
-        ruling = _real_derive(path, event, state, view)
-        matched = (ruling.canonical_ops() == rec["ops"]
-                   and ruling.new_state.canonical() == rec["stateAfter"])
-        self.made_by[id(ruling.new_state._terms)] = (key, self.done, matched)
-        self.derived.append(ruling.new_state)
-        self.latest[key] = self.done
-        self.done += 1
-        return ruling
-
-
-_real_derive = harness.derive_ruling
-
-
-def _carried(report):
-    """replay_report's outcome, with every state it starts from checked."""
-    probe = _CarryProbe(report.records)
-    with mock.patch.object(harness, "derive_ruling", probe):
-        return _outcome(replay_report, report), probe
-
-
-def _assert_carried_replay_agrees(report):
-    got, probe = _carried(report)
-    assert got == _outcome(_fresh_parse_replay, report)
-    return got, probe
+def _term_reprs(states):
+    """States term for term, argument types included, with their multi sets."""
+    return [([repr(t) for t in s.terms()], s.multi) for s in states]
 
 
 def _without_assertions(scenario):
@@ -337,20 +262,26 @@ def _without_assertions(scenario):
 
 
 @lru_cache(maxsize=None)
-def _small_workload(name):
+def _run(name):
+    """The report of a shipped scenario or a small workload, and the state
+    the controller started each of its rulings from."""
+    if name.endswith(".json"):
+        scenario = _without_assertions(load_scenario(SCENARIOS / name))
+        return _starting_states(controller, lambda: run_scenario(scenario))
     if name == "acme-stacked":
-        return run_scenario(_without_assertions(workloads.acme_stacked(5, orders=40)))
+        scenario = _without_assertions(workloads.acme_stacked(5, orders=40))
+        return _starting_states(controller, lambda: run_scenario(scenario))
     sizes = {
         "buffer-deep": dict(BUFFER_CLIENTS=2, BUFFER_DEPTH=8, BUFFER_LIGHT=2),
         "ring-large": dict(RING_MEMBERS=12, RING_HOPS=150, RING_CHURN_PERIOD=200),
     }[name]
     with mock.patch.multiple(workloads, **sizes):
-        return run_scenario(_without_assertions(workloads.WORKLOADS[name](5)))
+        scenario = _without_assertions(workloads.WORKLOADS[name](5))
+    return _starting_states(controller, lambda: run_scenario(scenario))
 
 
-@lru_cache(maxsize=None)
-def _shipped(name):
-    return run_scenario(_without_assertions(load_scenario(SCENARIOS / name)))
+def _trace(name):
+    return _run(name)[0]
 
 
 SHIPPED = sorted(p.name for p in SCENARIOS.glob("*.json"))
@@ -359,13 +290,22 @@ SMALL_WORKLOADS = sorted(workloads.WORKLOADS)
 TAMPERED = ["acme-basic.json", "cc-demo.json", "rc-buffer.json"] + SMALL_WORKLOADS
 
 
-def _trace(name):
-    return _shipped(name) if name.endswith(".json") else _small_workload(name)
+def _opens(rec):
+    """Whether a ruling opens a chain: an adoption, or a chain's stacking."""
+    return rec["event"] == "adopted" and (
+        rec["chain"] > 0 or rec["eventArgs"][0].startswith("cert("))
 
 
-def _keys(report):
-    return {(r["agent"], r["chain"], r["law"]) for r in report.records
-            if r["type"] == "ruling"}
+def _tampered(report, records):
+    return RunReport(scenario={}, laws=report.laws, records=records, audit=[],
+                     metrics={}, framework=report.framework)
+
+
+def _replay_fresh_parse(report, directory):
+    """Replay of ``report`` written as a report file and read back."""
+    p = directory / "report.json"
+    p.write_text(report.to_json())
+    return replay_report_file(p)
 
 
 class TestCarriedReplay:
@@ -373,85 +313,92 @@ class TestCarriedReplay:
         assert len(SHIPPED) == 6
 
     @pytest.mark.parametrize("name", SHIPPED + SMALL_WORKLOADS)
-    def test_agrees_with_fresh_parse_and_carries_state(self, name):
-        report = _trace(name)
-        got, probe = _assert_carried_replay_agrees(report)
-        assert got == (True, [])
-        # every ruling but each chain's first starts from the carried state
-        assert probe.carried == probe.done - len(_keys(report))
+    def test_agrees_with_fresh_parse_and_carries_state(self, name, tmp_path):
+        report, live = _run(name)
+        rulings = [r for r in report.records if r["type"] == "ruling"]
+        assert not any("stateAfter" in r for r in rulings)
+        assert [r["seq"] for r in rulings if "stateBefore" in r] == \
+            [r["seq"] for r in rulings if _opens(r)]
+        got, replayed = _starting_states(harness, lambda: replay_report(report))
+        assert got == (True, []) == _replay_fresh_parse(report, tmp_path)
+        # every ruling starts from the state the controller started it from,
+        # though only the chains' openings record one
+        assert _term_reprs(replayed) == _term_reprs(live)
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(data=st.data())
-    def test_agrees_with_fresh_parse_on_tampered_traces(self, data):
+    def test_agrees_with_fresh_parse_on_tampered_traces(self, data, tmp_path_factory):
         name = data.draw(st.sampled_from(TAMPERED))
         original = _trace(name)
         rulings = [i for i, r in enumerate(original.records) if r["type"] == "ruling"]
-        i = data.draw(st.sampled_from(rulings))
-        field = data.draw(st.sampled_from(("stateBefore", "stateAfter", "ops", "overlay")))
-        text = original.records[i][field]
-        how = data.draw(st.sampled_from(("other", "bump", "drop", "append", "empty")))
-        if how == "other":
-            new = original.records[data.draw(st.sampled_from(rulings))][field]
-        elif how == "bump":
-            numbers = list(re.finditer(r"\d+", text))
-            if not numbers:
-                return
-            m = data.draw(st.sampled_from(numbers))
-            new = "%s%d%s" % (text[:m.start()],
-                              int(m.group()) + data.draw(st.integers(1, 1000)),
-                              text[m.end():])
+        openings = [i for i in rulings if "stateBefore" in original.records[i]]
+        continuing = [i for i in rulings if i not in openings]
+        how = data.draw(st.sampled_from(("ops", "add", "drop", "stateBefore", "overlay")))
+        i = data.draw(st.sampled_from(
+            {"add": continuing, "drop": openings, "stateBefore": openings}.get(how, rulings)))
+        rec = dict(original.records[i])
+        if how == "add":
+            rec["stateBefore"] = original.records[data.draw(st.sampled_from(openings))][
+                "stateBefore"]
         elif how == "drop":
-            parts = text.split(";")
-            del parts[data.draw(st.integers(0, len(parts) - 1))]
-            new = ";".join(parts)
-        elif how == "append":
-            extra = data.draw(st.sampled_from(('zz(1)', 'zz(a())', 'q(0,"x")', 'clock(5)')))
-            new = "%s;%s" % (text, extra) if text else extra
+            del rec["stateBefore"]
         else:
-            new = ""
+            rec[how] = _edit(data, rec[how], [original.records[j][how] for j in rulings
+                                              if how in original.records[j]])
+            if how == "ops" and rec["ops"] == original.records[i]["ops"]:
+                return
         records = list(original.records)
-        records[i] = dict(records[i], **{field: new})
-        report = RunReport(scenario={}, laws=original.laws, records=records, audit=[],
-                           metrics={}, framework=original.framework)
-        _assert_carried_replay_agrees(report)
+        records[i] = rec
+        tampered = _tampered(original, records)
+        ok, problems = replay_report(tampered)
+        assert (ok, problems) == _replay_fresh_parse(
+            tampered, tmp_path_factory.mktemp("tampered"))
+        if how in ("ops", "add", "drop"):
+            assert any(p.startswith("seq %d:" % rec["seq"]) for p in problems), problems
 
-    def test_a_failed_ruling_passes_no_state_on(self):
-        # the recorded ops are wrong but the derived state is right: the
-        # next ruling of the chain must still parse its stateBefore
-        report = _shipped("rc-buffer.json")
-        records = [dict(r) for r in report.records]
-        by_chain = {}
-        for i, r in enumerate(records):
-            if r["type"] == "ruling":
-                by_chain.setdefault((r["agent"], r["chain"], r["law"]), []).append(i)
-        chain = max(by_chain.values(), key=len)
-        records[chain[2]]["ops"] += ";forward(\"v\",nothing)"
-        tampered = RunReport(scenario={}, laws=report.laws, records=records, audit=[],
-                             metrics={}, framework=report.framework)
-        (ok, problems), probe = _assert_carried_replay_agrees(tampered)
-        assert not ok and len(problems) == 1
-        assert probe.carried == probe.done - len(by_chain) - 1
+    def test_a_failed_ruling_passes_no_state_on(self, tmp_path):
+        # a refused stacking commits nothing on the native chain: had replay
+        # committed the state its ruling derived, as any other blocked ruling
+        # commits, the send's ruling would block on tried(5) instead
+        (tmp_path / "base.law").write_text(
+            "law base\ndefault pass\nmulti { tried }\n"
+            "rule b1 aspect base:stack on adopted(stack(_)) when clock(T)@CS "
+            "do { add tried(T); block(\"no-stack\") }\n"
+            "rule b2 aspect base:send on sent(_, _, _) when tried(T)@CS "
+            "do { block(\"tried\") }\n")
+        (tmp_path / "other.law").write_text("law other\nextends base\n")
+        scenario = {
+            "name": "refused", "seed": 1, "duration": 20,
+            "laws": {"bundle": "dir", "params": {"dir": str(tmp_path)}},
+            "cast": [{"name": "a", "law": "base"}, {"name": "b", "law": "base"}],
+            "timeline": [
+                {"action": "stack-adopt", "at": 5, "agent": "a", "law": "other"},
+                {"action": "send", "at": 8, "from": "a", "to": "b", "payload": "m(1)"},
+            ],
+        }
+        report = run_scenario(scenario)
+        native = [r for r in report.records if r["type"] == "ruling"
+                  and r["agent"] == "a" and r["chain"] == 0]
+        assert [(r["event"], r["ops"]) for r in native[1:]] == [
+            ("adopted", 'add tried(5);block("no-stack")'), ("sent", 'forward("b",m(1))')]
+        assert replay_report(report) == (True, [])
 
     def test_a_state_read_from_text_that_is_not_canonical_is_carried(self):
-        # "zz( a() )" parses to the term whose text is "zz(a())": the state
-        # derived from it matches its record and passes on to the next ruling
-        report = _shipped("rc-buffer.json")
+        # "zz( a() )" parses to the term whose text is "zz(a())": the chain
+        # opens with it and every later ruling of the chain starts from it
+        report = _trace("rc-buffer.json")
         records = [dict(r) for r in report.records]
-        rulings = [r for r in records if r["type"] == "ruling"]
-        key = (rulings[0]["agent"], rulings[0]["chain"], rulings[0]["law"])
-        chain = [r for r in rulings if (r["agent"], r["chain"], r["law"]) == key]
-        assert len(chain) >= 3
-        chain[0]["stateBefore"] += ";zz( a() )"
-        chain[0]["stateAfter"] += ";zz(a())"
-        for r in chain[1:]:
-            r["stateBefore"] += ";zz(a())"
-            r["stateAfter"] += ";zz(a())"
-        tampered = RunReport(scenario={}, laws=report.laws, records=records, audit=[],
-                             metrics={}, framework=report.framework)
-        got, probe = _assert_carried_replay_agrees(tampered)
+        opening = next(r for r in records if "stateBefore" in r)
+        opening["stateBefore"] += ";zz( a() )"
+        tampered = _tampered(report, records)
+        got, replayed = _starting_states(harness, lambda: replay_report(tampered))
         assert got == (True, [])
-        assert probe.carried == probe.done - len(_keys(tampered))
+        rulings = [r for r in records if r["type"] == "ruling"]
+        chain = [s for r, s in zip(rulings, replayed)
+                 if (r["agent"], r["chain"]) == (opening["agent"], opening["chain"])]
+        assert len(chain) >= 3
+        assert all(s.lookup("zz") == [parse_term("zz(a())")] for s in chain)
 
     def test_a_law_writing_a_nested_atom_term_replays(self, tmp_path):
         # seen(a()) renders as seen(a()), which parses back to the same term
@@ -466,19 +413,35 @@ class TestCarriedReplay:
                           "payload": "m(%d)" % t} for t in (1, 2, 3)],
         }
         report = run_scenario(scenario)
-        assert any("seen(a())" in r.get("stateAfter", "") for r in report.records)
-        got, probe = _assert_carried_replay_agrees(report)
-        assert got == (True, [])
-        assert probe.carried == probe.done - len(_keys(report))
+        assert any(r.get("ops", "").startswith("add seen(a())") for r in report.records)
+        assert replay_report(report) == (True, []) == _replay_fresh_parse(report, tmp_path)
+
+
+def _edit(data, text, others):
+    """``text`` changed in one of a few ways: another record's, a number
+    bumped, a ``;``-part dropped, a term appended, or emptied."""
+    how = data.draw(st.sampled_from(("other", "bump", "drop", "append", "empty")))
+    if how == "other":
+        return data.draw(st.sampled_from(others))
+    if how == "bump":
+        numbers = list(re.finditer(r"\d+", text))
+        if not numbers:
+            return text
+        m = data.draw(st.sampled_from(numbers))
+        return "%s%d%s" % (text[:m.start()], int(m.group()) + data.draw(st.integers(1, 1000)),
+                           text[m.end():])
+    if how == "drop":
+        parts = text.split(";")
+        del parts[data.draw(st.integers(0, len(parts) - 1))]
+        return ";".join(parts)
+    if how == "append":
+        extra = data.draw(st.sampled_from(("zz(1)", "zz(a())", 'q(0,"x")', "clock(5)")))
+        return "%s;%s" % (text, extra) if text else extra
+    return ""
 
 
 class TestContinuityBreaks:
     """Where an (agent, chain) legitimately starts over from a new state."""
-
-    def _replay_file(self, report, tmp_path):
-        p = tmp_path / "report.json"
-        p.write_text(report.to_json())
-        return replay_report_file(p)
 
     def test_quit_and_readoption_under_another_law(self, tmp_path):
         # d1 and travel give "t" the same initial state text but not the
@@ -499,15 +462,26 @@ class TestContinuityBreaks:
                  "payload": 'reserveOk("t2",200)'},
                 {"action": "send", "at": 14, "from": "t", "to": "c",
                  "payload": 'sell("t1",100)'},
+                {"action": "quit", "at": 20, "agent": "t"},
+                {"action": "adopt", "at": 25, "name": "t", "division": "D1",
+                 "law": "travel"},
+                {"action": "send", "at": 27, "from": "t", "to": "c",
+                 "payload": 'reserveOk("t3",50)'},
             ],
         }
         report = run_scenario(scenario)
-        laws = {r["law"] for r in report.records if r["type"] == "ruling"
-                and r["agent"] == "t" and r["chain"] == 0}
-        assert len(laws) == 2
-        assert any("reserved" in r.get("stateAfter", "") for r in report.records)
-        assert self._replay_file(report, tmp_path) == (True, [])
-        _assert_carried_replay_agrees(report)
+        own = [r for r in report.records if r["type"] == "ruling"
+               and r["agent"] == "t" and r["chain"] == 0]
+        assert len({r["law"] for r in own}) == 2
+        openings = [r["seq"] for r in own if "stateBefore" in r]
+        assert len(openings) == 3
+        assert any("reserved" in r["ops"] for r in own)
+        assert _replay_fresh_parse(report, tmp_path) == (True, [])
+        # without its quit record, the agent's travel chain is still open
+        # when it is adopted under travel again
+        records = [r for r in report.records if r["type"] != "quit"]
+        assert replay_report(_tampered(report, records)) == (
+            False, ["seq %d: chain 0 of t is open" % openings[2]])
 
     def test_refused_stack_adopt_then_accepted_at_the_same_chain(self, tmp_path):
         (tmp_path / "base.law").write_text("law base\ndefault pass\n")
@@ -529,10 +503,9 @@ class TestContinuityBreaks:
         stacked = [r for r in report.records if r["type"] == "ruling"
                    and r["agent"] == "a" and r["chain"] == 1]
         assert [r["blocked"] for r in stacked[:2]] == [True, False]
-        assert "tried(5)" in stacked[0]["stateAfter"]
+        assert "add tried(5)" in stacked[0]["ops"]
         assert "tried" not in stacked[1]["stateBefore"]
-        assert self._replay_file(report, tmp_path) == (True, [])
-        _assert_carried_replay_agrees(report)
+        assert _replay_fresh_parse(report, tmp_path) == (True, [])
 
 
 @pytest.mark.xfail(strict=True, raises=StateError,
@@ -547,16 +520,27 @@ def test_roadmap_item_3_a_law_error_does_not_abort_the_run():
     assert run_scenario(scenario).records
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: replay does not check that "
-                   "a stateBefore continues the state replay derived (needs trace v2)")
 def test_roadmap_item_4_state_continuity_is_checked():
-    report = _shipped("acme-bc.json")
-    records = [dict(r) for r in report.records]
-    rec = next(r for r in records if r["seq"] == 3)
-    assert rec["type"] == "ruling" and "budget(0)" in rec["stateBefore"]
-    for field in ("stateBefore", "stateAfter"):
-        rec[field] = rec[field].replace("budget(0)", "budget(1000)")
-    tampered = RunReport(scenario={}, laws=report.laws, records=records, audit=[],
-                         metrics={}, framework=report.framework)
-    ok, _ = replay_report(tampered)
-    assert not ok
+    report = _trace("acme-bc.json")
+
+    def replay_with(seq, change):
+        records = [change(dict(r)) if r["seq"] == seq else r for r in report.records]
+        return replay_report(_tampered(report, records))
+
+    # a stateBefore on a ruling that continues a chain
+    rec = report.records[2]
+    assert rec["type"] == "ruling" and "stateBefore" not in rec
+    assert replay_with(2, lambda r: dict(r, stateBefore='division("");name("x")')) == (
+        False, ["seq 2: chain 0 of budget-office is open"])
+    # no stateBefore on the ruling that opens a chain: every ruling of it is
+    # on a closed chain
+    ok, problems = replay_with(3, lambda r: {k: v for k, v in r.items()
+                                             if k != "stateBefore"})
+    assert not ok and problems[0] == "seq 3: chain 1 of budget-office is closed"
+    # c1's bc chain opens with a budget of 1000 instead of 0: the first grant
+    # it receives replaces a budget of 1000, not the recorded 0
+    rec = report.records[13]
+    assert rec["agent"] == "c1" and "budget(0)" in rec["stateBefore"]
+    ok, problems = replay_with(13, lambda r: dict(
+        r, stateBefore=r["stateBefore"].replace("budget(0)", "budget(1000)")))
+    assert not ok and problems[0].startswith("seq 106: ops")

@@ -2,7 +2,6 @@
 
 import ast
 import pathlib
-import re
 from collections import Counter
 
 import pytest
@@ -37,18 +36,36 @@ def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def uses(source: str):
+    """The names a source uses: names it reads or writes, attributes, imported
+    names and string constants (``getattr`` and ``mock.patch`` look methods
+    up by string). Words in docstrings and comments are no use."""
+    out = Counter()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
 def dead_definitions(defining, naming):
     """Functions, classes and methods (dunders aside) that the ``defining``
-    sources define and that no text in ``naming`` names beyond its
-    definitions."""
-    defined = Counter()
+    sources define and that no source in ``naming`` uses."""
+    defined = set()
     for source in defining:
         for node in ast.walk(ast.parse(source)):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))):
-                defined[node.name] += 1
-    words = Counter(w for text in naming for w in re.findall(r"\w+", text))
-    return sorted(name for name, n in defined.items() if words[name] <= n)
+                defined.add(node.name)
+    used = Counter()
+    for source in naming:
+        used.update(uses(source))
+    return sorted(name for name in defined if not used[name])
 
 
 def test_detects_a_dead_definition():
@@ -56,9 +73,11 @@ def test_detects_a_dead_definition():
            "class K:\n    def __init__(self):\n        pass\n\n"
            "    def m(self):\n        used()\n")
     assert dead_definitions([src], [src, "K().m()"]) == ["dead"]
-    # two definitions of one name need a use beyond both
-    assert dead_definitions([src, "def used():\n    pass\n"], [src, "K().m()"]) == [
-        "dead", "used"]
+    # a docstring, a comment or an argument named like a definition is no use
+    assert dead_definitions([src], [src, '"""K m dead"""\n# dead\ndef f(dead): pass\n']) \
+        == ["K", "dead", "m"]
+    # an attribute, an imported name and a string lookup each are one
+    assert dead_definitions([src], [src, "from x import K\nk.m\ngetattr(k, 'dead')\n"]) == []
 
 
 def test_every_definition_is_named_elsewhere():
@@ -66,10 +85,11 @@ def test_every_definition_is_named_elsewhere():
     assert dead_definitions([p.read_text() for p in SRC.glob("*.py")], naming) == []
 
 
-# Definitions that no run uses but tests do: the acceptance tests' oracle,
-# single-law evaluation and the prober's ancestor query, the trace's record
-# filter, and apply_ruling, which the test-side reference models use.
-TESTS_ONLY = ["CCOracle", "apply_ruling", "evaluate_law", "lca", "of_type"]
+# Definitions that no run uses but tests do: the acceptance tests' oracle
+# and its step, single-law evaluation and the prober's ancestor query, the
+# trace's record filter, and apply_ruling, which the test-side reference
+# models use.
+TESTS_ONLY = ["CCOracle", "apply_ruling", "evaluate_law", "lca", "of_type", "step"]
 
 
 def test_definitions_named_only_by_tests_are_the_allowed_ones():

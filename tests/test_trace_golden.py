@@ -15,25 +15,26 @@ from fds.harness import load_scenario, run_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "src" / "fds" / "scenarios"
 
-# scenario -> (sha256 of the trace lines, sha256 of the audit lines)
+# scenario -> (sha256 of the trace lines, sha256 of the audit lines), at trace
+# version 2 (``harness.TRACE_VERSION``)
 GOLDEN = {
     "acme-basic.json": (
-        "01e1189e8d3c84088c926afa2c3b52e1d34b3d040ce2ec8967356dd8270484be",
+        "ee6595d9fe3b5d0e9727ea92e8e8582fa40a57a3c046ef6bfee4dd7149795416",
         "4754021748495dd54a0e2ce00636cf10c82bbb109d5a1df887628b94c4401f09"),
     "acme-bc.json": (
-        "c80e10fa7a6585ecc6cd0a6a4af0ba0f8cd4304ba63de235bccbd5d56cd39d10",
+        "8d235f4f16e3e1856ab8d73bb4cc62da7a6519dcdda6af029c1765b3a1f9c1ff",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "cc-demo.json": (
-        "7ba2ea3f4677a1b753a714b0fa54c3384c985cb61bf2ae13248b07ded17c77aa",
+        "bbabec3abd343b266837a9c3fb2f5cf790a764bff6e28bc350eb7ac455c24725",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "rc-buffer.json": (
-        "012e53b2a8d9f5e3809eb3bd5cf5f02a2b335195065b6c8d4fbc08587754da0a",
+        "59cc3e3baf16e3f7dcbc5af6e485052fb84757704c9ada65afe9dd4080852484",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "rc-drop.json": (
-        "17afb09c3b6772ee7fa7af43a7b23442392c75c7063685c60a3b48c59c9c8f9d",
+        "09911b4f05874518c7a02b466a59cdf62474008c8ccb240d83e9cfa9b950f5cd",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "ring-churn.json": (
-        "2c79fd88c9efb8ee1617052a3ae1737f7af7b38dc553bbfcdc6a6f315b558e2b",
+        "f2ff337414a9e69d16705f3b79da71e845dd817872746b23a497d1b9971c4312",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 

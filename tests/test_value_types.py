@@ -69,7 +69,6 @@ FIELDS = {
     "sender_law": st.sampled_from(["h1", "h2"]),
     "due_in": st.integers(0, 3),
     "reason": st.sampled_from(["", "no-rule", "x"]),
-    "record": st.one_of(st.none(), TERMS),
 }
 
 
@@ -110,7 +109,7 @@ class TestValueTypes:
 
     def test_defaults_and_the_empty_agent_name(self):
         assert AgentName("a") == AgentName("a", "")
-        assert AuditLog().record is None and Block().reason == ""
+        assert AuditLog() == AuditLog() and Block().reason == ""
         with pytest.raises(FdsError):
             AgentName("")
 
@@ -146,6 +145,6 @@ class TestRulingClassification:
         assert r == Ruling(ControlState([Term("n", (0,))]), (Block("x"), AuditLog()))
         assert r != Ruling(st_, (Block("y"),))
         assert repr(r) == ("Ruling(new_state=ControlState{n(0)}, "
-                           "ops=(Block(reason='x'), AuditLog(record=None)))")
+                           "ops=(Block(reason='x'), AuditLog()))")
         with pytest.raises(TypeError):
             hash(r)
