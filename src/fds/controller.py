@@ -100,6 +100,50 @@ class AgentRecord:
     obligations: List[Dict[str, Tuple[int, int]]] = field(default_factory=list)
 
 
+class Overlays:
+    """The overlay rule: the terms the framework, not the law, supplies to
+    a ruling. A ruling on no message sees the clock; one on a message also
+    sees its peer's name, division and native law, and whether that law is
+    the chain's own. The controller and replay both build overlays here.
+    Terms are built once and keep their text: one clock term per clock
+    value, four peer terms per (peer, division, law, same).
+    """
+
+    __slots__ = ("_clock", "_peers")
+
+    def __init__(self):
+        self._clock = Term("clock", (0,))
+        self._peers: Dict[tuple, Tuple[Term, ...]] = {}
+
+    def base(self, now: int) -> Tuple[Term, ...]:
+        """The overlay of a ruling at ``now`` on no message."""
+        clock = self._clock
+        if clock.args[0] != now:
+            clock = self._clock = Term("clock", (now,))
+        return (clock,)
+
+    def peer(self, now: int, law: str, name: str, division: str,
+             peer_law: str) -> Tuple[Term, ...]:
+        """The overlay of a ruling at ``now`` of a chain under ``law`` on a
+        message whose peer is ``name`` of ``division`` under ``peer_law``."""
+        same = 1 if peer_law == law else 0
+        key = (name, division, peer_law, same)
+        terms = self._peers.get(key)
+        if terms is None:
+            terms = self._peers[key] = (
+                Term("peerName", (name,)),
+                Term("peerDivision", (division,)),
+                Term("peerLaw", (peer_law,)),
+                Term("peerSameLaw", (same,)),
+            )
+        return self.base(now) + terms
+
+    @staticmethod
+    def text(overlay) -> str:
+        """An overlay as the trace records it."""
+        return ";".join([t.canonical() for t in overlay])
+
+
 class ControllerPool:
     """All simulated controllers, sharing one framework, net and clock."""
 
@@ -112,11 +156,7 @@ class ControllerPool:
         self.metrics: List[Tuple[str, int]] = []  # (leaf law, wall time ns) per ruling
         self._obligations: List[tuple] = []  # heap: (due, seq, rec, idx, canon, term)
         self._oblig_seq = 0
-        # overlay terms are built once and keep their rendered text: one
-        # clock term per clock value, four peer terms per (peer, division,
-        # law, same)
-        self._clock = Term("clock", (net.scheduler.now,))
-        self._peer_terms: Dict[tuple, Tuple[Term, ...]] = {}
+        self.overlays = Overlays()
         net.scheduler.add_ticker(self.tick)
 
     @property
@@ -132,16 +172,17 @@ class ControllerPool:
         name = cert.subject
         if name in self.agents:
             raise AdoptionError("name-taken: %s" % name)
-        bind = getattr(actor, "bind", None)
-        if bind is not None:
-            bind(self, name)
         path = self.framework.resolve_path(law)
         # identity terms come from the controller, not from law operations
         rec = AgentRecord(name, cert.division, actor, [path],
                           [path.initial_state(name, cert.division)], [{}])
-        if self._mediate(rec, 0, Adopted(cert.to_term()), self._base_overlay(),
+        if self._mediate(rec, 0, Adopted(cert.to_term()), self.overlays.base(self.now),
                          opens=True)[0].blocks():
             raise AdoptionError("adoption-refused: %s" % name)
+        # only an admitted actor is bound to the pool
+        bind = getattr(actor, "bind", None)
+        if bind is not None:
+            bind(self, name)
         self.agents[name] = rec
         self.net.register(name, self._make_inbox(name))
         self.net.register_actor(name, actor)
@@ -161,13 +202,13 @@ class ControllerPool:
         path = self.framework.resolve_path(second)
         st = path.initial_state(name, rec.division)
         native = Adopted(Term("stack", (path.leaf,)))
-        if self._mediate(rec, 0, native, self._base_overlay())[0].blocks():
+        if self._mediate(rec, 0, native, self.overlays.base(self.now))[0].blocks():
             raise AdoptionError("stack-refused: %s" % name)
         rec.chains.append(path)
         rec.states.append(st)
         rec.obligations.append({})
         event = Adopted(Term("stack", (rec.chains[0].leaf,)))
-        if self._mediate(rec, len(rec.chains) - 1, event, self._base_overlay(),
+        if self._mediate(rec, len(rec.chains) - 1, event, self.overlays.base(self.now),
                          opens=True)[0].blocks():
             rec.chains.pop()
             rec.states.pop()
@@ -258,7 +299,8 @@ class ControllerPool:
                     or rec.obligations[idx].get(canon) != (when, seq)):
                 continue  # agent quit, or obligation repealed or re-imposed
             del rec.obligations[idx][canon]
-            ruling, rseq = self._mediate(rec, idx, ObligationDue(term), self._base_overlay())
+            ruling, rseq = self._mediate(rec, idx, ObligationDue(term),
+                                         self.overlays.base(self.now))
             if ruling.block is not None:
                 continue
             for op in ruling.ops:
@@ -268,24 +310,6 @@ class ControllerPool:
                     rec.actor.on_deliver(rec.name, op.payload)
 
     # -- internals ---------------------------------------------------------
-
-    def _peer_overlay(self, own_leaf: str, peer: str, division: str, law: str):
-        same = 1 if law == own_leaf else 0
-        key = (peer, division, law, same)
-        terms = self._peer_terms.get(key)
-        if terms is None:
-            terms = self._peer_terms[key] = (
-                Term("peerName", (peer,)),
-                Term("peerDivision", (division,)),
-                Term("peerLaw", (law,)),
-                Term("peerSameLaw", (same,)),
-            )
-        return [*self._base_overlay(), *terms]
-
-    def _base_overlay(self):
-        if self._clock.args[0] != self.now:
-            self._clock = Term("clock", (self.now,))
-        return [self._clock]
 
     def _walk(self, rec: AgentRecord, order, first, passes, relay,
               envelope: Optional[int] = None):
@@ -304,7 +328,7 @@ class ControllerPool:
         while work:
             pos, (event, peer) = work.pop(0)
             idx = order[pos]
-            overlay = self._peer_overlay(rec.chains[idx].leaf, *peer)
+            overlay = self.overlays.peer(self.now, rec.chains[idx].leaf, *peer)
             ruling, seq = self._mediate(rec, idx, event, overlay, envelope)
             seqs.append(seq)
             audited = audited or ruling.audits
@@ -344,7 +368,7 @@ class ControllerPool:
             law=path.leaf,
             event=kind,
             eventArgs=[a.canonical() if isinstance(a, Term) else a for a in args],
-            overlay=";".join(t.canonical() for t in overlay),
+            overlay=Overlays.text(overlay),
             ops=ruling.canonical_ops(),
             blocked=blocked,
             **({"envelope": envelope} if envelope is not None else {}),

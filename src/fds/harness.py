@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .actors import EchoActor, ProberActor, RingMemberActor, SinkActor
-from .controller import AdoptionError, ControllerPool, issue_certificate
+from .controller import AdoptionError, ControllerPool, Overlays, issue_certificate
 from .core import (
     Adopted,
     AgentName,
@@ -210,7 +210,6 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
         actors[name] = actor
 
         def do_adopt():
-            actor.bind(pool, name)
             cert = issue_certificate(name, entry.get("division", ""))
             pool.adopt(actor, cert, law)
             for extra in stack:
@@ -480,21 +479,8 @@ def rebuild_framework(laws: Dict[str, str]) -> Framework:
     return bundle.framework
 
 
-def _event_from_record(rec: dict, overlay):
-    kind = rec["event"]
-    args = rec["eventArgs"]
-    if kind == "sent":
-        return Sent(AgentName(args[2]), parse_term(args[1]))
-    if kind == "arrived":
-        ov = {t.functor: t for t in overlay}
-        division = ov["peerDivision"].args[0] if "peerDivision" in ov else ""
-        law = ov["peerLaw"].args[0] if "peerLaw" in ov else ""
-        return Arrived(AgentName(args[0], division), law, parse_term(args[1]))
-    if kind == "adopted":
-        return Adopted(parse_term(args[0]))
-    if kind == "obligationDue":
-        return ObligationDue(parse_term(args[0]))
-    return ExceptionEvent(args[0])
+# the number of eventArgs a ruling on each event kind records
+EVENT_ARITY = {"sent": 3, "arrived": 3, "adopted": 1, "obligationDue": 1, "exception": 1}
 
 
 def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
@@ -503,52 +489,114 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     Each agent's open chains map (chain, law) to the state replay derived
     for them. A chain opens with the ``stateBefore`` of its opening ruling,
     advances by the controller's commit rule (a blocked ``adopted`` ruling
-    commits nothing) and closes at its agent's ``quit``. Replay reports,
-    and does not raise on, a ruling whose ops differ from its record, an
-    opening ruling of an open chain, any other ruling of a closed one, and
-    a ruling it cannot derive.
+    commits nothing) and closes at its agent's ``quit``. Each ruling's
+    overlay and event are built by the controller's rule (``Overlays``)
+    from the ruling's ``time`` and its peer: a send's target as its latest
+    ``adopt`` record gives it, or the sender of the envelope an arrival
+    cites.
+
+    Replay reports, and does not raise on, a ruling whose ops or overlay
+    differ from its record, an opening ruling of an open chain, any other
+    ruling of a closed one, an arrival that cites no envelope before it or
+    another sender, a ruling it cannot derive, and a record it cannot read.
     """
     fw = report.framework or rebuild_framework(report.laws)
     problems: List[str] = []
     open_chains: Dict[str, Dict[tuple, ControlState]] = {}
-    # one-entry memo: a ruling repeats the previous ruling's overlay text in
-    # 57 % of ring-large's rulings and 18 % of buffer-deep's (seed 5)
-    overlay_text, overlay = None, []
-    for rec in report.records:
-        if rec["type"] == "quit":
-            open_chains.pop(rec["agent"], None)
-        if rec["type"] != "ruling":
-            continue
-        chains = open_chains.setdefault(rec["agent"], {})
-        key = (rec["chain"], rec["law"])
-        opens = "stateBefore" in rec
-        if opens == (key in chains):
-            problems.append("seq %d: chain %d of %s is %s" % (
-                rec["seq"], rec["chain"], rec["agent"], "open" if opens else "closed"))
-            continue
+    natives: Dict[str, Tuple[str, str]] = {}  # agent -> (division, native law)
+    envelopes: Dict[int, dict] = {}  # seq -> envelope record
+    overlays = Overlays()
+    # one-entry memo: the rulings of one message on its chains follow each
+    # other and share its payload text
+    payload_text, payload = None, None
+    for i, rec in enumerate(report.records):
         try:
+            kind = rec["type"]
+            if kind != "ruling":
+                if kind == "envelope":
+                    envelopes[rec["seq"]] = rec
+                elif kind == "adopt":
+                    natives[rec["agent"]] = (rec["division"], rec["laws"][0])
+                elif kind == "quit":
+                    open_chains.pop(rec["agent"], None)
+                    natives.pop(rec["agent"], None)
+                continue
+            seq, event, args = rec["seq"], rec["event"], rec["eventArgs"]
+            chains = open_chains.setdefault(rec["agent"], {})
+            key = (rec["chain"], rec["law"])
+            opens = "stateBefore" in rec
+            if opens == (key in chains):
+                problems.append("seq %s: chain %s of %s is %s" % (
+                    seq, rec["chain"], rec["agent"], "open" if opens else "closed"))
+                continue
+            if EVENT_ARITY.get(event) != len(args):
+                raise FdsError("%r event with %d eventArgs" % (event, len(args)))
             path = fw.resolve_path(rec["law"])
             state = ControlState(parse_terms(rec["stateBefore"]), path.multi) if opens \
                 else chains[key]
-            if rec["overlay"] != overlay_text:
-                overlay_text, overlay = rec["overlay"], parse_terms(rec["overlay"])
-            event = _event_from_record(rec, overlay)
-            ruling = derive_ruling(path, event, state.with_overlay(overlay))
+            if event == "sent" or event == "arrived":
+                if args[1] != payload_text:
+                    payload, payload_text = parse_term(args[1]), args[1]
+                name, division, law = peer = _peer(rec, args, natives, envelopes)
+                happened = Sent(AgentName(name, division), payload) if event == "sent" \
+                    else Arrived(AgentName(name, division), law, payload)
+                overlay = overlays.peer(rec["time"], rec["law"], *peer)
+            else:
+                happened = _other_event(event, args[0])
+                overlay = overlays.base(rec["time"])
+            text = Overlays.text(overlay)
+            if text != rec["overlay"]:
+                problems.append("seq %s: overlay %r != %r" % (seq, text, rec["overlay"]))
+            ruling = derive_ruling(path, happened, state.with_overlay(overlay))
+            if ruling.canonical_ops() != rec["ops"]:
+                problems.append("seq %s: ops %r != %r"
+                                % (seq, ruling.canonical_ops(), rec["ops"]))
+            if ruling.block is None or event != "adopted":
+                chains[key] = ruling.new_state
         except FdsError as exc:
-            problems.append("seq %d: %s" % (rec["seq"], exc))
-            continue
-        if ruling.canonical_ops() != rec["ops"]:
-            problems.append("seq %d: ops %r != %r"
-                            % (rec["seq"], ruling.canonical_ops(), rec["ops"]))
-        if ruling.block is None or rec["event"] != "adopted":
-            chains[key] = ruling.new_state
+            problems.append("seq %s: %s" % (seq, exc))
+        except (LookupError, TypeError) as exc:
+            problems.append("record %d: unreadable (%s: %s)" % (i, type(exc).__name__, exc))
     return not problems, problems
 
 
+def _peer(rec: dict, args: list, natives: dict, envelopes: dict) -> Tuple[str, str, str]:
+    """The peer (name, division, native law) of a ruling on a message: a
+    send's target as last adopted, or the sender of the cited envelope."""
+    if rec["event"] == "sent":
+        return (args[2], *natives.get(args[2], ("", "")))
+    env = envelopes.get(rec.get("envelope"))
+    if env is None:
+        raise FdsError("arrival cites no envelope before it (%r)" % (rec.get("envelope"),))
+    if args[0] != env["sender"]:
+        raise FdsError("sender %r is not envelope %s's %r"
+                       % (args[0], env["seq"], env["sender"]))
+    return env["sender"], env["senderDivision"], env["senderLaw"]
+
+
+def _other_event(kind: str, arg: str):
+    """The event of a ruling on no message, from its one recorded argument."""
+    if kind == "adopted":
+        return Adopted(parse_term(arg))
+    if kind == "obligationDue":
+        return ObligationDue(parse_term(arg))
+    return ExceptionEvent(arg)
+
+
 def replay_report_file(path) -> Tuple[bool, List[str]]:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        return False, ["cannot read a report from %s: %s" % (path, exc)]
+    if not isinstance(data, dict):
+        return False, ["a report is a JSON object, not %s" % type(data).__name__]
     if data.get("traceVersion") != TRACE_VERSION:
         return False, ["trace version %r is not %d" % (data.get("traceVersion"),
                                                        TRACE_VERSION)]
-    return replay_report(RunReport(data.get("scenario", {}), data["laws"], data["trace"],
+    laws = data.get("laws")
+    if not isinstance(laws, dict) or not all(isinstance(t, str) for t in laws.values()):
+        return False, ["report has no laws object of law texts"]
+    if not isinstance(data.get("trace"), list):
+        return False, ["report has no trace list"]
+    return replay_report(RunReport(data.get("scenario", {}), laws, data["trace"],
                                    data.get("audit", []), data.get("metrics", {})))

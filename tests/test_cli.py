@@ -1,5 +1,6 @@
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import fds
 from fds.cli import main
 from fds.core import TermSyntaxError, parse_term, parse_terms
+from fds.harness import load_scenario, run_scenario
 from fds.lawlang import LawSyntaxError, parse_law
 from fds.library import build_acme_hierarchy, make_acme_root, make_division_law
 
@@ -63,6 +65,45 @@ class TestRunAndReplay:
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith(
             "error: integer of %d digits at 2 in 'f(" % len(LONG))
+
+    @pytest.mark.parametrize("tamper,problem", [
+        (lambda data: "{nope", "cannot read a report from "),
+        (lambda data: [data], "a report is a JSON object, not list"),
+        (lambda data: _without(data, "laws"), "report has no laws object of law texts"),
+        (lambda data: dict(data, laws={h: 5 for h in data["laws"]}),
+         "report has no laws object of law texts"),
+        (lambda data: _without(data, "trace"), "report has no trace list"),
+        (lambda data: _first_ruling(data, "sent", lambda r: r.update(
+            eventArgs=r["eventArgs"][:2])), ": 'sent' event with 2 eventArgs"),
+        (lambda data: _first_ruling(data, "arrived", lambda r: r.pop("envelope")),
+         ": arrival cites no envelope before it (None)"),
+        (lambda data: _first_ruling(data, "arrived", lambda r: r.update(envelope=10 ** 6)),
+         ": arrival cites no envelope before it (1000000)"),
+    ], ids=["not-json", "not-an-object", "no-laws", "law-not-text", "no-trace", "short-eventArgs",
+            "no-envelope", "unknown-envelope"])
+    def test_a_malformed_report_fails_replay(self, tamper, problem, tmp_path, capsys):
+        data = tamper(json.loads(_report_text()))
+        trace = tmp_path / "trace.json"
+        trace.write_text(data if isinstance(data, str) else json.dumps(data))
+        assert main(["replay", str(trace)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out and all(line.startswith("FAIL replay: ") for line in out)
+        assert problem in out[0]
+
+
+@lru_cache(maxsize=None)
+def _report_text():
+    return run_scenario(load_scenario(SCENARIO)).to_json()
+
+
+def _without(data, key):
+    del data[key]
+    return data
+
+
+def _first_ruling(data, event, change):
+    change(next(r for r in data["trace"] if r["type"] == "ruling" and r["event"] == event))
+    return data
 
 
 @needs_limit

@@ -284,7 +284,7 @@ class ScanPool(ControllerPool):
                 continue
             del rec.obligations[idx][canon]
             ruling, rseq = self._mediate(rec, idx, ObligationDue(parse_term(canon)),
-                                         self._base_overlay())
+                                         self.overlays.base(now))
             if ruling.blocks():
                 continue
             for op in ruling.ops:

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fds import controller, harness
+from fds.actors import BaseActor, SinkActor
+from fds.controller import AdoptionError, issue_certificate
 from fds.core import FdsError, StateError, parse_term
 from fds.harness import (
     RunReport,
@@ -110,6 +112,25 @@ class TestRunner:
         report = run_scenario(MINI)
         with pytest.raises(ScenarioError, match="unknown assertion"):
             check_assertion("no-such-check", report, {})
+
+    def test_an_actor_is_bound_once_and_only_when_admitted(self):
+        binds = []
+        real = BaseActor.bind
+
+        def bind(actor, pool, name):
+            binds.append(name)
+            real(actor, pool, name)
+
+        refused = SinkActor()
+        with mock.patch.object(BaseActor, "bind", bind):
+            report = run_scenario(MINI)
+            assert binds == ["a", "b"]
+            pool = report.actors["a"].pool
+            d1 = next(r["laws"][0] for r in report.records if r["type"] == "adopt")
+            # d1 admits only agents of division D1
+            with pytest.raises(AdoptionError, match="adoption-refused: c"):
+                pool.adopt(refused, issue_certificate("c", "D2"), d1)
+        assert binds == ["a", "b"] and refused.pool is None
 
     def test_metrics_report_median_per_law(self):
         report = run_scenario(MINI)
@@ -331,20 +352,28 @@ class TestCarriedReplay:
     def test_agrees_with_fresh_parse_on_tampered_traces(self, data, tmp_path_factory):
         name = data.draw(st.sampled_from(TAMPERED))
         original = _trace(name)
-        rulings = [i for i, r in enumerate(original.records) if r["type"] == "ruling"]
+        of_type = lambda kind: [i for i, r in enumerate(original.records) if r["type"] == kind]
+        rulings = of_type("ruling")
         openings = [i for i in rulings if "stateBefore" in original.records[i]]
         continuing = [i for i in rulings if i not in openings]
-        how = data.draw(st.sampled_from(("ops", "add", "drop", "stateBefore", "overlay")))
+        how = data.draw(st.sampled_from(("ops", "add", "drop", "stateBefore", "overlay",
+                                         "time", *OVERLAY_INPUTS)))
+        kind = OVERLAY_INPUTS.get(how, "ruling")
         i = data.draw(st.sampled_from(
-            {"add": continuing, "drop": openings, "stateBefore": openings}.get(how, rulings)))
+            {"add": continuing, "drop": openings, "stateBefore": openings}.get(
+                how, of_type(kind))))
         rec = dict(original.records[i])
         if how == "add":
             rec["stateBefore"] = original.records[data.draw(st.sampled_from(openings))][
                 "stateBefore"]
         elif how == "drop":
             del rec["stateBefore"]
+        elif how == "time":
+            rec["time"] = data.draw(st.one_of(
+                st.sampled_from([original.records[j]["time"] for j in rulings]),
+                st.integers(0, 10**6)))
         else:
-            rec[how] = _edit(data, rec[how], [original.records[j][how] for j in rulings
+            rec[how] = _edit(data, rec[how], [original.records[j][how] for j in of_type(kind)
                                               if how in original.records[j]])
             if how == "ops" and rec["ops"] == original.records[i]["ops"]:
                 return
@@ -354,8 +383,13 @@ class TestCarriedReplay:
         ok, problems = replay_report(tampered)
         assert (ok, problems) == _replay_fresh_parse(
             tampered, tmp_path_factory.mktemp("tampered"))
+        flagged = {p.split(":")[0] for p in problems}
         if how in ("ops", "add", "drop"):
-            assert any(p.startswith("seq %d:" % rec["seq"]) for p in problems), problems
+            assert "seq %d" % rec["seq"] in flagged, problems
+        elif how != "stateBefore" and rec[how] != original.records[i][how]:
+            # a changed overlay, or a changed input of one, flags every
+            # ruling whose overlay it feeds
+            assert {"seq %d" % s for s in _fed(records, i, how)} <= flagged, problems
 
     def test_a_failed_ruling_passes_no_state_on(self, tmp_path):
         # a refused stacking commits nothing on the native chain: had replay
@@ -415,6 +449,30 @@ class TestCarriedReplay:
         report = run_scenario(scenario)
         assert any(r.get("ops", "").startswith("add seen(a())") for r in report.records)
         assert replay_report(report) == (True, []) == _replay_fresh_parse(report, tmp_path)
+
+
+# the fields of other records that feed a ruling's overlay, with their record type
+OVERLAY_INPUTS = {"senderDivision": "envelope", "senderLaw": "envelope", "division": "adopt"}
+
+
+def _fed(records, i, how):
+    """The seqs of the rulings whose overlay field ``how`` of record ``i``
+    feeds: its own, for a ruling's overlay or time; the arrivals that cite
+    it, for an envelope's sender division or law; the sends to its agent
+    until that agent quits or is adopted again, for an adoption's division."""
+    rec = records[i]
+    if rec["type"] == "ruling":
+        return [rec["seq"]]
+    if rec["type"] == "envelope":
+        return [r["seq"] for r in records
+                if r["type"] == "ruling" and r.get("envelope") == rec["seq"]]
+    fed = []
+    for r in records[i + 1:]:
+        if r["type"] in ("adopt", "quit") and r["agent"] == rec["agent"]:
+            break
+        if r["type"] == "ruling" and r["event"] == "sent" and r["eventArgs"][2] == rec["agent"]:
+            fed.append(r["seq"])
+    return fed
 
 
 def _edit(data, text, others):
@@ -544,3 +602,35 @@ def test_roadmap_item_4_state_continuity_is_checked():
     ok, problems = replay_with(13, lambda r: dict(
         r, stateBefore=r["stateBefore"].replace("budget(0)", "budget(1000)")))
     assert not ok and problems[0].startswith("seq 106: ops")
+
+
+@pytest.mark.parametrize("how,change,built", [
+    # (field, its new value from the old, the overlay replay then builds from
+    # the one the run recorded)
+    ("overlay", lambda v: v + ";zz(1)", lambda ov: ov),
+    ("time", lambda v: v + 1,
+     lambda ov: re.sub(r"^clock\((\d+)\)", lambda m: "clock(%d)" % (int(m[1]) + 1), ov)),
+    ("senderDivision", lambda v: "D9",
+     lambda ov: ov.replace('peerDivision("")', 'peerDivision("D9")')),
+    ("senderLaw", lambda v: "x",
+     lambda ov: re.sub(r'peerLaw\("\w+"\);peerSameLaw\(\d\)', 'peerLaw("x");peerSameLaw(0)',
+                       ov)),
+    ("division", lambda v: "D9",
+     lambda ov: ov.replace('peerDivision("")', 'peerDivision("D9")')),
+], ids=["overlay", "time", "senderDivision", "senderLaw", "division"])
+def test_a_changed_overlay_input_flags_the_rulings_it_feeds(how, change, built):
+    report = _trace("acme-bc.json")
+    records = [dict(r) for r in report.records]
+    kind = OVERLAY_INPUTS.get(how, "ruling")
+    # the first record of its type whose field feeds a ruling on a message
+    i = next(i for i, r in enumerate(records) if r["type"] == kind and any(
+        records[s]["event"] in ("sent", "arrived") for s in _fed(records, i, how)))
+    records[i][how] = change(records[i][how])
+    fed = _fed(records, i, how)
+    ok, problems = replay_report(_tampered(report, records))
+    assert not ok and len(fed) >= (1 if kind == "ruling" else 2)
+    for seq in fed:
+        recorded = records[seq]["overlay"]
+        assert built(report.records[seq]["overlay"]) != recorded
+        assert "seq %d: overlay %r != %r" % (
+            seq, built(report.records[seq]["overlay"]), recorded) in problems
