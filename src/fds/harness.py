@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .actors import EchoActor, ProberActor, RingMemberActor, SinkActor
-from .controller import AdoptionError, ControllerPool, Overlays, issue_certificate
+from .controller import ControllerPool, Overlays, issue_certificate
 from .core import (
     Adopted,
     AgentName,
@@ -109,6 +109,10 @@ def load_laws_dir(path) -> Bundle:
 
 TRACE_VERSION = 2  # a ruling records its stateBefore only if it opens a chain
 
+# how a trace record is written, the same for ``trace_lines``, the report
+# file and the golden digests: compact, keys sorted, by the C encoder
+RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass
 class RunReport:
@@ -123,27 +127,42 @@ class RunReport:
     framework: Optional[Framework] = None
 
     def trace_lines(self) -> List[str]:
-        return [json.dumps(r, sort_keys=True, separators=(",", ":"))
-                for r in self.records]
+        encode = RECORD_ENCODER.encode
+        return [encode(r) for r in self.records]
 
     def ok(self) -> bool:
         return all(v["ok"] for v in self.verdicts.values())
 
     def to_json(self) -> str:
+        """The report file: compact JSON with sorted keys, the trace one
+        record per line, each line as ``trace_lines`` renders it."""
         # host latencies stay out of the file: two runs write the same bytes
-        return json.dumps(
-            {
-                "traceVersion": TRACE_VERSION,
-                "scenario": self.scenario,
-                "laws": self.laws,
-                "trace": self.records,
-                "audit": self.audit,
-                "metrics": {k: v for k, v in self.metrics.items() if k != "laws"},
-                "verdicts": self.verdicts,
-                "warnings": self.warnings,
-            },
-            sort_keys=True, indent=1,
-        )
+        parts = {
+            "traceVersion": TRACE_VERSION,
+            "scenario": self.scenario,
+            "laws": self.laws,
+            "audit": self.audit,
+            "metrics": {k: v for k, v in self.metrics.items() if k != "laws"},
+            "verdicts": self.verdicts,
+            "warnings": self.warnings,
+        }
+        encode = RECORD_ENCODER.encode
+        # one list of pieces joined once: no intermediate copy of the trace
+        pieces = ["{"]
+        for key in sorted(["trace", *parts]):
+            pieces.append(encode(key) + ":")
+            if key != "trace":
+                pieces.append(encode(parts[key]))
+            else:
+                pieces.append("[\n")
+                for record in self.records:
+                    pieces += (encode(record), ",\n")
+                if self.records:
+                    pieces[-1] = "\n"
+                pieces.append("]")
+            pieces.append(",")
+        pieces[-1] = "}"
+        return "".join(pieces)
 
 
 def load_scenario(path) -> dict:
@@ -195,6 +214,16 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
         except KeyError as exc:
             raise ScenarioError(str(exc.args[0])) from exc
 
+    def guarded(fn, action: str, agent: str):
+        """``fn`` as a scheduled action whose refusal is recorded, not raised."""
+        def run():
+            try:
+                fn()
+            except FdsError as exc:
+                trace.add("action-error", action=action, agent=agent, error=str(exc))
+
+        return run
+
     def schedule_adoption(entry: dict):
         name = entry["name"]
         law = resolve(entry["law"])
@@ -215,19 +244,10 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
             for extra in stack:
                 pool.stack_adopt(name, extra)
 
-        scheduler.schedule(entry.get("at", 0), do_adopt)
+        scheduler.schedule(entry.get("at", 0), guarded(do_adopt, "adopt", name))
 
     for entry in scenario.get("cast", []):
         schedule_adoption(entry)
-
-    def guarded(fn):
-        def run():
-            try:
-                fn()
-            except (FdsError, AdoptionError) as exc:
-                trace.add("action-error", error=str(exc))
-
-        return run
 
     # payloads may reference published laws symbolically: {law:d1} -> hash
     law_ref = re.compile(r"\{law:([\w-]+)\}")
@@ -241,7 +261,8 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
             payload = parse_term(sub_laws(item["payload"]))
             scheduler.schedule(
                 item["at"],
-                guarded(lambda: pool.send(item["from"], item["to"], payload)),
+                guarded(lambda: pool.send(item["from"], item["to"], payload),
+                        action, item["from"]),
             )
         elif action == "send-every":
             start = item.get("start", 0)
@@ -251,20 +272,25 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
                 payload = parse_term(item["payload"].format(i=i))
                 scheduler.schedule(
                     t,
-                    guarded(lambda p=payload: pool.send(item["from"], item["to"], p)),
+                    guarded(lambda p=payload: pool.send(item["from"], item["to"], p),
+                            action, item["from"]),
                 )
         elif action == "rogue":
             payload = parse_term(sub_laws(item["payload"]))
             scheduler.schedule(
                 item["at"],
-                guarded(lambda: net.rogue_send(item["from"], item["to"], payload)),
+                guarded(lambda: net.rogue_send(item["from"], item["to"], payload),
+                        action, item["from"]),
             )
         elif action == "quit":
-            scheduler.schedule(item["at"], guarded(lambda: pool.quit(item["agent"])))
+            scheduler.schedule(
+                item["at"], guarded(lambda: pool.quit(item["agent"]), action, item["agent"])
+            )
         elif action == "stack-adopt":
             law = resolve(item["law"])
             scheduler.schedule(
-                item["at"], guarded(lambda: pool.stack_adopt(item["agent"], law))
+                item["at"],
+                guarded(lambda: pool.stack_adopt(item["agent"], law), action, item["agent"]),
             )
         elif action == "adopt":
             schedule_adoption(item)
@@ -309,11 +335,13 @@ def _compile_random_traffic(item, seed, scheduler, pool, net, guarded):
         payload = Term("order", ("i%d" % i, rng.randint(cost_lo, cost_hi)))
         if rng.random() < rogue_prob:
             scheduler.schedule(
-                t, guarded(lambda s=sender, g=target, p=payload: net.rogue_send(s, g, p))
+                t, guarded(lambda s=sender, g=target, p=payload: net.rogue_send(s, g, p),
+                           "random-traffic", sender)
             )
         else:
             scheduler.schedule(
-                t, guarded(lambda s=sender, g=target, p=payload: pool.send(s, g, p))
+                t, guarded(lambda s=sender, g=target, p=payload: pool.send(s, g, p),
+                           "random-traffic", sender)
             )
 
 

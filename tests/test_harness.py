@@ -2,6 +2,7 @@ import importlib.util
 import json
 import pathlib
 import re
+import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
@@ -132,6 +133,18 @@ class TestRunner:
                 pool.adopt(refused, issue_certificate("c", "D2"), d1)
         assert binds == ["a", "b"] and refused.pool is None
 
+    def test_a_refused_adoption_is_recorded_and_the_run_goes_on(self):
+        scenario = load_scenario(SCENARIOS / "acme-basic.json")
+        # d1 admits only agents of division D1
+        refused = dict(scenario, timeline=scenario["timeline"] + [
+            {"action": "adopt", "at": 3, "name": "zz", "division": "D2", "law": "d1"}])
+        report = run_scenario(refused)
+        errors = [r for r in report.records if r["type"] == "action-error"]
+        assert [(r["action"], r["agent"], r["time"], r["error"]) for r in errors] == [
+            ("adopt", "zz", 3, "adoption-refused: zz")]
+        assert replay_report(report) == (True, [])
+        assert report.verdicts == run_scenario(scenario).verdicts
+
     def test_metrics_report_median_per_law(self):
         report = run_scenario(MINI)
         for stats in report.metrics["laws"].values():
@@ -165,6 +178,42 @@ class TestReplay:
         # host latencies stay in memory, out of the file
         assert "laws" in first.metrics
         assert "laws" not in json.loads(first.to_json())["metrics"]
+
+    def test_report_file_holds_one_trace_record_per_line(self):
+        report = run_scenario(MINI)
+        text = report.to_json()
+        start = text.index('"trace":[\n') + len('"trace":[\n')
+        assert text[start:text.index("\n]", start)] == ",\n".join(report.trace_lines())
+        assert text.count("\n") == len(report.records) + 1
+
+    def test_report_file_reads_as_the_indented_layout(self):
+        report = run_scenario(MINI)
+        indented = json.dumps({
+            "traceVersion": 2,
+            "scenario": report.scenario,
+            "laws": report.laws,
+            "trace": report.records,
+            "audit": report.audit,
+            "metrics": {k: v for k, v in report.metrics.items() if k != "laws"},
+            "verdicts": report.verdicts,
+            "warnings": report.warnings,
+        }, sort_keys=True, indent=1)
+        assert json.loads(report.to_json()) == json.loads(indented)
+
+    def test_an_indented_report_file_replays(self, tmp_path):
+        p = tmp_path / "report.json"
+        p.write_text(json.dumps(json.loads(run_scenario(MINI).to_json()),
+                                sort_keys=True, indent=1))
+        assert replay_report_file(p) == (True, [])
+
+    def test_writing_a_report_file_peaks_at_three_times_its_size(self, acme_bc_report):
+        tracemalloc.start()
+        try:
+            text = acme_bc_report.to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text), (peak, len(text))
 
     def test_a_report_file_of_another_trace_version_is_refused(self, tmp_path):
         data = json.loads(run_scenario(MINI).to_json())
