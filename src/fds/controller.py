@@ -10,12 +10,11 @@ crosscutting law sees arrivals before the native law does. The pool also
 keeps the obligation clock and the audit sink.
 
 Every ruling goes through one mediation step, ``ControllerPool._mediate``:
-it derives the ruling of one chain on one event, records it in the trace,
-and commits it. It alone knows the commit rule: a ruling that blocks an
-``adopted`` event commits nothing, since the adoption is refused; every
-other ruling, blocked or not, commits its new state and its obligation
-ops. Sends and arrivals pass through the chains by one chain walk,
-``ControllerPool._walk``.
+it derives the ruling of one chain on one event, computes the state it
+commits by the one commit rule, ``core.commit`` (which replay applies
+too), records the ruling in the trace, and then commits that state and
+the ruling's obligation ops. Sends and arrivals pass through the chains
+by one chain walk, ``ControllerPool._walk``.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .core import (
     RepealObligation,
     Sent,
     Term,
+    commit,
 )
 from .hierarchy import Framework, LawPath, derive_ruling
 from .lawlang import event_args
@@ -347,11 +347,12 @@ class ControllerPool:
                  envelope: Optional[int] = None, opens: bool = False):
         """Derive chain ``idx``'s ruling on ``event``, record it and commit it.
 
-        A ruling that blocks an ``adopted`` event commits nothing; any other
-        commits its new state and its obligation ops. Only the ruling that
-        ``opens`` the chain records the state it starts from; replay derives
-        every later state from it and the recorded ops. Returns the ruling
-        and the seq of its trace record.
+        ``commit`` gives the state to commit before the ruling is recorded,
+        so a law error in its state ops leaves no ruling record; a refused
+        adoption commits neither state nor obligation ops. Only the ruling
+        that ``opens`` the chain records the state it starts from; replay
+        derives every later state from it and the recorded ops. Returns the
+        ruling and the seq of its trace record.
         """
         path = rec.chains[idx]
         before = rec.states[idx]
@@ -359,8 +360,8 @@ class ControllerPool:
         t0 = _time.perf_counter_ns()
         kind, args = view = event_args(event, state)
         ruling = derive_ruling(path, event, state, view)
+        after = commit(state, kind, ruling)
         self.metrics.append((path.leaf, _time.perf_counter_ns() - t0))
-        blocked = ruling.block is not None
         seq = self.trace.add(
             "ruling",
             agent=rec.name,
@@ -370,13 +371,13 @@ class ControllerPool:
             eventArgs=[a.canonical() if isinstance(a, Term) else a for a in args],
             overlay=Overlays.text(overlay),
             ops=ruling.canonical_ops(),
-            blocked=blocked,
+            blocked=ruling.block is not None,
             **({"envelope": envelope} if envelope is not None else {}),
             **({"stateBefore": before.canonical()} if opens else {}),
         )
-        if blocked and kind == "adopted":
+        if after is None:
             return ruling, seq
-        rec.states[idx] = ruling.new_state
+        rec.states[idx] = after
         if not ruling.obliges:
             return ruling, seq
         table = rec.obligations[idx]

@@ -587,20 +587,19 @@ def _drop(terms: dict, t: Term):
 
 
 class Ruling(Value):
-    """The law's decision for one event: new state plus ordered operations.
+    """The law's decision for one event: its ordered operations.
 
     Classified once, when built: ``block`` is its first ``Block`` op or
     None, ``audits`` whether an op is an ``AuditLog``, and ``obliges``
     whether an op imposes or repeals an obligation, so no caller scans
-    ``ops`` for them. Its fields are ``new_state`` and ``ops``; like the
-    frozen dataclass it replaces, it has no hash, since a state has none.
+    ``ops`` for them. A ruling holds no state: ``commit`` applies its
+    state ops to the chain's state.
     """
 
-    _fields = ("new_state", "ops")
+    _fields = ("ops",)
     __slots__ = _fields + ("block", "audits", "obliges")
 
-    def __init__(self, new_state: ControlState, ops: tuple = ()):
-        self.new_state = new_state
+    def __init__(self, ops: tuple = ()):
         self.ops = ops
         self.block = None
         self.audits = self.obliges = False
@@ -621,23 +620,22 @@ class Ruling(Value):
         return ";".join(op_canonical(o) for o in self.ops)
 
 
-def apply_ops(state: ControlState, ops) -> ControlState:
-    """Apply the state-update operations among ``ops``, in order.
-
-    Interactive operations (forward, deliver, block, ...) are ignored here;
-    they are the controller's business.
+def commit(view: ControlState, kind: str, ruling: Ruling):
+    """The commit rule: the base state a chain moves to after ``ruling`` on
+    an event of ``kind``, ruled in ``view`` (its state with the event's
+    overlay). A ruling that blocks an ``adopted`` event commits nothing
+    (None): the adoption is refused. Any other, blocked or not, commits its
+    state ops, applied in order in ``view``, so writing an overlay term is a
+    ``read-only term`` error. Its other ops are the controller's business.
     """
-    st = state
-    for op in ops:
+    if ruling.block is not None and kind == "adopted":
+        return None
+    st = view
+    for op in ruling.ops:
         if isinstance(op, StateReplace):
             st = st.replace(op.old, op.new)
         elif isinstance(op, StateAdd):
             st = st.add(op.term)
         elif isinstance(op, StateRemove):
             st = st.remove(op.term)
-    return st
-
-
-def apply_ruling(state: ControlState, ruling: Ruling) -> ControlState:
-    """Apply the state-update operations of a ruling, in order."""
-    return apply_ops(state, ruling.ops)
+    return st.without_overlay()

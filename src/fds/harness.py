@@ -28,12 +28,13 @@ from .core import (
     ObligationDue,
     Sent,
     Term,
+    commit,
     hash_law,
     parse_term,
     parse_terms,
 )
 from .hierarchy import Bundle, Framework, FrameworkError, derive_ruling, publish_laws
-from .lawlang import parse_law
+from .lawlang import EVENT_KINDS, parse_law
 from .lawserver import LawServer
 from .library import (
     build_acme_hierarchy,
@@ -236,11 +237,11 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
             actor = BEHAVIORS[behavior](**params)
         else:
             raise ScenarioError("unknown behavior %r" % behavior)
-        actors[name] = actor
 
         def do_adopt():
             cert = issue_certificate(name, entry.get("division", ""))
             pool.adopt(actor, cert, law)
+            actors[name] = actor  # only an admitted actor joins the run
             for extra in stack:
                 pool.stack_adopt(name, extra)
 
@@ -507,18 +508,14 @@ def rebuild_framework(laws: Dict[str, str]) -> Framework:
     return bundle.framework
 
 
-# the number of eventArgs a ruling on each event kind records
-EVENT_ARITY = {"sent": 3, "arrived": 3, "adopted": 1, "obligationDue": 1, "exception": 1}
-
-
 def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     """Re-derive every recorded ruling offline from the trace alone.
 
     Each agent's open chains map (chain, law) to the state replay derived
     for them. A chain opens with the ``stateBefore`` of its opening ruling,
-    advances by the controller's commit rule (a blocked ``adopted`` ruling
-    commits nothing) and closes at its agent's ``quit``. Each ruling's
-    overlay and event are built by the controller's rule (``Overlays``)
+    advances by the controller's commit rule, ``core.commit`` (a refused
+    adoption commits nothing), and closes at its agent's ``quit``. Each
+    ruling's overlay and event are built by the controller's rule (``Overlays``)
     from the ruling's ``time`` and its peer: a send's target as its latest
     ``adopt`` record gives it, or the sender of the envelope an arrival
     cites.
@@ -557,7 +554,7 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
                 problems.append("seq %s: chain %s of %s is %s" % (
                     seq, rec["chain"], rec["agent"], "open" if opens else "closed"))
                 continue
-            if EVENT_ARITY.get(event) != len(args):
+            if EVENT_KINDS.get(event) != len(args):
                 raise FdsError("%r event with %d eventArgs" % (event, len(args)))
             path = fw.resolve_path(rec["law"])
             state = ControlState(parse_terms(rec["stateBefore"]), path.multi) if opens \
@@ -575,12 +572,14 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
             text = Overlays.text(overlay)
             if text != rec["overlay"]:
                 problems.append("seq %s: overlay %r != %r" % (seq, text, rec["overlay"]))
-            ruling = derive_ruling(path, happened, state.with_overlay(overlay))
+            view = state.with_overlay(overlay)
+            ruling = derive_ruling(path, happened, view)
             if ruling.canonical_ops() != rec["ops"]:
                 problems.append("seq %s: ops %r != %r"
                                 % (seq, ruling.canonical_ops(), rec["ops"]))
-            if ruling.block is None or event != "adopted":
-                chains[key] = ruling.new_state
+            after = commit(view, event, ruling)
+            if after is not None:
+                chains[key] = after
         except FdsError as exc:
             problems.append("seq %s: %s" % (seq, exc))
         except (LookupError, TypeError) as exc:

@@ -321,7 +321,7 @@ def derive_ruling(path: LawPath, event: Event, state: ControlState,
     ``view`` is the event's ``event_args(event, state)``, for a caller that
     has computed it already; it is computed here when absent. The winning
     level's ruling is returned itself unless audits must be added to it or
-    shed from it.
+    shed from it. No level's state ops are applied: ``core.commit`` does so.
     """
     kind, args = view or event_args(event, state)
     payload = args[1] if kind in PAYLOAD_KINDS else None
@@ -344,10 +344,9 @@ def derive_ruling(path: LawPath, event: Event, state: ControlState,
         if winner_mode == "sealed":
             break
     if winner is None:
-        return default_ruling(path.default, event, state)
+        return default_ruling(path.default, event)
     if winner.block is not None and winner.audits:
-        return Ruling(winner.new_state,
-                      tuple(o for o in winner.ops if not isinstance(o, AuditLog)))
+        return Ruling(tuple(o for o in winner.ops if not isinstance(o, AuditLog)))
     if winner.block is None and retained_audits:
-        return Ruling(winner.new_state, tuple(retained_audits) + winner.ops)
+        return Ruling(tuple(retained_audits) + winner.ops)
     return winner

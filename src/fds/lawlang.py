@@ -48,7 +48,7 @@ from .core import (
     StateReplace,
     TOKEN,
     Term,
-    apply_ops,
+    commit,
     quote,
     unquote,
 )
@@ -1129,32 +1129,41 @@ def first_match(doc: LawDoc, event: Event, state: ControlState, rules=None, args
         b = eval_guard(crule, b, state)
         if b is None:
             continue
-        ops = crule.build(b, event)
-        return rule, Ruling(apply_ops(state, ops).without_overlay(), ops)
+        return rule, Ruling(crule.build(b, event))
     return None
 
 
-def default_ruling(default: str, event: Event, state: ControlState) -> Ruling:
+def default_ruling(default: str, event: Event) -> Ruling:
     """The ruling mandated by a law's default directive for an unmatched event.
 
     The directive only constrains send/arrive events; adoption, obligations
     and exceptions default to an empty permit.
     """
-    base = state.without_overlay()
     if isinstance(event, Sent):
         if default == "block":
-            return Ruling(base, (Block("no-rule"),))
-        return Ruling(base, (Forward(event.target.name, event.payload),))
+            return Ruling((Block("no-rule"),))
+        return Ruling((Forward(event.target.name, event.payload),))
     if isinstance(event, Arrived):
         if default == "block":
-            return Ruling(base, (Block("no-rule"),))
-        return Ruling(base, (Deliver(event.payload),))
-    return Ruling(base, ())
+            return Ruling((Block("no-rule"),))
+        return Ruling((Deliver(event.payload),))
+    return Ruling(())
 
 
-def evaluate_law(doc: LawDoc, event: Event, state: ControlState) -> Ruling:
-    """Formula-style total evaluation of a single law: one ruling, always."""
+class Evaluation(Ruling):
+    """A ruling and the state it commits, as ``evaluate_law`` returns it."""
+
+    _fields = ("ops", "new_state")
+    __slots__ = ("new_state",)
+
+    def __init__(self, ops: tuple, new_state):
+        super().__init__(ops)
+        self.new_state = new_state
+
+
+def evaluate_law(doc: LawDoc, event: Event, state: ControlState) -> Evaluation:
+    """Formula-style total evaluation of a single law: one ruling, always,
+    and the state it commits."""
     hit = first_match(doc, event, state)
-    if hit is not None:
-        return hit[1]
-    return default_ruling(doc.default or "block", event, state)
+    ruling = default_ruling(doc.default or "block", event) if hit is None else hit[1]
+    return Evaluation(ruling.ops, commit(state, event.kind, ruling))

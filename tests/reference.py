@@ -6,7 +6,8 @@ the interpreter those closures replaced, as the model they are tested
 against: it reads the rule's syntax tree afresh for every event, binds
 variables in a dict by name, and copies the bindings for every candidate a
 state query tries. It shares only data types, ``event_args`` and the law
-parser with ``src/fds``.
+parser with ``src/fds``; ``commit`` applies a ruling's state ops by its own
+loop.
 
 ``parse_term``/``parse_terms`` below scan term text one character at a
 time, and ``tokenize_law`` reads law text into ``Token`` objects with their
@@ -32,7 +33,6 @@ from fds.core import (
     StateReplace,
     Term,
     TermSyntaxError,
-    apply_ruling,
 )
 from fds.lawlang import (
     WILDCARD,
@@ -224,10 +224,24 @@ def first_match(doc, event, state, rules=None):
         b = eval_guard(rule.guard, b, state)
         if b is None:
             continue
-        ops = instantiate_ops(rule, b, event)
-        new_state = apply_ruling(state, Ruling(state, ops)).without_overlay()
-        return rule, Ruling(new_state, ops)
+        return rule, Ruling(instantiate_ops(rule, b, event))
     return None
+
+
+def commit(state, kind, ruling):
+    """The base state a chain moves to after ``ruling`` on an event of
+    ``kind``, ruled in ``state``: None if it blocks an adoption, else its
+    state ops applied one at a time, in order."""
+    if kind == "adopted" and any(isinstance(o, Block) for o in ruling.ops):
+        return None
+    for op in ruling.ops:
+        if isinstance(op, StateReplace):
+            state = state.replace(op.old, op.new)
+        elif isinstance(op, StateAdd):
+            state = state.add(op.term)
+        elif isinstance(op, StateRemove):
+            state = state.remove(op.term)
+    return state.without_overlay()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ meta mode per event and tries every rule of the event's kind, as
 rule interpreter of ``reference.py``. Random paths of one to
 three laws (meta modes with ``*`` patterns, rules on every event kind,
 payload patterns of every shape, with and without guards, deltas that rule
-on sealed aspects) and random events must get the same ruling, or the same
-law error, from both.
+on sealed aspects) and random events must get the same ruling and, through
+``core.commit`` and the reference's ``commit``, the same committed state,
+or the same law error, from both.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from fds.core import (
     Ruling,
     Sent,
     Term,
+    commit,
 )
 from fds.hierarchy import LawPath, derive_ruling, effective_mode
 from fds.lawlang import META_MODES, aspect_matches, default_ruling, event_args, parse_law
@@ -76,12 +78,12 @@ def reference_ruling(path, event, state):
     if winner is None:
         default = next((d.default for d in reversed(path.docs) if d.default is not None),
                        "block")
-        return default_ruling(default, event, state)
+        return default_ruling(default, event)
     ruling = winner[2]
     ops = tuple(retained_audits) + ruling.ops
     if any(isinstance(o, Block) for o in ops):
         ops = tuple(o for o in ops if not isinstance(o, AuditLog))
-    return Ruling(ruling.new_state, ops)
+    return Ruling(ops)
 
 
 # -- generated laws ------------------------------------------------------------
@@ -171,12 +173,13 @@ states = st.builds(
 )
 
 
-def _outcome(derive, path, event, state):
+def _outcome(derive, commit, path, event, state):
     try:
         ruling = derive(path, event, state)
+        after = commit(state, event.kind, ruling)
     except FdsError as exc:
         return "error", type(exc).__name__, str(exc)
-    return ruling.canonical_ops(), ruling.new_state.canonical()
+    return ruling.canonical_ops(), None if after is None else after.canonical()
 
 
 ROOT = "law l0\ndefault block\nmulti { k }\n"
@@ -202,5 +205,6 @@ SEND_N = [(Sent(AgentName("b"), Term("n", (1,))), ControlState([Term("name", ("a
          SEND_N)
 def test_compiled_path_rules_like_the_per_event_derivation(path, probes):
     for event, state in probes:
-        assert (_outcome(derive_ruling, path, event, state)
-                == _outcome(reference_ruling, path, event, state)), (event, state)
+        assert (_outcome(derive_ruling, commit, path, event, state)
+                == _outcome(reference_ruling, reference.commit, path, event, state)), \
+            (event, state)

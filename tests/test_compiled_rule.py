@@ -6,7 +6,8 @@ variables, ``_`` where a value is needed, ill-typed templates. Every node
 kind takes part: ``_``, variables (repeated ones too), atoms, integers,
 nested terms, ``+``/``-``, ``functor()``, every comparison operator and all
 nine op templates. For random events and states, ``first_match`` and the
-reference's must pick the same rule with the same ops and new state, or
+reference's must pick the same rule with the same ops, and ``core.commit``
+and the reference's ``commit`` must commit the same state, or both must
 fail with the same error.
 """
 
@@ -26,6 +27,7 @@ from fds.core import (
     ObligationDue,
     Sent,
     Term,
+    commit,
 )
 from fds.lawlang import (
     EVENT_KINDS,
@@ -218,16 +220,17 @@ def _doc(*rule_list):
     return LawDoc("t", "root", None, "block", MULTI, (), (), tuple(rule_list))
 
 
-def outcome(match, doc, event, state):
-    """Rule id, ops and new state of a hit; None; or the law error."""
+def outcome(match, commit, doc, event, state):
+    """Rule id, ops and committed state of a hit; None; or the law error."""
     try:
         hit = match(doc, event, state)
+        if hit is None:
+            return None
+        rule, ruling = hit
+        after = commit(state, event.kind, ruling)
     except FdsError as exc:
         return type(exc).__name__, str(exc)
-    if hit is None:
-        return None
-    rule, ruling = hit
-    return rule.rule_id, ruling.canonical_ops(), ruling.new_state.canonical()
+    return rule.rule_id, ruling.canonical_ops(), None if after is None else after.canonical()
 
 
 # -- hand-picked cases: one per law error, and the matching subtleties -------------
@@ -265,8 +268,8 @@ ERROR_CASES = {
 def test_law_errors_match_the_reference(message):
     event = SEND if ERROR_CASES[message].event_kind == "sent" else ObligationDue(Term("p", (1,)))
     doc = _doc(ERROR_CASES[message])
-    got = outcome(first_match, doc, event, STATE)
-    assert got == outcome(reference.first_match, doc, event, STATE)
+    got = outcome(first_match, commit, doc, event, STATE)
+    assert got == outcome(reference.first_match, reference.commit, doc, event, STATE)
     assert got[0] == "GuardError" and got[1].startswith(message), got
 
 
@@ -289,5 +292,5 @@ def test_law_errors_match_the_reference(message):
                           ops=(TBlock("two"),))), SEND, STATE))
 def test_compiled_rules_rule_like_the_reference(case):
     doc, event, state = case
-    assert outcome(first_match, doc, event, state) == outcome(reference.first_match, doc,
-                                                               event, state)
+    assert (outcome(first_match, commit, doc, event, state)
+            == outcome(reference.first_match, reference.commit, doc, event, state))

@@ -18,7 +18,7 @@ from fds.core import (
     StateReplace,
     Term,
     TermSyntaxError,
-    apply_ruling,
+    commit,
     op_canonical,
     parse_term,
     parse_terms,
@@ -345,13 +345,22 @@ class TestOps:
         assert op_canonical(Block("why")) == 'block("why")'
         assert op_canonical(ImposeObligation(Term("flush"), 7)) == "oblige flush in 7"
 
-    def test_apply_ruling_runs_state_ops_in_order(self):
+    def test_commit_runs_state_ops_in_order(self):
         st_ = ControlState([Term("n", (0,))])
-        ruling = Ruling(st_, (
+        ruling = Ruling((
             StateReplace(Term("n", (0,)), Term("n", (1,))),
             StateAdd(Term("extra", ())),
             StateRemove(Term("extra", ())),
             Forward("x", Term("m")),
         ))
-        out = apply_ruling(st_, ruling)
-        assert out.canonical() == "n(1)"
+        assert commit(st_, "sent", ruling).canonical() == "n(1)"
+
+    def test_only_a_refused_adoption_commits_nothing(self):
+        view = ControlState([Term("n", (0,))]).with_overlay([Term("clock", (3,))])
+        blocked = Ruling((Block("no"), StateAdd(Term("m", ()))))
+        assert commit(view, "adopted", blocked) is None
+        after = commit(view, "sent", blocked)
+        assert after.canonical() == "m;n(0)" and after.lookup("clock") == []
+        assert commit(view, "adopted", Ruling((StateAdd(Term("m", ())),))) == after
+        with pytest.raises(StateError, match="read-only term"):
+            commit(view, "sent", Ruling((StateAdd(Term("clock", (4,))),)))

@@ -144,6 +144,41 @@ class TestRunner:
             ("adopt", "zz", 3, "adoption-refused: zz")]
         assert replay_report(report) == (True, [])
         assert report.verdicts == run_scenario(scenario).verdicts
+        assert "zz" not in report.actors
+
+    def test_an_adoption_under_a_taken_name_keeps_the_first_actor(self):
+        taken = dict(MINI, timeline=MINI["timeline"] + [
+            {"action": "adopt", "at": 3, "name": "a", "division": "D1", "law": "d1",
+             "behavior": "echo"}])
+        report = run_scenario(taken)
+        errors = [(r["action"], r["agent"], r["error"])
+                  for r in report.records if r["type"] == "action-error"]
+        assert errors == [("adopt", "a", "name-taken: a")]
+        first = report.actors["a"]
+        assert isinstance(first, SinkActor) and first.pool.agents["a"].actor is first
+
+    def test_a_failed_state_op_records_no_ruling_and_commits_nothing(self, tmp_path):
+        # the ruling is recorded only after the state it commits is computed
+        (tmp_path / "bad.law").write_text(
+            "law bad\ndefault pass\ninit { n(0) }\n"
+            "rule r aspect bad:send on sent(_, m(_), _) do { remove absent(1); forward }\n")
+        scenario = {
+            "name": "bad", "seed": 1, "duration": 20,
+            "laws": {"bundle": "dir", "params": {"dir": str(tmp_path)}},
+            "cast": [{"name": "a", "law": "bad"}, {"name": "b", "law": "bad"}],
+            "timeline": [{"action": "send", "at": 5, "from": "a", "to": "b",
+                          "payload": "m(1)"}],
+        }
+        report = run_scenario(scenario)
+        errors = [(r["action"], r["agent"], r["time"], r["error"])
+                  for r in report.records if r["type"] == "action-error"]
+        assert errors == [("send", "a", 5, "stale-state-update: absent(1) not in state")]
+        rulings = [r for r in report.records if r["type"] == "ruling"]
+        assert [(r["agent"], r["event"]) for r in rulings] == [
+            ("a", "adopted"), ("b", "adopted")]
+        state = report.actors["a"].pool.agents["a"].states[0]
+        assert state.canonical() == rulings[0]["stateBefore"]
+        assert replay_report(report) == (True, [])
 
     def test_metrics_report_median_per_law(self):
         report = run_scenario(MINI)

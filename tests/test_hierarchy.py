@@ -1,6 +1,6 @@
 import pytest
 
-from fds.core import AgentName, Arrived, ControlState, Sent, Term
+from fds.core import AgentName, Arrived, ControlState, Sent, Term, commit
 from fds.hierarchy import (
     Framework,
     FrameworkError,
@@ -143,6 +143,20 @@ class TestDeriveRuling:
         path = LawPath((root, "forged-hash"), (fw.docs[root], forged_doc))
         r = derive_ruling(path, _send(Term("sealed", (1,))), _state())
         assert r.canonical_ops() == 'block("sealed")'
+
+    def test_an_overridden_level_commits_no_state(self):
+        # the root's hit removes a term that is not there; the delta
+        # overrides it, and only the winner's state ops are ever applied
+        top = parse_law("law t\ndefault block\nmeta { x default-overridable }\n"
+                        "rule r aspect x on sent(_, m(_), _) do { remove absent(1); forward }\n")
+        fw = Framework()
+        root = fw.publish_root(top)
+        leaf = fw.publish_delta(root, parse_law(
+            "law s\nextends t\n"
+            "rule d aspect x on sent(_, m(_), _) do { add seen(1); block(\"d\") }\n"))
+        r = derive_ruling(fw.resolve_path(leaf), _send(Term("m", (1,))), _state())
+        assert r.canonical_ops() == 'add seen(1);block("d")'
+        assert commit(_state(), "sent", r).canonical() == 'name("x");seen(1)'
 
     def test_no_match_falls_to_leafmost_default(self):
         _, path = self._fw("law sub\nextends corp\ndefault pass\n")

@@ -86,10 +86,9 @@ def test_every_definition_is_named_elsewhere():
 
 
 # Definitions that no run uses but tests do: the acceptance tests' oracle
-# and its step, single-law evaluation and the prober's ancestor query, the
-# trace's record filter, and apply_ruling, which the test-side reference
-# models use.
-TESTS_ONLY = ["CCOracle", "apply_ruling", "evaluate_law", "lca", "of_type", "step"]
+# and its step, single-law evaluation and the prober's ancestor query, and
+# the trace's record filter.
+TESTS_ONLY = ["CCOracle", "evaluate_law", "lca", "of_type", "step"]
 
 
 def test_definitions_named_only_by_tests_are_the_allowed_ones():

@@ -15,7 +15,6 @@ from fds.core import (
     Arrived,
     AuditLog,
     Block,
-    ControlState,
     Deliver,
     ExceptionEvent,
     FdsError,
@@ -131,7 +130,7 @@ OP_VALUES = st.one_of(*[values(cls) for cls in OPS])
 class TestRulingClassification:
     @given(st.lists(OP_VALUES, max_size=6).map(tuple))
     def test_fields_equal_a_plain_scan_of_the_ops(self, ops):
-        r = Ruling(ControlState(), ops)
+        r = Ruling(ops)
         assert r.block is next((o for o in ops if isinstance(o, Block)), None)
         assert r.blocks() == any(isinstance(o, Block) for o in ops)
         assert r.audits == any(isinstance(o, AuditLog) for o in ops)
@@ -139,12 +138,9 @@ class TestRulingClassification:
                                 for o in ops)
         assert r.ops is ops
 
-    def test_eq_and_repr_are_over_state_and_ops(self):
-        st_ = ControlState([Term("n", (0,))])
-        r = Ruling(st_, (Block("x"), AuditLog()))
-        assert r == Ruling(ControlState([Term("n", (0,))]), (Block("x"), AuditLog()))
-        assert r != Ruling(st_, (Block("y"),))
-        assert repr(r) == ("Ruling(new_state=ControlState{n(0)}, "
-                           "ops=(Block(reason='x'), AuditLog()))")
-        with pytest.raises(TypeError):
-            hash(r)
+    def test_eq_repr_and_hash_are_over_ops(self):
+        r = Ruling((Block("x"), AuditLog()))
+        assert r == Ruling((Block("x"), AuditLog()))
+        assert hash(r) == hash(Ruling((Block("x"), AuditLog())))
+        assert r != Ruling((Block("y"),))
+        assert repr(r) == "Ruling(ops=(Block(reason='x'), AuditLog()))"
