@@ -7,7 +7,9 @@ first; what that chain forwards is re-submitted to the next chain, and
 only the survivors reach the wire. Inbound traffic runs the last
 (crosscutting) chain first and then the others in order, so a
 crosscutting law sees arrivals before the native law does. The pool also
-keeps the obligation clock and the audit sink.
+keeps the obligation clock and the audit sink. Its ``agents`` is the
+only agent directory: a message to no adopted agent is dead-lettered when
+sent, one whose target quit in flight when it arrives (``_arrive``).
 
 Every ruling goes through one mediation step, ``ControllerPool._mediate``:
 it derives the ruling of one chain on one event, computes the state it
@@ -43,7 +45,7 @@ from .core import (
 )
 from .hierarchy import Framework, LawPath, derive_ruling
 from .lawlang import event_args
-from .transport import Envelope, SimNet, Trace, make_envelope
+from .transport import Envelope, SimNet, Trace
 
 CA_KEY = b"acme-test-ca-key"
 CA_NAME = "AcmeCA"
@@ -184,7 +186,6 @@ class ControllerPool:
         if bind is not None:
             bind(self, name)
         self.agents[name] = rec
-        self.net.register(name, self._make_inbox(name))
         self.net.register_actor(name, actor)
         self.trace.add("adopt", agent=name, division=cert.division,
                        laws=[p.leaf for p in rec.chains])
@@ -220,7 +221,6 @@ class ControllerPool:
     def quit(self, name: str):
         if name not in self.agents:
             raise FdsError("unknown-agent: %s" % name)
-        self.net.unregister(name)
         del self.agents[name]
         self.trace.add("quit", agent=name)
 
@@ -252,32 +252,30 @@ class ControllerPool:
         division, law = (peer.division, peer.chains[0].leaf) if peer else ("", "")
         return Sent(AgentName(target, division), payload), (target, division, law)
 
-    def _emit(self, rec: AgentRecord, idx: int, op: Forward, rulings):
-        env = make_envelope("lgi-message", rec.name, rec.division,
-                            rec.chains[idx].hashes, op.target, op.payload, self.now)
-        return self.net.send(env, from_rulings=rulings)
+    def _emit(self, rec: AgentRecord, idx: int, op: Forward, rulings) -> Optional[int]:
+        if op.target not in self.agents:
+            # drawing no latency, so later envelopes keep their delivery times
+            self.trace.add("dead-letter", sender=rec.name, target=op.target,
+                           payload=op.payload.canonical())
+            return None
+        env = Envelope(rec.name, rec.division, rec.chains[idx].leaf, op.target, op.payload)
+        return self.net.send(env, self._arrive, rulings)
 
     # -- inbound -----------------------------------------------------------
 
-    def _make_inbox(self, name: str):
-        def inbox(env: Envelope, env_seq: int):
-            self._arrive(name, env, env_seq)
-
-        return inbox
-
-    def _arrive(self, name: str, env: Envelope, env_seq: int):
+    def _arrive(self, env: Envelope, env_seq: int):
+        name = env.target
         rec = self.agents.get(name)
         if rec is None:
             self.trace.add("dead-letter", sender=env.sender_name, target=name,
-                           payload=env.payload, envelope=env_seq)
+                           payload=env.payload.canonical(), envelope=env_seq)
             return
         sender = AgentName(env.sender_name, env.sender_division)
         peer = (env.sender_name, env.sender_division, env.sender_law)
         last = len(rec.chains) - 1
-        payload = env.payload_term()
         # crosscutting overlays inspect arrivals before the native law
         out, _, audited, _ = self._walk(
-            rec, [last, *range(last)], (Arrived(sender, env.sender_law, payload), peer),
+            rec, [last, *range(last)], (Arrived(sender, env.sender_law, env.payload), peer),
             Deliver, lambda op: (Arrived(sender, env.sender_law, op.payload), peer), env_seq)
         for _, op in out:
             self.trace.add("deliver", agent=name, sender=env.sender_name,
@@ -285,7 +283,7 @@ class ControllerPool:
             rec.actor.on_deliver(env.sender_name, op.payload)
         if audited and out:
             self._audit_record(env.sender_name, env.sender_division, env.sender_law,
-                               name, payload)
+                               name, env.payload)
 
     # -- obligations and time ----------------------------------------------
 

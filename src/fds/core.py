@@ -470,8 +470,7 @@ class ControlState:
 
     __slots__ = ("_terms", "multi", "_overlay", "_canonical")
 
-    def __init__(self, terms: Iterable[Term] = (), multi: frozenset = frozenset(),
-                 overlay: Iterable[Term] = ()):
+    def __init__(self, terms: Iterable[Term] = (), multi: frozenset = frozenset()):
         buckets = {}
         for t in terms:
             bucket = buckets.setdefault(t.functor, [])
@@ -482,7 +481,7 @@ class ControlState:
         # dict.fromkeys drops repeats of a set-valued term, keeping the first
         self._terms = {f: tuple(sorted(dict.fromkeys(b), key=Term.canonical))
                        for f, b in buckets.items()}
-        self._overlay = _group(overlay)
+        self._overlay = {}
         self._canonical = None
 
     def _version(self, terms: dict, overlay: dict, canonical=None) -> "ControlState":

@@ -125,7 +125,6 @@ class RunReport:
     verdicts: Dict[str, dict] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
     actors: dict = field(default_factory=dict)
-    framework: Optional[Framework] = None
 
     def trace_lines(self) -> List[str]:
         encode = RECORD_ENCODER.encode
@@ -313,7 +312,6 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
         metrics=metrics_summary(pool.metrics, trace.records),
         warnings=warnings,
         actors=actors,
-        framework=bundle.framework,
     )
     for spec in scenario.get("assertions", []):
         name, params = (spec, {}) if isinstance(spec, str) else (spec["name"], spec.get("params", {}))
@@ -523,9 +521,13 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     Replay reports, and does not raise on, a ruling whose ops or overlay
     differ from its record, an opening ruling of an open chain, any other
     ruling of a closed one, an arrival that cites no envelope before it or
-    another sender, a ruling it cannot derive, and a record it cannot read.
+    another sender, a ruling it cannot derive, a record it cannot read, and
+    a law text that does not parse or hash to its key.
     """
-    fw = report.framework or rebuild_framework(report.laws)
+    try:
+        fw = rebuild_framework(report.laws)
+    except FdsError as exc:
+        return False, ["laws: %s" % exc]
     problems: List[str] = []
     open_chains: Dict[str, Dict[tuple, ControlState]] = {}
     natives: Dict[str, Tuple[str, str]] = {}  # agent -> (division, native law)

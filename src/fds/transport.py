@@ -1,9 +1,10 @@
 """Envelopes, the trace, and the simulated message carrier.
 
-Envelopes travel over a deterministic simulated network driven by a
-logical-time scheduler. A rogue side channel delivers payloads
-actor-to-actor, bypassing all mediation, unless the simulated firewall is
-switched on.
+The net only carries: the controller pool decides what goes on the wire
+and hands ``SimNet.send`` the callback that receives it, on a
+deterministic logical-time scheduler. A rogue side channel delivers
+payloads actor-to-actor, bypassing all mediation, unless the simulated
+firewall is switched on.
 """
 
 from __future__ import annotations
@@ -13,71 +14,24 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import FdsError, Term, Value, parse_term
-
-ENVELOPE_VERSION = 1
-
-ENVELOPE_KINDS = ("lgi-message",)
-
-
-class CodecError(FdsError):
-    pass
+from .core import Term, Value
 
 
 class Envelope(Value):
-    """One message on the wire.
+    """One message on the wire: its sender's name, division and native law,
+    its target's name, and the payload term the receiver rules on. The
+    trace records the payload's canonical text."""
 
-    ``payload`` is the canonical term text, which the trace records. An
-    envelope built by ``make_envelope`` from a ``Term`` also carries the
-    sender's term itself in ``term``, which equals ``parse_term(payload)``;
-    it is kept beside the fields, so equality, hashing and ``repr`` ignore
-    it. ``payload_term()`` returns the carried term and parses only an
-    envelope built from text.
-    """
+    __slots__ = _fields = ("sender_name", "sender_division", "sender_law", "target",
+                           "payload")
 
-    _fields = ("version", "kind", "sender_name", "sender_division", "sender_law",
-               "sender_path", "target", "payload", "sent_at")
-    __slots__ = _fields + ("term",)
-
-    def __init__(self, version: int, kind: str, sender_name: str, sender_division: str,
-                 sender_law: str, sender_path: tuple, target: str, payload: str,
-                 sent_at: int, term: Optional[Term] = None):
-        self.version = version
-        self.kind = kind
+    def __init__(self, sender_name: str, sender_division: str, sender_law: str,
+                 target: str, payload: Term):
         self.sender_name = sender_name
         self.sender_division = sender_division
         self.sender_law = sender_law
-        self.sender_path = sender_path
         self.target = target
-        self.payload = payload  # canonical term text
-        self.sent_at = sent_at
-        self.term = term
-
-    def payload_term(self) -> Term:
-        if self.term is not None:
-            return self.term
-        return parse_term(self.payload)
-
-
-def make_envelope(kind, sender_name, sender_division, sender_path, target, payload,
-                  sent_at) -> Envelope:
-    if kind not in ENVELOPE_KINDS:
-        raise CodecError("unknown envelope kind %r" % kind)
-    path = tuple(sender_path)
-    if not path:
-        raise CodecError("sender path must be non-empty")
-    return Envelope(
-        version=ENVELOPE_VERSION,
-        kind=kind,
-        sender_name=sender_name,
-        sender_division=sender_division,
-        sender_law=path[-1],
-        sender_path=path,
-        target=target,
-        payload=payload if isinstance(payload, str) else payload.canonical(),
-        sent_at=sent_at,
-        term=None if isinstance(payload, str) else payload,
-    )
+        self.payload = payload
 
 
 # ---------------------------------------------------------------------------
@@ -158,28 +112,18 @@ class SimNet:
         self.config = config
         self.trace = trace
         self.rng = random.Random(config.seed)
-        self._targets: Dict[str, Callable[[Envelope, int], None]] = {}
         self._actors: Dict[str, object] = {}
         self._last_pair: Dict[Tuple[str, str], int] = {}
-
-    def register(self, name: str, deliver: Callable[[Envelope, int], None]):
-        self._targets[name] = deliver
-
-    def unregister(self, name: str):
-        self._targets.pop(name, None)
 
     def register_actor(self, name: str, actor):
         self._actors[name] = actor
 
-    def send(self, env: Envelope, from_rulings=()) -> Optional[int]:
-        if env.target not in self._targets:
-            self.trace.add(
-                "dead-letter", sender=env.sender_name, target=env.target, payload=env.payload
-            )
-            return None
+    def send(self, env: Envelope, receive: Callable[[Envelope, int], None],
+             from_rulings=()) -> int:
+        """Record ``env`` and schedule ``receive(env, seq)``; returns ``seq``."""
         lo, hi = self.config.latency
         lat = self.rng.randint(lo, hi) if hi > lo else lo
-        at = max(env.sent_at + lat, self.scheduler.now)
+        at = self.scheduler.now + max(lat, 0)
         if self.config.delivery_order == "fifo-per-pair":
             key = (env.sender_name, env.target)
             at = max(at, self._last_pair.get(key, 0))
@@ -190,13 +134,12 @@ class SimNet:
             senderDivision=env.sender_division,
             senderLaw=env.sender_law,
             target=env.target,
-            payload=env.payload,
-            kind=env.kind,
+            payload=env.payload.canonical(),
+            kind="lgi-message",
             deliverAt=at,
             fromRulings=list(from_rulings),
         )
-        deliver = self._targets[env.target]
-        self.scheduler.schedule(at, lambda: deliver(env, seq))
+        self.scheduler.schedule(at, lambda: receive(env, seq))
         return seq
 
     def rogue_send(self, from_actor: str, to_actor: str, payload: Term):

@@ -79,8 +79,12 @@ class TestRunAndReplay:
          ": arrival cites no envelope before it (None)"),
         (lambda data: _first_ruling(data, "arrived", lambda r: r.update(envelope=10 ** 6)),
          ": arrival cites no envelope before it (1000000)"),
+        (lambda data: dict(data, laws=dict(data["laws"], **{min(data["laws"]): "law broken"})),
+         "laws: root law must declare a default directive"),
+        (lambda data: _edit_law(data, "oblige expire(Tk) in 80", "oblige expire(Tk) in 81"),
+         "laws: law text does not hash to "),
     ], ids=["not-json", "not-an-object", "no-laws", "law-not-text", "no-trace", "short-eventArgs",
-            "no-envelope", "unknown-envelope"])
+            "no-envelope", "unknown-envelope", "law-unparsable", "law-rule-edited"])
     def test_a_malformed_report_fails_replay(self, tamper, problem, tmp_path, capsys):
         data = tamper(json.loads(_report_text()))
         trace = tmp_path / "trace.json"
@@ -98,6 +102,13 @@ def _report_text():
 
 def _without(data, key):
     del data[key]
+    return data
+
+
+def _edit_law(data, old, new):
+    """``data`` with ``old`` replaced by ``new`` in the law text that holds it."""
+    ref = next(ref for ref, text in data["laws"].items() if old in text)
+    data["laws"][ref] = data["laws"][ref].replace(old, new)
     return data
 
 

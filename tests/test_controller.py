@@ -97,8 +97,15 @@ class TestMediation:
         assert [(r["event"], r["eventArgs"][1]) for r in rulings] == [
             ("sent", "f(a())"), ("arrived", "f(a())")]
         assert [(s, p) for _, s, p in deliveries] == [("a", Term("f", (Term("a"),)))]
-        # the same records as when the receiver parses the wire text
-        monkeypatch.setattr(Envelope, "payload_term", lambda env: parse_term(env.payload))
+        # the same records as when the envelope carries the wire text parsed back
+        send = SimNet.send
+
+        def send_parsed(net, env, receive, from_rulings=()):
+            wire = parse_term(env.payload.canonical())
+            return send(net, Envelope(env.sender_name, env.sender_division, env.sender_law,
+                                      env.target, wire), receive, from_rulings)
+
+        monkeypatch.setattr(SimNet, "send", send_parsed)
         assert self._send_nested_atom(acme) == (records, deliveries)
 
     def test_interdivision_blocked_under_root_only(self, acme, pool):
@@ -265,6 +272,53 @@ def _clock_adopt(pool, bundle, name, chains):
 def _fired(trace):
     return [(r["time"], r["agent"], r["chain"], r["eventArgs"][0])
             for r in trace.of_type("ruling") if r["event"] == "obligationDue"]
+
+
+class TestDeadLetters:
+    """The pool, the only agent directory, decides what is dead-lettered: a
+    send to no adopted agent when it is sent, a message whose target quit
+    while it was in flight when it arrives."""
+
+    def _run(self, ghost=False, quit_b=False):
+        bundle = _clock_bundle()
+        sched = Scheduler()
+        trace = Trace(lambda: sched.now)
+        net = SimNet(sched, SimNetConfig(seed=3, latency=(1, 9),
+                                         delivery_order="random-seeded"), trace)
+        pool = ControllerPool(bundle.framework, net, trace)
+        for name in ("a", "b"):
+            pool.adopt(SinkActor(), issue_certificate(name, ""), bundle.c0)
+        if ghost:
+            assert not pool.send("a", "ghost", Term("m", (0,)))
+        for i in range(1, 4):
+            assert pool.send("a", "b", Term("m", (i,)))
+        if quit_b:
+            pool.quit("b")
+        sched.run()
+        return [r for r in trace.records if r["type"] in ("envelope", "dead-letter")]
+
+    def test_a_send_to_no_adopted_agent_leaves_one_dead_letter_and_no_envelope(self):
+        records = self._run(ghost=True)
+        assert records[0] == {"seq": records[0]["seq"], "time": 0, "type": "dead-letter",
+                              "sender": "a", "target": "ghost", "payload": "m(0)"}
+        assert [r["type"] for r in records[1:]] == ["envelope"] * 3
+        assert all(r["target"] == "b" for r in records[1:])
+
+    def test_a_dead_letter_draws_no_latency(self):
+        def deliver_at(records):
+            return [r["deliverAt"] for r in records if r["type"] == "envelope"]
+
+        plain = deliver_at(self._run())
+        assert len(set(plain)) > 1
+        assert deliver_at(self._run(ghost=True)) == plain
+
+    def test_a_message_whose_target_quit_in_flight_is_dead_lettered_on_arrival(self):
+        records = self._run(quit_b=True)
+        envelopes = [r for r in records if r["type"] == "envelope"]
+        dead = [r for r in records if r["type"] == "dead-letter"]
+        assert {r["target"] for r in dead} == {"b"}
+        assert sorted((r["envelope"], r["time"], r["payload"]) for r in dead) == [
+            (r["seq"], r["deliverAt"], r["payload"]) for r in envelopes]
 
 
 class ScanPool(ControllerPool):

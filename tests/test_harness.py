@@ -402,8 +402,7 @@ def _opens(rec):
 
 
 def _tampered(report, records):
-    return RunReport(scenario={}, laws=report.laws, records=records, audit=[],
-                     metrics={}, framework=report.framework)
+    return RunReport(scenario={}, laws=report.laws, records=records, audit=[], metrics={})
 
 
 def _replay_fresh_parse(report, directory):

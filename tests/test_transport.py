@@ -1,39 +1,28 @@
-import pytest
+"""The envelope, the trace, the scheduler and the simulated net."""
+
 from hypothesis import given, strategies as st
 
 from fds.core import Term, parse_term
-from fds.transport import (
-    CodecError,
-    Scheduler,
-    SimNet,
-    SimNetConfig,
-    Trace,
-    make_envelope,
-)
+from fds.transport import Envelope, Scheduler, SimNet, SimNetConfig, Trace
 
 
-def _env(**overrides):
-    kwargs = dict(kind="lgi-message", sender_name="a", sender_division="D1",
-                  sender_path=("h1", "h2"), target="b",
-                  payload=Term("m", (1, "x")), sent_at=7)
-    kwargs.update(overrides)
-    return make_envelope(
-        kwargs["kind"], kwargs["sender_name"], kwargs["sender_division"],
-        kwargs["sender_path"], kwargs["target"], kwargs["payload"],
-        kwargs["sent_at"])
+def _env(payload=Term("m", (1, "x")), target="b"):
+    return Envelope("a", "D1", "h2", target, payload)
 
 
-class TestCodec:
-    def test_sender_law_is_path_tail(self):
-        assert _env().sender_law == "h2"
+def _net(**cfg):
+    sched = Scheduler()
+    trace = Trace(lambda: sched.now)
+    return sched, trace, SimNet(sched, SimNetConfig(**cfg), trace)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(CodecError):
-            _env(kind="smuggle")
 
-    def test_empty_path_rejected(self):
-        with pytest.raises(CodecError):
-            _env(sender_path=())
+def _carry(payload):
+    """Send ``payload`` over a net; the envelope record and what arrived."""
+    sched, trace, net = _net()
+    got = []
+    seq = net.send(_env(payload), lambda env, s: got.append((env, s)))
+    sched.run()
+    return trace.records[seq], got
 
 
 # payloads the wire must carry exactly: nested terms of any arity, zero
@@ -50,30 +39,23 @@ WIRE_TERMS = st.recursive(
 class TestCarriedTerm:
     @given(WIRE_TERMS)
     def test_carried_term_is_what_the_text_parses_to(self, term):
-        env = _env(payload=term)
-        assert env.payload == term.canonical()
-        assert env.term is term
-        assert repr(parse_term(env.payload)) == repr(term) == repr(env.payload_term())
-        back = _env(payload=env.payload)
-        assert back == env and back.term is None
-        assert back.payload_term() == env.payload_term()
+        record, got = _carry(term)
+        assert record["payload"] == term.canonical()
+        assert [(env.payload, seq) for env, seq in got] == [(term, record["seq"])]
+        assert repr(parse_term(record["payload"])) == repr(term)
 
     def test_nested_zero_arity_term_arrives_as_a_term(self):
         term = Term("f", (Term("a"), Term("g", (Term("b", ()), 1))))
-        env = _env(payload=term)
-        assert env.payload == "f(a(),g(b(),1))"
-        back = _env(payload=env.payload).payload_term()
-        assert back == env.payload_term() == term
+        record, _ = _carry(term)
+        assert record["payload"] == "f(a(),g(b(),1))"
+        back = parse_term(record["payload"])
+        assert back == term
         assert back.args[0] == Term("a") and back.args[0] != "a"
 
     def test_plain_term_travels_as_the_same_object(self):
         term = Term("m", (1, "x", Term("n", (-2,))))
-        assert _env(payload=term).payload_term() is term
-
-    def test_envelope_from_text_parses_on_demand(self):
-        env = _env(payload='m(1,"x")')
-        assert env.term is None and env.payload_term() == Term("m", (1, "x"))
-        assert env == _env()
+        _, got = _carry(term)
+        assert len(got) == 1 and got[0][0].payload is term
 
 
 class TestScheduler:
@@ -102,40 +84,39 @@ class TestScheduler:
 
 
 class TestSimNet:
-    def _net(self, **cfg):
-        sched = Scheduler()
-        trace = Trace(lambda: sched.now)
-        net = SimNet(sched, SimNetConfig(**cfg), trace)
-        return sched, trace, net
+    def test_envelope_record_names_the_sender_and_the_rulings(self):
+        sched, trace, net = _net(latency=(3, 3))
+        sched.schedule(4, lambda: net.send(_env(), lambda env, s: None, [7, 9]))
+        sched.run()
+        record = trace.of_type("envelope")[0]
+        assert {k: v for k, v in record.items() if k != "seq"} == {
+            "time": 4, "type": "envelope", "sender": "a", "senderDivision": "D1",
+            "senderLaw": "h2", "target": "b", "payload": 'm(1,"x")',
+            "kind": "lgi-message", "deliverAt": 7, "fromRulings": [7, 9]}
 
     def test_seeded_delivery_is_reproducible(self):
         def run():
-            sched, trace, net = self._net(seed=5, latency=(1, 9))
+            sched, trace, net = _net(seed=5, latency=(1, 9))
             got = []
-            net.register("b", lambda env, seq: got.append((sched.now, env.payload)))
             for i in range(20):
-                net.send(_env(payload=Term("m", (i,)), sent_at=i))
+                sched.schedule(i, lambda i=i: net.send(
+                    _env(Term("m", (i,))),
+                    lambda env, seq: got.append((sched.now, env.payload))))
             sched.run()
             return got
 
         assert run() == run()
 
     def test_fifo_per_pair_preserves_order(self):
-        sched, trace, net = self._net(seed=1, latency=(1, 20))
+        sched, trace, net = _net(seed=1, latency=(1, 20))
         got = []
-        net.register("b", lambda env, seq: got.append(env.payload_term().args[0]))
         for i in range(30):
-            net.send(_env(payload=Term("m", (i,)), sent_at=0))
+            net.send(_env(Term("m", (i,))), lambda env, seq: got.append(env.payload.args[0]))
         sched.run()
         assert got == list(range(30))
 
-    def test_unknown_target_dead_letters(self):
-        sched, trace, net = self._net()
-        assert net.send(_env(target="ghost")) is None
-        assert trace.of_type("dead-letter")
-
     def test_firewall_blocks_rogue_channel(self):
-        sched, trace, net = self._net(firewall=True)
+        sched, trace, net = _net(firewall=True)
         hits = []
 
         class A:
@@ -148,7 +129,7 @@ class TestSimNet:
         assert trace.of_type("rogue-blocked")
 
     def test_open_rogue_channel_reaches_actor(self):
-        sched, trace, net = self._net(firewall=False)
+        sched, trace, net = _net(firewall=False)
         hits = []
 
         class A:
