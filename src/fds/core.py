@@ -506,10 +506,6 @@ class ControlState:
             return self._overlay[functor]
         return self._terms.get(functor, ())
 
-    def lookup(self, functor: str):
-        """Visible terms for a functor as a new list."""
-        return list(self.visible(functor))
-
     def with_overlay(self, terms: Iterable[Term]) -> "ControlState":
         return self._version(self._terms, _group(terms), self._canonical)
 

@@ -195,14 +195,17 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
     # record the effective knobs so assertions and replay see what ran
     netc["firewall"] = firewall
     scenario = dict(scenario, net=netc, seed=seed)
+    latency, order = netc.get("latency", [1, 1]), netc.get("order", "fifo-per-pair")
+    if not (isinstance(latency, (list, tuple)) and len(latency) == 2
+            and all(type(v) is int for v in latency) and 0 <= latency[0] <= latency[1]):
+        raise ScenarioError("net latency must be two integers lo, hi with 0 <= lo <= hi, "
+                            "not %r" % (latency,))
+    if order not in ("fifo-per-pair", "random-seeded"):
+        raise ScenarioError("net order must be fifo-per-pair or random-seeded, not %r" % (order,))
     scheduler = Scheduler()
     trace = Trace(lambda: scheduler.now)
-    cfg = SimNetConfig(
-        seed=seed,
-        latency=tuple(netc.get("latency", [1, 1])),
-        delivery_order=netc.get("order", "fifo-per-pair"),
-        firewall=firewall,
-    )
+    cfg = SimNetConfig(seed=seed, latency=tuple(latency), delivery_order=order,
+                       firewall=firewall)
     net = SimNet(scheduler, cfg, trace)
     bundle = build_bundle(scenario.get("laws", {"bundle": "acme"}))
     pool = ControllerPool(bundle.framework, net, trace)

@@ -15,17 +15,22 @@ Meta modes, from most to least restrictive:
   the deepest matching subordinate rule replaces it.
 * ``open`` -- the subordinate may redefine the aspect outright.
 
-A law that rules on an aspect without granting a meta permission for it
-seals that aspect (a provision is irreversible unless deviation is
-explicitly permitted). Audit operations of an overridden superior ruling
-are retained, and a ruling that ends up blocked sheds its audit
-operations: the audit trail records messages that actually flowed.
+In each law the first meta key that matches an aspect decides its mode;
+a law with no matching key that rules on exactly that aspect seals it (a
+provision is irreversible unless deviation is explicitly permitted), and
+along a path the most restrictive law wins. ``effective_mode`` is the one
+sealing rule, so publishing and evaluation agree: ``publish_delta``
+rejects, and a compiled path drops, each rule it finds sealed above.
+Audit operations of an overridden superior ruling are retained, and a
+blocked ruling sheds its audit operations (``lawlang.in_force``): the
+audit trail records messages that actually flowed.
 
 A path is compiled once, on first use, from its own documents: per level,
 the rules not sealed above it, indexed by event kind and, for ``sent`` and
 ``arrived``, by payload functor, each aspect's mode precomputed. The
 framework hands out one path per leaf, so every agent and every replayed
-ruling under a leaf share one compiled form.
+ruling under a leaf share one compiled form. An agent adopted under a path
+starts from one state built under the path's multi set.
 """
 
 from __future__ import annotations
@@ -41,10 +46,10 @@ from .lawlang import (
     LawDoc,
     PTerm,
     Var,
-    aspect_matches,
     default_ruling,
     event_args,
     first_match,
+    in_force,
 )
 
 
@@ -87,16 +92,17 @@ class LawPath:
                      for level in range(len(self.docs)))
 
     def initial_state(self, name: str, division: str) -> ControlState:
-        """Control state of an agent adopted under this path: the leaf's
-        init, each superior init term whose functor is still absent, the
-        path's multi set, and the identity terms the controller supplies."""
-        st = self.docs[-1].initial_state()
+        """Control state of an agent adopted under this path, built once
+        under the path's multi set: the leaf's init, then each superior's
+        from the root down, a functor no earlier law initialises taking
+        all of that superior's init terms, then the identity terms the
+        controller supplies."""
+        terms = list(self.docs[-1].init)
         for doc in self.docs[:-1]:
-            for t in doc.init:
-                if not st.lookup(t.functor):
-                    st = st.add(t)
-        st = ControlState(st.terms(), self.multi)
-        return st.add(Term("name", (name,))).add(Term("division", (division,)))
+            taken = {t.functor for t in terms}
+            terms.extend(t for t in doc.init if t.functor not in taken)
+        terms += [Term("name", (name,)), Term("division", (division,))]
+        return ControlState(terms, self.multi)
 
 
 PAYLOAD_KINDS = ("sent", "arrived")  # event kinds whose args[1] is the payload
@@ -136,9 +142,8 @@ class CompiledLevel:
     @classmethod
     def build(cls, docs, level: int) -> "CompiledLevel":
         doc = docs[level]
-        sealed = _sealed_aspects(docs[:level])
         live = [r for r in doc.rules
-                if not any(aspect_matches(s, r.aspect) for s in sealed)]
+                if effective_mode(docs[:level], r.aspect) != "sealed"]
         modes = {r.aspect: effective_mode(docs[: level + 1], r.aspect) or "sealed"
                  for r in live}
         rules, by_functor = {}, {}
@@ -191,14 +196,11 @@ class Framework:
             raise FrameworkError("delta-must-extend")
         if doc.superior is not None and doc.superior != superior and doc.superior != self.docs[superior].name:
             raise FrameworkError("delta names a different superior")
-        sup_path = self.resolve_path(superior)
+        superiors = self.resolve_path(superior).docs
         for rule in doc.rules:
-            mode = effective_mode(sup_path.docs, rule.aspect)
-            if mode == "sealed":
-                raise MetaViolation(
-                    "meta-violation: aspect %r is sealed above (rule %s)"
-                    % (rule.aspect, rule.rule_id)
-                )
+            if effective_mode(superiors, rule.aspect) == "sealed":
+                raise MetaViolation("meta-violation: aspect %r is sealed above (rule %s)"
+                                    % (rule.aspect, rule.rule_id))
         text = doc.canonical()
         h = hash_law(text)
         if h in self.docs:
@@ -287,31 +289,20 @@ def publish_laws(docs_by_ref: Dict[str, LawDoc]) -> Bundle:
 def effective_mode(superiors, aspect: str) -> Optional[str]:
     """Deviation room left for laws below ``superiors`` on an aspect.
 
-    Most restrictive declaration along the path wins. A law that rules on
-    the aspect without a meta permission seals it.
+    In each law the first meta key that matches the aspect decides; a law
+    with no matching key that rules on exactly that aspect seals it. The
+    most restrictive law wins. This is the one sealing rule: a rule on an
+    aspect its superiors leave ``sealed`` is rejected by ``publish_delta``
+    and dropped by ``CompiledLevel.build``.
     """
     mode = None
     for doc in superiors:
         declared = doc.meta_mode(aspect)
         if declared is None and any(r.aspect == aspect for r in doc.rules):
             declared = "sealed"
-        if declared is not None:
-            if mode is None or MODE_RANK[declared] > MODE_RANK[mode]:
-                mode = declared
+        if declared is not None and (mode is None or MODE_RANK[declared] > MODE_RANK[mode]):
+            mode = declared
     return mode
-
-
-def _sealed_aspects(superiors):
-    """Aspect patterns sealed by any of the given laws (for runtime skip)."""
-    sealed = []
-    for doc in superiors:
-        for key, mode in doc.meta:
-            if mode == "sealed":
-                sealed.append(key)
-        for r in doc.rules:
-            if doc.meta_mode(r.aspect) is None:
-                sealed.append(r.aspect)
-    return sealed
 
 
 def derive_ruling(path: LawPath, event: Event, state: ControlState,
@@ -345,8 +336,4 @@ def derive_ruling(path: LawPath, event: Event, state: ControlState,
             break
     if winner is None:
         return default_ruling(path.default, event)
-    if winner.block is not None and winner.audits:
-        return Ruling(tuple(o for o in winner.ops if not isinstance(o, AuditLog)))
-    if winner.block is None and retained_audits:
-        return Ruling(tuple(retained_audits) + winner.ops)
-    return winner
+    return in_force(winner, retained_audits)

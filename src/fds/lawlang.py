@@ -1150,6 +1150,17 @@ def default_ruling(default: str, event: Event) -> Ruling:
     return Ruling(())
 
 
+def in_force(ruling: Ruling, retained=()) -> Ruling:
+    """The ruling that takes effect: a blocked one sheds its audit ops (the
+    audit trail records messages that flowed), any other is preceded by the
+    audits ``retained`` from the superior rulings it overrode."""
+    if ruling.block is not None and ruling.audits:
+        return Ruling(tuple(o for o in ruling.ops if not isinstance(o, AuditLog)))
+    if ruling.block is None and retained:
+        return Ruling(tuple(retained) + ruling.ops)
+    return ruling
+
+
 class Evaluation(Ruling):
     """A ruling and the state it commits, as ``evaluate_law`` returns it."""
 
@@ -1165,5 +1176,5 @@ def evaluate_law(doc: LawDoc, event: Event, state: ControlState) -> Evaluation:
     """Formula-style total evaluation of a single law: one ruling, always,
     and the state it commits."""
     hit = first_match(doc, event, state)
-    ruling = default_ruling(doc.default or "block", event) if hit is None else hit[1]
+    ruling = default_ruling(doc.default or "block", event) if hit is None else in_force(hit[1])
     return Evaluation(ruling.ops, commit(state, event.kind, ruling))

@@ -99,7 +99,7 @@ class Scheduler:
 @dataclass
 class SimNetConfig:
     seed: int = 0
-    latency: Tuple[int, int] = (1, 1)
+    latency: Tuple[int, int] = (1, 1)  # 0 <= lo <= hi, checked by run_scenario
     delivery_order: str = "fifo-per-pair"  # or "random-seeded"
     firewall: bool = False
 
@@ -123,7 +123,7 @@ class SimNet:
         """Record ``env`` and schedule ``receive(env, seq)``; returns ``seq``."""
         lo, hi = self.config.latency
         lat = self.rng.randint(lo, hi) if hi > lo else lo
-        at = self.scheduler.now + max(lat, 0)
+        at = self.scheduler.now + lat
         if self.config.delivery_order == "fifo-per-pair":
             key = (env.sender_name, env.target)
             at = max(at, self._last_pair.get(key, 0))

@@ -1,12 +1,14 @@
 """Compiled law paths against the uncompiled derivation they replace.
 
 The reference below re-derives every level's sealed skips and the winner's
-meta mode per event and tries every rule of the event's kind, as
-``derive_ruling`` did before paths were compiled, through the tree-walking
-rule interpreter of ``reference.py``. Random paths of one to
-three laws (meta modes with ``*`` patterns, rules on every event kind,
-payload patterns of every shape, with and without guards, deltas that rule
-on sealed aspects) and random events must get the same ruling and, through
+meta mode per event, by the publish-time gate's rule written out afresh,
+and tries every rule of the event's kind, as ``derive_ruling`` did before
+paths were compiled, through the tree-walking rule interpreter of
+``reference.py``. Random paths of one to three laws (meta modes with ``*``
+patterns, repeated keys, rules on every event kind and on an aspect that
+looks like a pattern, payload patterns of every shape, with and without
+guards, deltas that rule on sealed aspects) and random events must get the
+same ruling and, through
 ``core.commit`` and the reference's ``commit``, the same committed state,
 or the same law error, from both.
 """
@@ -28,28 +30,35 @@ from fds.core import (
     Term,
     commit,
 )
-from fds.hierarchy import LawPath, derive_ruling, effective_mode
-from fds.lawlang import META_MODES, aspect_matches, default_ruling, event_args, parse_law
+from fds.hierarchy import LawPath, derive_ruling
+from fds.lawlang import META_MODES, default_ruling, event_args, parse_law
 
 # -- reference: the per-event derivation --------------------------------------
 
 
-def _ref_sealed_aspects(superiors):
-    sealed = []
-    for doc in superiors:
-        for key, mode in doc.meta:
-            if mode == "sealed":
-                sealed.append(key)
-        for r in doc.rules:
-            if doc.meta_mode(r.aspect) is None:
-                sealed.append(r.aspect)
-    return sealed
+RESTRICTIVENESS = ("open", "default-overridable", "tighten", "sealed")
 
 
-def _ref_first_match(doc, event, state, skip_aspects=()):
+def _ref_mode(laws, aspect):
+    """The publish-time gate's rule: in each law the first meta key that
+    matches the aspect decides, a law with no matching key that rules on
+    exactly the aspect seals it, and the most restrictive law wins."""
+    modes = []
+    for doc in laws:
+        mode = next((m for key, m in doc.meta
+                     if key == aspect or key.endswith("*") and aspect.startswith(key[:-1])),
+                    None)
+        if mode is None and any(r.aspect == aspect for r in doc.rules):
+            mode = "sealed"
+        if mode is not None:
+            modes.append(mode)
+    return max(modes, key=RESTRICTIVENESS.index, default=None)
+
+
+def _ref_first_match(doc, event, state, superiors):
     kind, _ = event_args(event, state)
     rules = [r for r in doc.rules if r.event_kind == kind
-             and not any(aspect_matches(s, r.aspect) for s in skip_aspects)]
+             and _ref_mode(superiors, r.aspect) != "sealed"]
     return reference.first_match(doc, event, state, rules)
 
 
@@ -58,8 +67,7 @@ def reference_ruling(path, event, state):
     winner_mode = None
     retained_audits = []
     for level, doc in enumerate(path.docs):
-        skip = _ref_sealed_aspects(path.docs[:level]) if level else ()
-        hit = _ref_first_match(doc, event, state, skip_aspects=skip)
+        hit = _ref_first_match(doc, event, state, path.docs[:level])
         if hit is None:
             continue
         rule, ruling = hit
@@ -72,7 +80,7 @@ def reference_ruling(path, event, state):
         else:
             retained_audits.extend(o for o in winner[2].ops if isinstance(o, AuditLog))
         winner = (level, rule, ruling)
-        winner_mode = effective_mode(path.docs[: level + 1], rule.aspect) or "sealed"
+        winner_mode = _ref_mode(path.docs[: level + 1], rule.aspect) or "sealed"
         if winner_mode == "sealed":
             break
     if winner is None:
@@ -88,8 +96,8 @@ def reference_ruling(path, event, state):
 
 # -- generated laws ------------------------------------------------------------
 
-ASPECTS = ("a:x", "a:y", "b:x")
-META_KEYS = ASPECTS + ("a:*", "b:*")
+ASPECTS = ("a:x", "a:y", "b:x", "a:*")
+META_KEYS = ASPECTS + ("b:*", "*")
 PAYLOAD_PATTERNS = ("m", "n", "m(X)", "n(X)", "m(1)", "m(_)", "n()", "X", "_", "1")
 GUARDS = ("X < 3", "X != 1", "clock(T)@CS, T > 20", "k(1)@CS")
 # each rule also adds its own k(N), so the ruling shows which rule fired
@@ -203,6 +211,15 @@ SEND_N = [(Sent(AgentName("b"), Term("n", (1,))), ControlState([Term("name", ("a
 @example(_path(ROOT + 'rule s aspect a:x on sent(_, m(_), _) do { add k(10); block("s") }\n',
                DELTA + "rule f aspect a:x on sent(_, _, _) do { add k(20); forward }\n"),
          SEND_N)
+# the root's first matching meta key decides: a:x stays tighten, not sealed
+@example(_path(ROOT + "meta { a:x tighten; a:x sealed }\n"
+                      'rule s aspect a:x on sent(_, m(_), _) do { add k(10); forward }\n',
+               DELTA + 'rule f aspect a:x on sent(_, _, _) do { add k(20); block("f") }\n'),
+         SEND_M)
+# a rule on the aspect a:* seals a:* itself, not the aspects it looks like
+@example(_path(ROOT + 'rule s aspect a:* on sent(_, _, _) do { add k(10); block("s") }\n',
+               DELTA + "rule f aspect a:x on sent(_, m(_), _) do { add k(20); forward }\n"),
+         SEND_M)
 def test_compiled_path_rules_like_the_per_event_derivation(path, probes):
     for event, state in probes:
         assert (_outcome(derive_ruling, commit, path, event, state)

@@ -50,8 +50,8 @@ class TestCertificates:
 class TestAdoption:
     def test_adopt_registers_identity_terms(self, acme, pool):
         rec = pool.adopt(SinkActor(), issue_certificate("a", "D1"), acme.d1)
-        assert rec.states[0].lookup("name") == [Term("name", ("a",))]
-        assert rec.states[0].lookup("division") == [Term("division", ("D1",))]
+        assert list(rec.states[0].visible("name")) == [Term("name", ("a",))]
+        assert list(rec.states[0].visible("division")) == [Term("division", ("D1",))]
 
     def test_bad_certificate_is_auth_failed(self, acme, pool):
         bad = Certificate("a", "D1", "AcmeCA", "junk")
@@ -483,7 +483,7 @@ class TestCommitRule:
         pool.adopt(SinkActor(), issue_certificate("b", ""), bundle.capped)
         assert not pool.send("a", "b", Term("m"))
         assert a.blocked[-1][2] == "capped"
-        assert rec.states[0].lookup("count") == [Term("count", (1,))]
+        assert list(rec.states[0].visible("count")) == [Term("count", (1,))]
         sched.run(until=5)
         assert _fired(trace) == [(1, "a", 0, "nudge")]
 

@@ -184,18 +184,18 @@ class TestControlState:
     def test_multi_valued_functor_accumulates(self):
         st_ = ControlState([], multi=frozenset({"q"}))
         st_ = st_.add(Term("q", (0,))).add(Term("q", (1,)))
-        assert len(st_.lookup("q")) == 2
+        assert len(st_.visible("q")) == 2
 
     def test_replace_requires_exact_old_term(self):
         st_ = ControlState([Term("delay", (5,))])
         with pytest.raises(StateError):
             st_.replace(Term("delay", (6,)), Term("delay", (7,)))
         out = st_.replace(Term("delay", (5,)), Term("delay", (7,)))
-        assert out.lookup("delay") == [Term("delay", (7,))]
+        assert list(out.visible("delay")) == [Term("delay", (7,))]
 
     def test_overlay_shadows_base_and_is_read_only(self):
         st_ = ControlState([Term("clock", (1,))]).with_overlay([Term("clock", (9,))])
-        assert st_.lookup("clock") == [Term("clock", (9,))]
+        assert list(st_.visible("clock")) == [Term("clock", (9,))]
         with pytest.raises(StateError):
             st_.add(Term("clock", (3,)))
         # overlay never leaks into the persisted canonical form
@@ -263,7 +263,7 @@ class ModelState:
     def terms(self):
         return sorted(self.base, key=lambda t: (t.functor, t.canonical()))
 
-    def lookup(self, functor):
+    def visible(self, functor):
         shadow = [t for t in self.overlay if t.functor == functor]
         return shadow or [t for t in self.terms() if t.functor == functor]
 
@@ -296,7 +296,7 @@ class TestControlStateModel:
         assert real.canonical() == model.canonical()
         assert ";".join(t.canonical() for t in real.terms()) == model.canonical()
         for f in FUNCTORS + ("peer",):
-            assert real.lookup(f) == model.lookup(f)
+            assert list(real.visible(f)) == model.visible(f)
 
     @given(st.lists(model_terms, max_size=8), st.data())
     def test_matches_list_model_and_versions_never_change(self, initial, data):
@@ -309,7 +309,7 @@ class TestControlStateModel:
         versions = [(real, model, real.canonical())]
         for _ in range(data.draw(st.integers(0, 25))):
             real, model, _ = versions[data.draw(st.integers(0, len(versions) - 1))]
-            present = real.terms() + [t for f in ("clock", "peer", "a") for t in real.lookup(f)]
+            present = real.terms() + [t for f in ("clock", "peer", "a") for t in real.visible(f)]
             existing = st.sampled_from(present) if present else model_terms
             kind = data.draw(st.sampled_from(
                 ("add", "replace", "remove", "with_overlay", "without_overlay")))
@@ -360,7 +360,7 @@ class TestOps:
         blocked = Ruling((Block("no"), StateAdd(Term("m", ()))))
         assert commit(view, "adopted", blocked) is None
         after = commit(view, "sent", blocked)
-        assert after.canonical() == "m;n(0)" and after.lookup("clock") == []
+        assert after.canonical() == "m;n(0)" and not after.visible("clock")
         assert commit(view, "adopted", Ruling((StateAdd(Term("m", ())),))) == after
         with pytest.raises(StateError, match="read-only term"):
             commit(view, "sent", Ruling((StateAdd(Term("clock", (4,))),)))

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fds.core import AgentName, Arrived, ControlState, Sent, Term, commit
+from fds.core import AgentName, Arrived, ControlState, Sent, StateError, Term, commit
 from fds.hierarchy import (
     Framework,
     FrameworkError,
@@ -9,7 +10,8 @@ from fds.hierarchy import (
     derive_ruling,
     effective_mode,
 )
-from fds.lawlang import parse_law
+from fds.lawlang import META_MODES, evaluate_law, parse_law
+from fds.library import build_acme_hierarchy
 
 ROOT = """\
 law corp
@@ -84,6 +86,82 @@ class TestEffectiveMode:
         mid = parse_law("law m\nextends t\nmeta { x open }\n")
         assert effective_mode([top, mid], "x") == "tighten"
 
+    def test_a_laws_first_matching_meta_key_decides(self):
+        doc = parse_law("law t\ndefault block\nmeta { a:* open; a:x sealed }\n"
+                        "rule r aspect a:x on sent(_, _, _) do { forward }\n")
+        assert effective_mode([doc], "a:x") == "open"
+
+
+# meta keys and rule aspects of generated laws; a:* is also a rule aspect,
+# which seals a:* itself and none of the aspects the pattern would match
+META_KEYS = ("a:x", "a:y", "a:*", "b:x", "*")
+ASPECTS = ("a:x", "a:y", "a:*", "b:x")
+
+
+@st.composite
+def law_bodies(draw):
+    """The meta section and ``sent`` rules of one law, as text."""
+    meta = draw(st.lists(st.tuples(st.sampled_from(META_KEYS), st.sampled_from(META_MODES)),
+                         max_size=4))
+    lines = ["meta { %s }" % "; ".join("%s %s" % km for km in meta)] if meta else []
+    for i, aspect in enumerate(draw(st.lists(st.sampled_from(ASPECTS), max_size=3))):
+        lines.append("rule r%d aspect %s on sent(_, _, _) do { forward }" % (i, aspect))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_bodies(), law_bodies(), law_bodies())
+# the root's first matching key leaves a:x open although a later key seals it
+@example(root="meta { a:* open; a:x sealed }\n"
+              "rule r0 aspect a:x on sent(_, _, _) do { forward }",
+         mid="", leaf="rule r0 aspect a:x on sent(_, _, _) do { forward }")
+# a rule on the aspect a:* seals no a:x
+@example(root="", mid="rule r0 aspect a:* on sent(_, _, _) do { forward }",
+         leaf="rule r0 aspect a:x on sent(_, _, _) do { forward }")
+def test_a_published_delta_keeps_every_rule_it_was_admitted_with(root, mid, leaf):
+    fw = Framework()
+    sup = fw.publish_root(parse_law("law l0\ndefault block\n%s\n" % root))
+    for level, body in enumerate((mid, leaf), 1):
+        doc = parse_law("law l%d\nextends l%d\n%s\n" % (level, level - 1, body))
+        try:
+            sup = fw.publish_delta(sup, doc)
+        except MetaViolation:
+            return
+        assert fw.resolve_path(sup).compiled[-1].rules.get("sent", ()) == doc.rules
+
+
+class TestInitialState:
+    def _states(self, *texts):
+        """The initial state of agent a in D1 under each law of a chain."""
+        fw = Framework()
+        leaf = fw.publish_root(parse_law(texts[0]))
+        leaves = [leaf]
+        for text in texts[1:]:
+            leaf = fw.publish_delta(leaf, parse_law(text))
+            leaves.append(leaf)
+        return [fw.resolve_path(h).initial_state("a", "D1").canonical() for h in leaves]
+
+    def test_a_delta_inits_a_functor_its_root_makes_set_valued(self):
+        _, under_delta = self._states("law r\ndefault block\nmulti { q }\n",
+                                      "law d\nextends r\ninit { q(1); q(2) }\n")
+        assert under_delta == 'division("D1");name("a");q(1);q(2)'
+
+    def test_a_delta_without_init_inherits_every_term_of_a_set_valued_root_init(self):
+        under_root, under_delta = self._states(
+            "law r\ndefault block\nmulti { q }\ninit { q(1); q(2) }\n", "law d\nextends r\n")
+        assert under_delta == under_root == 'division("D1");name("a");q(1);q(2)'
+
+    def test_the_leaf_init_comes_first_then_the_superiors_from_the_root_down(self):
+        *_, under_leaf = self._states(
+            "law r\ndefault block\ninit { f(1); g(1) }\n",
+            "law m\nextends r\ninit { f(2); h(2) }\n",
+            "law l\nextends m\ninit { g(3) }\n")
+        assert under_leaf == 'division("D1");f(1);g(3);h(2);name("a")'
+
+    def test_a_single_valued_functor_initialised_twice_is_an_error(self):
+        with pytest.raises(StateError, match="duplicate-term: functor 'q' is single-valued"):
+            self._states("law r\ndefault block\n", "law d\nextends r\ninit { q(1); q(2) }\n")
+
 
 class TestDeriveRuling:
     def _fw(self, *delta_texts):
@@ -131,6 +209,18 @@ class TestDeriveRuling:
             "rule d aspect soft-area on sent(_, soft(_), _) do { block(\"sub\") }\n")
         r = derive_ruling(path, _send(Term("soft", (1,))), _state())
         assert r.canonical_ops() == 'block("sub")'
+
+    def test_a_blocked_ruling_sheds_its_audits_in_a_single_law_too(self):
+        # the acme root audits and blocks an inter-division arrival: the path
+        # derivation and the single-law evaluation both shed the audit
+        bundle = build_acme_hierarchy()
+        path = bundle.framework.resolve_path(bundle.root)
+        state = ControlState([Term("name", ("b",)), Term("division", ("D1",))]).with_overlay(
+            [Term("peerDivision", ("D2",))])
+        event = Arrived(AgentName("a", "D2"), "h", Term("m"))
+        derived = derive_ruling(path, event, state).canonical_ops()
+        assert evaluate_law(path.docs[0], event, state).canonical_ops() == derived
+        assert derived == 'block("interdivision-prohibited")'
 
     def test_forged_path_rules_on_sealed_aspect_are_ignored(self):
         # runtime defense: even if a forged delta somehow carries a rule on

@@ -222,7 +222,7 @@ class TestEvaluation:
         )
         st_ = doc.initial_state().add(Term("name", ("x",)))
         r = evaluate_law(doc, Sent(AgentName("y"), Term("m")), st_)
-        assert r.new_state.lookup("n") == [Term("n", (1,))]
+        assert list(r.new_state.visible("n")) == [Term("n", (1,))]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 500), st.integers(0, 500), st.integers(1, 200))

@@ -99,7 +99,7 @@ class TestBudgetLaw:
         st = self._state(100, 0).with_overlay(self._overlay(1))
         r = derive_ruling(path, Sent(AgentName("svc"), parse_term('order("t",30)')), st)
         assert not r.blocks()
-        assert commit(st, "sent", r).lookup("budget") == [Term("budget", (70,))]
+        assert list(commit(st, "sent", r).visible("budget")) == [Term("budget", (70,))]
 
     def test_overspend_blocked(self, acme):
         path = acme.framework.resolve_path(acme.bc)
@@ -111,7 +111,7 @@ class TestBudgetLaw:
         path = acme.framework.resolve_path(acme.bc)
         st = self._state(0, 10).with_overlay(self._overlay(1))
         r = _arrive(path, "c2", "", acme.bc, parse_term('order("t",5)'), st)
-        assert commit(st, "arrived", r).lookup("income") == [Term("income", (15,))]
+        assert list(commit(st, "arrived", r).visible("income")) == [Term("income", (15,))]
         st2 = self._state(0, 10).with_overlay(self._overlay(0))
         r2 = _arrive(path, "outsider", "", acme.root, parse_term('order("t",5)'), st2)
         assert r2.blocks()
