@@ -146,6 +146,17 @@ class Overlays:
         return ";".join([t.canonical() for t in overlay])
 
 
+def args_text(args) -> list:
+    """An event's ``event_args`` as the trace records them: terms by their
+    text. The controller and replay both render them here."""
+    text = list(args)
+    # a loop, not a comprehension, which would add a frame to every ruling
+    for i, a in enumerate(args):
+        if isinstance(a, Term):
+            text[i] = a.canonical()
+    return text
+
+
 class ControllerPool:
     """All simulated controllers, sharing one framework, net and clock."""
 
@@ -366,7 +377,7 @@ class ControllerPool:
             chain=idx,
             law=path.leaf,
             event=kind,
-            eventArgs=[a.canonical() if isinstance(a, Term) else a for a in args],
+            eventArgs=args_text(args),
             overlay=Overlays.text(overlay),
             ops=ruling.canonical_ops(),
             blocked=ruling.block is not None,

@@ -241,6 +241,11 @@ class Value:
     assigns each slot once, and nothing assigns one after. Equality,
     hashing and ``repr`` are those of a frozen dataclass over ``_fields``,
     per type: values of two types never compare equal.
+
+    The nine op types serve twice. In a ruling their fields hold values; in
+    a parsed rule (``lawlang.GroundRule.ops``) they hold the law's
+    expressions, with None for a bare ``forward``'s target and payload or a
+    bare ``deliver``'s payload, and ``""`` for a bare ``block``'s reason.
     """
 
     __slots__ = ()
@@ -337,7 +342,6 @@ Event = Union[Adopted, Sent, Arrived, ObligationDue, ExceptionEvent]
 
 class Forward(Value):
     __slots__ = _fields = ("target", "payload")
-    op = "forward"
 
     def __init__(self, target: str, payload: Term):
         self.target = target
@@ -346,7 +350,6 @@ class Forward(Value):
 
 class Deliver(Value):
     __slots__ = _fields = ("payload",)
-    op = "deliver"
 
     def __init__(self, payload: Term):
         self.payload = payload
@@ -354,7 +357,6 @@ class Deliver(Value):
 
 class StateReplace(Value):
     __slots__ = _fields = ("old", "new")
-    op = "replace"
 
     def __init__(self, old: Term, new: Term):
         self.old = old
@@ -363,7 +365,6 @@ class StateReplace(Value):
 
 class StateAdd(Value):
     __slots__ = _fields = ("term",)
-    op = "add"
 
     def __init__(self, term: Term):
         self.term = term
@@ -371,7 +372,6 @@ class StateAdd(Value):
 
 class StateRemove(Value):
     __slots__ = _fields = ("term",)
-    op = "remove"
 
     def __init__(self, term: Term):
         self.term = term
@@ -379,7 +379,6 @@ class StateRemove(Value):
 
 class ImposeObligation(Value):
     __slots__ = _fields = ("name", "due_in")
-    op = "oblige"
 
     def __init__(self, name: Term, due_in: int):
         self.name = name
@@ -388,7 +387,6 @@ class ImposeObligation(Value):
 
 class RepealObligation(Value):
     __slots__ = _fields = ("name",)
-    op = "repeal"
 
     def __init__(self, name: Term):
         self.name = name
@@ -396,31 +394,16 @@ class RepealObligation(Value):
 
 class AuditLog(Value):
     __slots__ = ()
-    op = "audit"
 
 
 class Block(Value):
     __slots__ = _fields = ("reason",)
-    op = "block"
 
     def __init__(self, reason: str = ""):
         self.reason = reason
 
 
-Operation = Union[
-    Forward,
-    Deliver,
-    StateReplace,
-    StateAdd,
-    StateRemove,
-    ImposeObligation,
-    RepealObligation,
-    AuditLog,
-    Block,
-]
-
-
-def op_canonical(op: Operation) -> str:
+def op_canonical(op: Value) -> str:
     if isinstance(op, Forward):
         return "forward(%s,%s)" % (_render_arg(op.target), op.payload.canonical())
     if isinstance(op, Deliver):

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .actors import EchoActor, ProberActor, RingMemberActor, SinkActor
-from .controller import ControllerPool, Overlays, issue_certificate
+from .controller import ControllerPool, Overlays, args_text, issue_certificate
 from .core import (
     Adopted,
     AgentName,
@@ -34,7 +34,7 @@ from .core import (
     parse_terms,
 )
 from .hierarchy import Bundle, Framework, FrameworkError, derive_ruling, publish_laws
-from .lawlang import EVENT_KINDS, parse_law
+from .lawlang import EVENT_KINDS, event_args, parse_law
 from .lawserver import LawServer
 from .library import (
     build_acme_hierarchy,
@@ -190,8 +190,10 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
             warnings.append("no seed in scenario; defaulting to 0")
         seed = scenario.get("seed", 0)
     netc = dict(scenario.get("net", {}))
+    if type(netc.get("firewall", False)) is not bool:
+        raise ScenarioError("net firewall must be true or false, not %r" % (netc["firewall"],))
     if firewall is None:
-        firewall = bool(netc.get("firewall", False))
+        firewall = netc.get("firewall", False)
     # record the effective knobs so assertions and replay see what ran
     netc["firewall"] = firewall
     scenario = dict(scenario, net=netc, seed=seed)
@@ -521,11 +523,12 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     ``adopt`` record gives it, or the sender of the envelope an arrival
     cites.
 
-    Replay reports, and does not raise on, a ruling whose ops or overlay
-    differ from its record, an opening ruling of an open chain, any other
-    ruling of a closed one, an arrival that cites no envelope before it or
-    another sender, a ruling it cannot derive, a record it cannot read, and
-    a law text that does not parse or hash to its key.
+    Replay reports, and does not raise on, a ruling whose event arguments,
+    ops, ``blocked`` flag or overlay differ from its record, an opening
+    ruling of an open chain, any other ruling of a closed one, an arrival
+    that cites no envelope before it or another sender, a ruling it cannot
+    derive, a record it cannot read, and a law text that does not parse or
+    hash to its key.
     """
     try:
         fw = rebuild_framework(report.laws)
@@ -578,10 +581,16 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
             if text != rec["overlay"]:
                 problems.append("seq %s: overlay %r != %r" % (seq, text, rec["overlay"]))
             view = state.with_overlay(overlay)
-            ruling = derive_ruling(path, happened, view)
+            seen = event_args(happened, view)
+            ruling = derive_ruling(path, happened, view, seen)
+            if args_text(seen[1]) != args:
+                problems.append("seq %s: eventArgs %r != %r" % (seq, args_text(seen[1]), args))
             if ruling.canonical_ops() != rec["ops"]:
                 problems.append("seq %s: ops %r != %r"
                                 % (seq, ruling.canonical_ops(), rec["ops"]))
+            if (ruling.block is not None) != rec["blocked"]:
+                problems.append("seq %s: blocked %r != %r"
+                                % (seq, ruling.block is not None, rec["blocked"]))
             after = commit(view, event, ruling)
             if after is not None:
                 chains[key] = after

@@ -136,61 +136,13 @@ GuardAtom = object  # StateQuery | Comparison
 
 
 @dataclass(frozen=True)
-class TForward:
-    target: object = None  # expr or None (event target)
-    payload: object = None  # template term or None (event payload)
-
-
-@dataclass(frozen=True)
-class TDeliver:
-    payload: object = None
-
-
-@dataclass(frozen=True)
-class TReplace:
-    old: PTerm
-    new: PTerm
-
-
-@dataclass(frozen=True)
-class TAdd:
-    term: PTerm
-
-
-@dataclass(frozen=True)
-class TRemove:
-    term: PTerm
-
-
-@dataclass(frozen=True)
-class TOblige:
-    name: PTerm
-    due_in: object  # expr
-
-
-@dataclass(frozen=True)
-class TRepeal:
-    name: PTerm
-
-
-@dataclass(frozen=True)
-class TAudit:
-    pass
-
-
-@dataclass(frozen=True)
-class TBlock:
-    reason: str = ""
-
-
-@dataclass(frozen=True)
 class GroundRule:
     rule_id: str
     aspect: str
     event_kind: str
     pattern: tuple  # arg patterns, arity fixed by event kind
     guard: tuple  # guard atoms
-    ops: tuple  # op templates
+    ops: tuple  # core ops whose fields hold law expressions (see core.Value)
 
     @cached_property
     def compiled(self) -> "CompiledRule":
@@ -572,33 +524,33 @@ def _parse_op(cur: _Cursor):
             cur.expect(",")
             payload = _parse_expr(cur)
             cur.expect(")")
-            return TForward(target, payload)
-        return TForward()
+            return Forward(target, payload)
+        return Forward(None, None)
     if kw == "deliver":
         if cur.at("("):
             cur.next()
             payload = _parse_expr(cur)
             cur.expect(")")
-            return TDeliver(payload)
-        return TDeliver()
+            return Deliver(payload)
+        return Deliver(None)
     if kw == "replace":
         old = _parse_pterm(cur)
         cur.expect("<-")
         new = _parse_pterm(cur)
-        return TReplace(old, new)
+        return StateReplace(old, new)
     if kw == "add":
-        return TAdd(_parse_pterm(cur))
+        return StateAdd(_parse_pterm(cur))
     if kw == "remove":
-        return TRemove(_parse_pterm(cur))
+        return StateRemove(_parse_pterm(cur))
     if kw == "oblige":
         name = _parse_pterm(cur)
         cur.expect("in")
         due = _parse_expr(cur)
-        return TOblige(name, due)
+        return ImposeObligation(name, due)
     if kw == "repeal":
-        return TRepeal(_parse_pterm(cur))
+        return RepealObligation(_parse_pterm(cur))
     if kw == "audit":
-        return TAudit()
+        return AuditLog()
     if kw == "block":
         if cur.at("("):
             cur.next()
@@ -606,8 +558,8 @@ def _parse_op(cur: _Cursor):
             if s[0] != "string":
                 cur.err("block reason must be a string", s)
             cur.expect(")")
-            return TBlock(unquote(s[1]))
-        return TBlock()
+            return Block(unquote(s[1]))
+        return Block()
     cur.err("unknown operation %r" % kw, t)
 
 
@@ -648,22 +600,15 @@ def _check_rule(rule: GroundRule):
                     "unbound variable %s in operations of rule %s" % (v, rule.rule_id)
                 )
     for op in rule.ops:
-        if isinstance(op, TForward) and rule.event_kind not in ("sent", "obligationDue"):
-            raise LawSyntaxError(
-                "forward is only valid for sent/obligationDue rules (rule %s)" % rule.rule_id
-            )
-        if isinstance(op, TDeliver) and rule.event_kind not in ("arrived", "obligationDue"):
-            raise LawSyntaxError(
-                "deliver is only valid for arrived/obligationDue rules (rule %s)" % rule.rule_id
-            )
-        if isinstance(op, TForward) and rule.event_kind == "obligationDue" and op.target is None:
-            raise LawSyntaxError(
-                "forward in an obligationDue rule needs explicit target (rule %s)" % rule.rule_id
-            )
-        if isinstance(op, TDeliver) and rule.event_kind == "obligationDue" and op.payload is None:
-            raise LawSyntaxError(
-                "deliver in an obligationDue rule needs explicit payload (rule %s)" % rule.rule_id
-            )
+        if isinstance(op, (Forward, Deliver)):
+            word, kind, arg = ("forward", "sent", "target") if isinstance(op, Forward) \
+                else ("deliver", "arrived", "payload")
+            if rule.event_kind not in (kind, "obligationDue"):
+                raise LawSyntaxError("%s is only valid for %s/obligationDue rules (rule %s)"
+                                     % (word, kind, rule.rule_id))
+            if rule.event_kind == "obligationDue" and getattr(op, arg) is None:
+                raise LawSyntaxError("%s in an obligationDue rule needs explicit %s (rule %s)"
+                                     % (word, arg, rule.rule_id))
 
 
 def _collect_vars(node, acc: set):
@@ -688,24 +633,8 @@ def _expr_vars(node):
 
 
 def _op_vars(op):
-    if isinstance(op, TForward):
-        if op.target is not None:
-            yield from _expr_vars(op.target)
-        if op.payload is not None:
-            yield from _expr_vars(op.payload)
-    elif isinstance(op, TDeliver):
-        if op.payload is not None:
-            yield from _expr_vars(op.payload)
-    elif isinstance(op, TReplace):
-        yield from _expr_vars(op.old)
-        yield from _expr_vars(op.new)
-    elif isinstance(op, (TAdd, TRemove)):
-        yield from _expr_vars(op.term)
-    elif isinstance(op, TOblige):
-        yield from _expr_vars(op.name)
-        yield from _expr_vars(op.due_in)
-    elif isinstance(op, TRepeal):
-        yield from _expr_vars(op.name)
+    for f in op._fields:
+        yield from _expr_vars(getattr(op, f))
 
 
 # ---------------------------------------------------------------------------
@@ -769,27 +698,27 @@ def _render_atom(atom) -> str:
 
 
 def _render_op(op) -> str:
-    if isinstance(op, TForward):
+    if isinstance(op, Forward):
         if op.target is None:
             return "forward"
         return "forward(%s, %s)" % (_render_node(op.target), _render_node(op.payload))
-    if isinstance(op, TDeliver):
+    if isinstance(op, Deliver):
         if op.payload is None:
             return "deliver"
         return "deliver(%s)" % _render_node(op.payload)
-    if isinstance(op, TReplace):
+    if isinstance(op, StateReplace):
         return "replace %s <- %s" % (_render_node(op.old), _render_node(op.new))
-    if isinstance(op, TAdd):
+    if isinstance(op, StateAdd):
         return "add %s" % _render_node(op.term)
-    if isinstance(op, TRemove):
+    if isinstance(op, StateRemove):
         return "remove %s" % _render_node(op.term)
-    if isinstance(op, TOblige):
+    if isinstance(op, ImposeObligation):
         return "oblige %s in %s" % (_render_node(op.name), _render_node(op.due_in))
-    if isinstance(op, TRepeal):
+    if isinstance(op, RepealObligation):
         return "repeal %s" % _render_node(op.name)
-    if isinstance(op, TAudit):
+    if isinstance(op, AuditLog):
         return "audit"
-    if isinstance(op, TBlock):
+    if isinstance(op, Block):
         if op.reason:
             return "block(%s)" % quote(op.reason)
         return "block"
@@ -1030,7 +959,7 @@ def _compile_term(pt: PTerm, slots):
 
 def _compile_op(t, slots):
     """``o(b, event) -> operation`` for one op template."""
-    if isinstance(t, TForward):
+    if isinstance(t, Forward):
         if t.target is None:
             return lambda b, event: Forward(event.target.name, event.payload)
         target = _compile_expr(t.target, slots)
@@ -1046,7 +975,7 @@ def _compile_op(t, slots):
             return Forward(to, msg)
 
         return forward
-    if isinstance(t, TDeliver):
+    if isinstance(t, Deliver):
         if t.payload is None:
             return lambda b, event: Deliver(event.payload)
         payload = _compile_expr(t.payload, slots)
@@ -1058,17 +987,17 @@ def _compile_op(t, slots):
             return Deliver(msg)
 
         return deliver
-    if isinstance(t, TReplace):
+    if isinstance(t, StateReplace):
         old = _compile_term(t.old, slots)
         new = _compile_term(t.new, slots)
         return lambda b, event: StateReplace(old(b), new(b))
-    if isinstance(t, TAdd):
+    if isinstance(t, StateAdd):
         term = _compile_term(t.term, slots)
         return lambda b, event: StateAdd(term(b))
-    if isinstance(t, TRemove):
+    if isinstance(t, StateRemove):
         term = _compile_term(t.term, slots)
         return lambda b, event: StateRemove(term(b))
-    if isinstance(t, TOblige):
+    if isinstance(t, ImposeObligation):
         due_in = _compile_expr(t.due_in, slots)
         name = _compile_term(t.name, slots)
 
@@ -1079,12 +1008,12 @@ def _compile_op(t, slots):
             return ImposeObligation(name(b), due)
 
         return oblige
-    if isinstance(t, TRepeal):
+    if isinstance(t, RepealObligation):
         name = _compile_term(t.name, slots)
         return lambda b, event: RepealObligation(name(b))
-    if isinstance(t, TAudit):
+    if isinstance(t, AuditLog):
         return lambda b, event: _AUDIT
-    if isinstance(t, TBlock):
+    if isinstance(t, Block):
         block = Block(t.reason or "blocked-by-law")
         return lambda b, event: block
     return _raiser("unknown op template %r" % (t,))

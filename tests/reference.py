@@ -42,15 +42,6 @@ from fds.lawlang import (
     LawSyntaxError,
     PTerm,
     StateQuery,
-    TAdd,
-    TAudit,
-    TBlock,
-    TDeliver,
-    TForward,
-    TOblige,
-    TRemove,
-    TRepeal,
-    TReplace,
     Var,
     event_args,
 )
@@ -168,7 +159,7 @@ def instantiate_term(pt: PTerm, b: dict) -> Term:
 def instantiate_ops(rule, b: dict, event):
     ops = []
     for t in rule.ops:
-        if isinstance(t, TForward):
+        if isinstance(t, Forward):
             if t.target is None:
                 assert isinstance(event, Sent)
                 ops.append(Forward(event.target.name, event.payload))
@@ -180,7 +171,7 @@ def instantiate_ops(rule, b: dict, event):
                 if not isinstance(payload, Term):
                     raise GuardError("forward payload must be a term")
                 ops.append(Forward(target, payload))
-        elif isinstance(t, TDeliver):
+        elif isinstance(t, Deliver):
             if t.payload is None:
                 assert isinstance(event, Arrived)
                 ops.append(Deliver(event.payload))
@@ -189,22 +180,22 @@ def instantiate_ops(rule, b: dict, event):
                 if not isinstance(payload, Term):
                     raise GuardError("deliver payload must be a term")
                 ops.append(Deliver(payload))
-        elif isinstance(t, TReplace):
+        elif isinstance(t, StateReplace):
             ops.append(StateReplace(instantiate_term(t.old, b), instantiate_term(t.new, b)))
-        elif isinstance(t, TAdd):
+        elif isinstance(t, StateAdd):
             ops.append(StateAdd(instantiate_term(t.term, b)))
-        elif isinstance(t, TRemove):
+        elif isinstance(t, StateRemove):
             ops.append(StateRemove(instantiate_term(t.term, b)))
-        elif isinstance(t, TOblige):
+        elif isinstance(t, ImposeObligation):
             due = eval_expr(t.due_in, b)
             if not isinstance(due, int) or due < 0:
                 raise GuardError("obligation due-in must be a non-negative integer")
             ops.append(ImposeObligation(instantiate_term(t.name, b), due))
-        elif isinstance(t, TRepeal):
+        elif isinstance(t, RepealObligation):
             ops.append(RepealObligation(instantiate_term(t.name, b)))
-        elif isinstance(t, TAudit):
+        elif isinstance(t, AuditLog):
             ops.append(AuditLog())
-        elif isinstance(t, TBlock):
+        elif isinstance(t, Block):
             ops.append(Block(t.reason or "blocked-by-law"))
         else:
             raise GuardError("unknown op template %r" % (t,))

@@ -56,13 +56,17 @@ class TestRunAndReplay:
         assert capsys.readouterr().err.startswith("error: unexpected '\u00b2' at 2 in 'f(")
 
     def test_a_bad_net_section_is_an_error(self, tmp_path, capsys):
-        scenario = json.loads(SCENARIO.read_text())
-        scenario["net"]["latency"] = [5, 1]
-        path = tmp_path / "bad-net.json"
-        path.write_text(json.dumps(scenario))
-        assert main(["run", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: net latency must be two integers lo, hi with 0 <= lo <= hi, not [5, 1]\n")
+        for key, value, error in [
+            ("latency", [5, 1], "net latency must be two integers lo, hi with 0 <= lo <= hi, "
+                                "not [5, 1]"),
+            ("firewall", "false", "net firewall must be true or false, not 'false'"),
+        ]:
+            scenario = json.loads(SCENARIO.read_text())
+            scenario["net"][key] = value
+            path = tmp_path / "bad-net.json"
+            path.write_text(json.dumps(scenario))
+            assert main(["run", str(path)]) == 2
+            assert capsys.readouterr().err == "error: %s\n" % error
 
     @needs_limit
     def test_a_payload_integer_too_long_to_convert_is_an_error(self, tmp_path, capsys):

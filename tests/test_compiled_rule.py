@@ -21,11 +21,20 @@ from fds.core import (
     Adopted,
     AgentName,
     Arrived,
+    AuditLog,
+    Block,
     ControlState,
+    Deliver,
     ExceptionEvent,
     FdsError,
+    Forward,
+    ImposeObligation,
     ObligationDue,
+    RepealObligation,
     Sent,
+    StateAdd,
+    StateRemove,
+    StateReplace,
     Term,
     commit,
 )
@@ -39,15 +48,6 @@ from fds.lawlang import (
     LawDoc,
     PTerm,
     StateQuery,
-    TAdd,
-    TAudit,
-    TBlock,
-    TDeliver,
-    TForward,
-    TOblige,
-    TRemove,
-    TRepeal,
-    TReplace,
     Var,
     first_match,
 )
@@ -144,18 +144,18 @@ def op_templates(kind, names):
     terms_ = st.builds(PTerm, st.sampled_from(("p", "p", "q", "clock")),
                        st.lists(exprs, max_size=2).map(tuple))
     common = [
-        st.builds(TReplace, terms_, terms_),
-        st.builds(TAdd, terms_),
-        st.builds(TRemove, terms_),
-        st.builds(TOblige, terms_, exprs),
-        st.builds(TRepeal, terms_),
-        st.just(TAudit()),
-        st.builds(TBlock, st.sampled_from(("", "r"))),
+        st.builds(StateReplace, terms_, terms_),
+        st.builds(StateAdd, terms_),
+        st.builds(StateRemove, terms_),
+        st.builds(ImposeObligation, terms_, exprs),
+        st.builds(RepealObligation, terms_),
+        st.just(AuditLog()),
+        st.builds(Block, st.sampled_from(("", "r"))),
     ]
-    forward, deliver = st.builds(TForward, exprs, exprs), st.builds(TDeliver, exprs)
+    forward, deliver = st.builds(Forward, exprs, exprs), st.builds(Deliver, exprs)
     return st.one_of(*common, *{
-        "sent": (st.just(TForward()), forward),
-        "arrived": (st.just(TDeliver()), deliver),
+        "sent": (st.just(Forward(None, None)), forward),
+        "arrived": (st.just(Deliver(None)), deliver),
         "obligationDue": (forward, deliver),
     }.get(kind, ()))
 
@@ -205,7 +205,7 @@ def rules(draw, kind, rule_id):
     if draw(st.sampled_from((True, True, True, False))):
         # a witness records every binding in the new state, so a rule that
         # fires with other bindings than the reference's cannot pass unseen
-        ops.append(TAdd(PTerm("w", tuple(Var(n) for n in sorted(names)))))
+        ops.append(StateAdd(PTerm("w", tuple(Var(n) for n in sorted(names)))))
     return GroundRule(rule_id, "a", kind, pattern, tuple(guard), tuple(ops))
 
 
@@ -251,16 +251,16 @@ ERROR_CASES = {
     "unbound variable Y": _sent_rule(guard=(Comparison("==", Y, 1),)),
     "ordering comparison on non-integers": _sent_rule(
         guard=(StateQuery(PTerm("p", (X,))), Comparison("<=", X, 1))),
-    "forward payload must be a term": _sent_rule(ops=(TForward("b", X),),
+    "forward payload must be a term": _sent_rule(ops=(Forward("b", X),),
                                                  pattern=(WILDCARD, PTerm("p", (X,)), WILDCARD)),
     "deliver payload must be a term": GroundRule("r0", "a", "obligationDue", (X,), (),
-                                                 (TDeliver(FunctorOf(X)),)),
-    "forward target must be an agent name string": _sent_rule(ops=(TForward(1, PTerm("p", ())),)),
+                                                 (Deliver(FunctorOf(X)),)),
+    "forward target must be an agent name string": _sent_rule(ops=(Forward(1, PTerm("p", ())),)),
     "obligation due-in must be a non-negative integer": _sent_rule(
-        ops=(TOblige(PTerm("p", ()), BinExpr("-", 1, 2)),)),
+        ops=(ImposeObligation(PTerm("p", ()), BinExpr("-", 1, 2)),)),
     "functor() of a non-term value": _sent_rule(guard=(Comparison("==", FunctorOf(Y), "p"),)),
-    "arithmetic on non-integers": _sent_rule(ops=(TAdd(PTerm("p", (BinExpr("+", "a", 1),))),)),
-    "cannot evaluate _": _sent_rule(ops=(TAdd(PTerm("p", (WILDCARD,))),)),
+    "arithmetic on non-integers": _sent_rule(ops=(StateAdd(PTerm("p", (BinExpr("+", "a", 1),))),)),
+    "cannot evaluate _": _sent_rule(ops=(StateAdd(PTerm("p", (WILDCARD,))),)),
 }
 
 
@@ -276,20 +276,20 @@ def test_law_errors_match_the_reference(message):
 @settings(max_examples=300, deadline=None)
 @given(cases())
 # a repeated variable across arguments and inside a nested term
-@example((_doc(_sent_rule(pattern=(X, PTerm("p", (X,)), WILDCARD), ops=(TBlock("x"),))),
+@example((_doc(_sent_rule(pattern=(X, PTerm("p", (X,)), WILDCARD), ops=(Block("x"),))),
           Sent(AgentName("b"), Term("p", ("a",))), STATE))
 # a bare atom matches the zero-argument term
-@example((_doc(_sent_rule(pattern=(WILDCARD, PTerm("p", ("q",)), WILDCARD), ops=(TBlock("q"),))),
+@example((_doc(_sent_rule(pattern=(WILDCARD, PTerm("p", ("q",)), WILDCARD), ops=(Block("q"),))),
           Sent(AgentName("b"), Term("p", (Term("q"),))), STATE))
 # the comparison rejects p("s") and p(1), so the query backtracks to p(2)
 @example((_doc(_sent_rule(guard=(StateQuery(PTerm("p", (X,))), Comparison("==", X, 2)),
-                          ops=(TAdd(PTerm("p", (X, X))),))), SEND, STATE))
+                          ops=(StateAdd(PTerm("p", (X, X))),))), SEND, STATE))
 # <= holds at the bound
 @example((_doc(_sent_rule(pattern=(WILDCARD, PTerm("p", (X,)), WILDCARD),
-                          guard=(Comparison("<=", X, 1),), ops=(TBlock("le"),))), SEND, STATE))
+                          guard=(Comparison("<=", X, 1),), ops=(Block("le"),))), SEND, STATE))
 # the arity filter skips p("s", ...) shapes a one-argument query cannot match
 @example((_doc(_sent_rule(guard=(StateQuery(PTerm("p", (WILDCARD, WILDCARD))),),
-                          ops=(TBlock("two"),))), SEND, STATE))
+                          ops=(Block("two"),))), SEND, STATE))
 def test_compiled_rules_rule_like_the_reference(case):
     doc, event, state = case
     assert (outcome(first_match, commit, doc, event, state)

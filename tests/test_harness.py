@@ -116,9 +116,11 @@ class TestRunner:
         {"latency": [1, 2.5]},
         {"latency": [False, 1]},
         {"order": "lifo"},
-    ], ids=["lo-above-hi", "negative", "one-bound", "not-integer", "boolean", "unknown-order"])
+        {"firewall": "false"},
+    ], ids=["lo-above-hi", "negative", "one-bound", "not-integer", "boolean", "unknown-order",
+            "firewall-string"])
     def test_a_bad_net_section_is_a_scenario_error(self, net):
-        with pytest.raises(ScenarioError, match="^net (latency|order) must be "):
+        with pytest.raises(ScenarioError, match="^net (latency|order|firewall) must be "):
             run_scenario(dict(MINI, net=net))
 
     def test_unknown_assertion_name_errors(self):
@@ -697,6 +699,24 @@ def test_roadmap_item_4_state_continuity_is_checked():
     ok, problems = replay_with(13, lambda r: dict(
         r, stateBefore=r["stateBefore"].replace("budget(0)", "budget(1000)")))
     assert not ok and problems[0].startswith("seq 106: ops")
+
+
+@pytest.mark.parametrize("event,field,change", [
+    ("sent", "blocked", lambda r: not r["blocked"]),
+    # the self name of a send is its first argument, of an arrival its last:
+    # each renamed to the other party of the message
+    ("sent", "eventArgs", lambda r: [r["eventArgs"][2]] + r["eventArgs"][1:]),
+    ("arrived", "eventArgs", lambda r: r["eventArgs"][:2] + [r["eventArgs"][0]]),
+], ids=["sent-blocked", "sent-self-name", "arrived-self-name"])
+def test_a_changed_blocked_flag_or_event_argument_is_flagged(event, field, change):
+    report = _trace("acme-bc.json")
+    records = [dict(r) for r in report.records]
+    rec = next(r for r in records if r["type"] == "ruling" and r["event"] == event
+               and r["eventArgs"][0] != r["eventArgs"][2])
+    recorded = rec[field]
+    rec[field] = change(rec)
+    assert replay_report(_tampered(report, records)) == (
+        False, ["seq %d: %s %r != %r" % (rec["seq"], field, recorded, rec[field])])
 
 
 @pytest.mark.parametrize("how,change,built", [

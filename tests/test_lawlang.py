@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fds import library
-from fds.core import Arrived, AgentName, ControlState, Sent, Term, op_canonical, parse_term
+from fds.core import (Arrived, AgentName, ControlState, Sent, Term, hash_law, op_canonical,
+                      parse_term)
 from fds.lawlang import (
     LawSyntaxError,
     aspect_matches,
@@ -35,6 +36,36 @@ class TestParsing:
         canon = serialize_law(doc)
         doc2 = parse_law(canon)
         assert serialize_law(doc2) == canon
+
+    def test_every_op_form_has_a_pinned_text_and_hash(self):
+        # every op of a do block, bare and with arguments; ``block("")`` is a
+        # bare ``block``. No shipped law writes a bare block, so no frozen
+        # hash covers it.
+        doc = parse_law(
+            "law ops\n"
+            "default block\n"
+            "rule s1 aspect a on sent(S, M, T) when n(N)@CS do {\n"
+            "  forward; forward(T, m(S, N + 1)); replace n(N) <- n(N - 1); add seen(M);\n"
+            "  remove seen(M); oblige tick(T) in N + 2; repeal tick(T); audit; block }\n"
+            'rule s2 aspect a on sent(_, _, _) do { block(""); block("no") }\n'
+            "rule r1 aspect a on arrived(F, M, _) do { deliver; deliver(got(F, M)) }\n"
+            "rule o1 aspect a on obligationDue(tick(T)) do { "
+            "forward(T, ping()); deliver(pong()) }\n"
+        )
+        canon = serialize_law(doc)
+        assert canon == (
+            "law ops\n"
+            "default block\n"
+            "rule s1 aspect a on sent(S,M,T) when n(N)@CS do { forward; forward(T, m(S,(N + 1))); "
+            "replace n(N) <- n((N - 1)); add seen(M); remove seen(M); oblige tick(T) in (N + 2); "
+            "repeal tick(T); audit; block }\n"
+            'rule s2 aspect a on sent(_,_,_) do { block; block("no") }\n'
+            "rule r1 aspect a on arrived(F,M,_) do { deliver; deliver(got(F,M)) }\n"
+            "rule o1 aspect a on obligationDue(tick(T)) do { "
+            "forward(T, ping()); deliver(pong()) }\n"
+        )
+        assert hash_law(canon) == "d25ce118dc59065c2ca9091853b6ba235517929c2bbefe288b7857d013f6074b"
+        assert serialize_law(parse_law(canon)) == canon
 
     def test_root_requires_default(self):
         with pytest.raises(LawSyntaxError):
