@@ -12,11 +12,12 @@ only agent directory: a message to no adopted agent is dead-lettered when
 sent, one whose target quit in flight when it arrives (``_arrive``).
 
 Every ruling goes through one mediation step, ``ControllerPool._mediate``:
-it derives the ruling of one chain on one event, computes the state it
+it derives the ruling of one ``Chain`` on one event, computes the state it
 commits by the one commit rule, ``core.commit`` (which replay applies
-too), records the ruling in the trace, and then commits that state and
-the ruling's obligation ops. Sends and arrivals pass through the chains
-by one chain walk, ``ControllerPool._walk``.
+too), records the fields ``ruling_fields`` gives (which replay checks),
+and then commits that state and the ruling's obligation ops. A stacked
+chain joins its agent only once its opening ruling admits it. Sends and
+arrivals pass through the chains by one chain walk, ``ControllerPool._walk``.
 """
 
 from __future__ import annotations
@@ -91,15 +92,23 @@ def verify_certificate(cert: Certificate, key: bytes = CA_KEY) -> bool:
 
 
 @dataclass
+class Chain:
+    """One law chain of an agent: its index among the agent's chains, its
+    law path, the state it committed, and its obligation validity map
+    beside the pool's heap (a popped entry fires only if it matches)."""
+
+    idx: int
+    path: LawPath
+    state: ControlState
+    obligations: Dict[str, Tuple[int, int]] = field(default_factory=dict)  # canon -> (due, seq)
+
+
+@dataclass
 class AgentRecord:
     name: str
     division: str
     actor: object
-    chains: List[LawPath]
-    states: List[ControlState]
-    # per chain: obligation name canonical -> (due time, imposition seq), the
-    # validity map beside the pool's heap: a popped entry fires only if it matches
-    obligations: List[Dict[str, Tuple[int, int]]] = field(default_factory=list)
+    chains: List[Chain]
 
 
 class Overlays:
@@ -140,21 +149,20 @@ class Overlays:
             )
         return self.base(now) + terms
 
-    @staticmethod
-    def text(overlay) -> str:
-        """An overlay as the trace records it."""
-        return ";".join([t.canonical() for t in overlay])
 
-
-def args_text(args) -> list:
-    """An event's ``event_args`` as the trace records them: terms by their
-    text. The controller and replay both render them here."""
+def ruling_fields(view, overlay, ruling) -> dict:
+    """The fields of a ruling record that follow from the event ``view``
+    (as ``event_args`` gave it), the ``overlay`` and the derived ``ruling``,
+    terms by their text. The controller records them and replay checks
+    each, so a field added here is recorded and checked alike."""
+    kind, args = view
     text = list(args)
-    # a loop, not a comprehension, which would add a frame to every ruling
+    # a loop and a map, not comprehensions, which would add frames to every ruling
     for i, a in enumerate(args):
         if isinstance(a, Term):
             text[i] = a.canonical()
-    return text
+    return {"event": kind, "eventArgs": text, "overlay": ";".join(map(Term.canonical, overlay)),
+            "ops": ruling.canonical_ops(), "blocked": ruling.block is not None}
 
 
 class ControllerPool:
@@ -167,7 +175,7 @@ class ControllerPool:
         self.agents: Dict[str, AgentRecord] = {}
         self.audit: List[dict] = []
         self.metrics: List[Tuple[str, int]] = []  # (leaf law, wall time ns) per ruling
-        self._obligations: List[tuple] = []  # heap: (due, seq, rec, idx, canon, term)
+        self._obligations: List[tuple] = []  # heap: (due, seq, rec, chain, canon, term)
         self._oblig_seq = 0
         self.overlays = Overlays()
         net.scheduler.add_ticker(self.tick)
@@ -187,9 +195,9 @@ class ControllerPool:
             raise AdoptionError("name-taken: %s" % name)
         path = self.framework.resolve_path(law)
         # identity terms come from the controller, not from law operations
-        rec = AgentRecord(name, cert.division, actor, [path],
-                          [path.initial_state(name, cert.division)], [{}])
-        if self._mediate(rec, 0, Adopted(cert.to_term()), self.overlays.base(self.now),
+        native = Chain(0, path, path.initial_state(name, cert.division))
+        rec = AgentRecord(name, cert.division, actor, [native])
+        if self._mediate(rec, native, Adopted(cert.to_term()), self.overlays.base(self.now),
                          opens=True)[0].blocks():
             raise AdoptionError("adoption-refused: %s" % name)
         # only an admitted actor is bound to the pool
@@ -199,33 +207,27 @@ class ControllerPool:
         self.agents[name] = rec
         self.net.register_actor(name, actor)
         self.trace.add("adopt", agent=name, division=cert.division,
-                       laws=[p.leaf for p in rec.chains])
+                       laws=[c.path.leaf for c in rec.chains])
         return rec
 
     def stack_adopt(self, name: str, second: str) -> AgentRecord:
         """Put an already-adopted agent under an additional (crosscutting) law.
 
         Both the native chain and the new chain rule on the stacking event;
-        either side blocking refuses the whole operation.
+        either side blocking refuses the whole operation, and the new chain
+        joins the agent only once its own ruling admits it.
         """
         rec = self.agents.get(name)
         if rec is None:
             raise AdoptionError("unknown-agent: %s" % name)
         path = self.framework.resolve_path(second)
-        st = path.initial_state(name, rec.division)
-        native = Adopted(Term("stack", (path.leaf,)))
-        if self._mediate(rec, 0, native, self.overlays.base(self.now))[0].blocks():
-            raise AdoptionError("stack-refused: %s" % name)
-        rec.chains.append(path)
-        rec.states.append(st)
-        rec.obligations.append({})
-        event = Adopted(Term("stack", (rec.chains[0].leaf,)))
-        if self._mediate(rec, len(rec.chains) - 1, event, self.overlays.base(self.now),
-                         opens=True)[0].blocks():
-            rec.chains.pop()
-            rec.states.pop()
-            rec.obligations.pop()
-            raise AdoptionError("stack-refused: %s" % name)
+        chain = Chain(len(rec.chains), path, path.initial_state(name, rec.division))
+        native = rec.chains[0]
+        for ruled, other, opens in ((native, chain, False), (chain, native, True)):
+            if self._mediate(rec, ruled, Adopted(Term("stack", (other.path.leaf,))),
+                             self.overlays.base(self.now), opens=opens)[0].blocks():
+                raise AdoptionError("stack-refused: %s" % name)
+        rec.chains.append(chain)
         self.trace.add("stack-adopt", agent=name, law=path.leaf)
         return rec
 
@@ -243,14 +245,14 @@ class ControllerPool:
         if rec is None:
             raise FdsError("unknown agent %s" % sender)
         out, seqs, audited, reason = self._walk(
-            rec, range(len(rec.chains)), self._sent(target, payload), Forward,
+            rec, rec.chains, self._sent(target, payload), Forward,
             lambda op: self._sent(op.target, op.payload))
         sent_any = False
-        for idx, op in out:
-            if self._emit(rec, idx, op, seqs) is not None:
+        for chain, op in out:
+            if self._emit(rec, chain, op, seqs) is not None:
                 sent_any = True
         if audited and sent_any:
-            self._audit_record(rec.name, rec.division, rec.chains[0].leaf, target, payload)
+            self._audit_record(rec.name, rec.division, rec.chains[0].path.leaf, target, payload)
         if not sent_any and reason is not None:
             notify = getattr(rec.actor, "on_blocked", None)
             if notify is not None:
@@ -260,16 +262,16 @@ class ControllerPool:
     def _sent(self, target: str, payload: Term):
         """The sent event of a message to ``target``, and its peer for the overlay."""
         peer = self.agents.get(target)
-        division, law = (peer.division, peer.chains[0].leaf) if peer else ("", "")
+        division, law = (peer.division, peer.chains[0].path.leaf) if peer else ("", "")
         return Sent(AgentName(target, division), payload), (target, division, law)
 
-    def _emit(self, rec: AgentRecord, idx: int, op: Forward, rulings) -> Optional[int]:
+    def _emit(self, rec: AgentRecord, chain: Chain, op: Forward, rulings) -> Optional[int]:
         if op.target not in self.agents:
             # drawing no latency, so later envelopes keep their delivery times
             self.trace.add("dead-letter", sender=rec.name, target=op.target,
                            payload=op.payload.canonical())
             return None
-        env = Envelope(rec.name, rec.division, rec.chains[idx].leaf, op.target, op.payload)
+        env = Envelope(rec.name, rec.division, chain.path.leaf, op.target, op.payload)
         return self.net.send(env, self._arrive, rulings)
 
     # -- inbound -----------------------------------------------------------
@@ -283,10 +285,10 @@ class ControllerPool:
             return
         sender = AgentName(env.sender_name, env.sender_division)
         peer = (env.sender_name, env.sender_division, env.sender_law)
-        last = len(rec.chains) - 1
+        chains = rec.chains
         # crosscutting overlays inspect arrivals before the native law
         out, _, audited, _ = self._walk(
-            rec, [last, *range(last)], (Arrived(sender, env.sender_law, env.payload), peer),
+            rec, [chains[-1], *chains[:-1]], (Arrived(sender, env.sender_law, env.payload), peer),
             Deliver, lambda op: (Arrived(sender, env.sender_law, op.payload), peer), env_seq)
         for _, op in out:
             self.trace.add("deliver", agent=name, sender=env.sender_name,
@@ -303,18 +305,18 @@ class ControllerPool:
         heap, due = self._obligations, []
         while heap and heap[0][0] <= now:
             due.append(heapq.heappop(heap))
-        for when, seq, rec, idx, canon, term in due:
+        for when, seq, rec, chain, canon, term in due:
             if (self.agents.get(rec.name) is not rec
-                    or rec.obligations[idx].get(canon) != (when, seq)):
+                    or chain.obligations.get(canon) != (when, seq)):
                 continue  # agent quit, or obligation repealed or re-imposed
-            del rec.obligations[idx][canon]
-            ruling, rseq = self._mediate(rec, idx, ObligationDue(term),
+            del chain.obligations[canon]
+            ruling, rseq = self._mediate(rec, chain, ObligationDue(term),
                                          self.overlays.base(self.now))
             if ruling.block is not None:
                 continue
             for op in ruling.ops:
                 if isinstance(op, Forward):
-                    self._emit(rec, idx, op, [rseq])
+                    self._emit(rec, chain, op, [rseq])
                 elif isinstance(op, Deliver):
                     rec.actor.on_deliver(rec.name, op.payload)
 
@@ -329,16 +331,16 @@ class ControllerPool:
         the message on by ops of type ``passes`` (``Forward`` or
         ``Deliver``); ``relay(op)`` gives the event and peer such an op
         submits to the next chain. Returns the ops the last chain passes
-        on, each with the index of that chain, the ruling seqs, whether any
-        ruling audited, and the reason of the last block.
+        on, each with that chain, the ruling seqs, whether any ruling
+        audited, and the reason of the last block.
         """
         work = [(0, first)]
         out, seqs, audited, reason = [], [], False, None
         while work:
             pos, (event, peer) = work.pop(0)
-            idx = order[pos]
-            overlay = self.overlays.peer(self.now, rec.chains[idx].leaf, *peer)
-            ruling, seq = self._mediate(rec, idx, event, overlay, envelope)
+            chain = order[pos]
+            overlay = self.overlays.peer(self.now, chain.path.leaf, *peer)
+            ruling, seq = self._mediate(rec, chain, event, overlay, envelope)
             seqs.append(seq)
             audited = audited or ruling.audits
             if ruling.block is not None:
@@ -349,12 +351,12 @@ class ControllerPool:
                     if pos + 1 < len(order):
                         work.append((pos + 1, relay(o)))
                     else:
-                        out.append((idx, o))
+                        out.append((chain, o))
         return out, seqs, audited, reason
 
-    def _mediate(self, rec: AgentRecord, idx: int, event: Event, overlay,
+    def _mediate(self, rec: AgentRecord, chain: Chain, event: Event, overlay,
                  envelope: Optional[int] = None, opens: bool = False):
-        """Derive chain ``idx``'s ruling on ``event``, record it and commit it.
+        """Derive ``chain``'s ruling on ``event``, record it and commit it.
 
         ``commit`` gives the state to commit before the ruling is recorded,
         so a law error in its state ops leaves no ruling record; a refused
@@ -363,40 +365,36 @@ class ControllerPool:
         derives every later state from it and the recorded ops. Returns the
         ruling and the seq of its trace record.
         """
-        path = rec.chains[idx]
-        before = rec.states[idx]
+        path = chain.path
+        before = chain.state
         state = before.with_overlay(overlay)
         t0 = _time.perf_counter_ns()
-        kind, args = view = event_args(event, state)
+        view = event_args(event, state)
         ruling = derive_ruling(path, event, state, view)
-        after = commit(state, kind, ruling)
+        after = commit(state, view[0], ruling)
         self.metrics.append((path.leaf, _time.perf_counter_ns() - t0))
         seq = self.trace.add(
             "ruling",
             agent=rec.name,
-            chain=idx,
+            chain=chain.idx,
             law=path.leaf,
-            event=kind,
-            eventArgs=args_text(args),
-            overlay=Overlays.text(overlay),
-            ops=ruling.canonical_ops(),
-            blocked=ruling.block is not None,
+            **ruling_fields(view, overlay, ruling),
             **({"envelope": envelope} if envelope is not None else {}),
             **({"stateBefore": before.canonical()} if opens else {}),
         )
         if after is None:
             return ruling, seq
-        rec.states[idx] = after
+        chain.state = after
         if not ruling.obliges:
             return ruling, seq
-        table = rec.obligations[idx]
+        table = chain.obligations
         for op in ruling.ops:
             if isinstance(op, ImposeObligation):
                 self._oblig_seq += 1
                 due, canon = self.now + op.due_in, op.name.canonical()
                 table[canon] = (due, self._oblig_seq)
                 heapq.heappush(self._obligations,
-                               (due, self._oblig_seq, rec, idx, canon, op.name))
+                               (due, self._oblig_seq, rec, chain, canon, op.name))
                 # wake the scheduler so the obligation fires on time even
                 # when no other traffic advances the clock past its due point
                 self.net.scheduler.schedule(due, _noop)

@@ -13,11 +13,13 @@ import random
 import re
 import statistics
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .actors import EchoActor, ProberActor, RingMemberActor, SinkActor
-from .controller import ControllerPool, Overlays, args_text, issue_certificate
+from .controller import ControllerPool, Overlays, issue_certificate, ruling_fields
 from .core import (
     Adopted,
     AgentName,
@@ -230,8 +232,8 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
         return run
 
     def schedule_adoption(entry: dict):
-        name = entry["name"]
-        law = resolve(entry["law"])
+        name, law = _need(entry, "name", "law")
+        law = resolve(law)
         stack = [resolve(s) for s in entry.get("stack", [])]
         behavior = entry.get("behavior", "sink")
         params = entry.get("params", {})
@@ -260,43 +262,31 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
     def sub_laws(text: str) -> str:
         return law_ref.sub(lambda m: resolve(m.group(1)), text)
 
+    # every key an action needs is read here, so a malformed item fails
+    # before the run starts
     def compile_action(item: dict):
         action = item.get("action", "send")
-        if action == "send":
-            payload = parse_term(sub_laws(item["payload"]))
+        if action in ("send", "rogue"):
+            at, src, dst, text = _need(item, "at", "from", "to", "payload")
+            submit = pool.send if action == "send" else net.rogue_send
             scheduler.schedule(
-                item["at"],
-                guarded(lambda: pool.send(item["from"], item["to"], payload),
-                        action, item["from"]),
-            )
+                at, guarded(partial(submit, src, dst, parse_term(sub_laws(text))), action, src))
         elif action == "send-every":
-            start = item.get("start", 0)
-            period = item["period"]
-            until = item["until"]
-            for i, t in enumerate(range(start, until, period)):
-                payload = parse_term(item["payload"].format(i=i))
-                scheduler.schedule(
-                    t,
-                    guarded(lambda p=payload: pool.send(item["from"], item["to"], p),
-                            action, item["from"]),
-                )
-        elif action == "rogue":
-            payload = parse_term(sub_laws(item["payload"]))
-            scheduler.schedule(
-                item["at"],
-                guarded(lambda: net.rogue_send(item["from"], item["to"], payload),
-                        action, item["from"]),
-            )
+            period, until, src, dst, text = _need(item, "period", "until", "from", "to",
+                                                  "payload")
+            if type(period) is not int or period <= 0:
+                raise ScenarioError("send-every period must be a positive integer, not %r"
+                                    % (period,))
+            for i, t in enumerate(range(item.get("start", 0), until, period)):
+                payload = parse_term(text.format(i=i))
+                scheduler.schedule(t, guarded(partial(pool.send, src, dst, payload), action, src))
         elif action == "quit":
-            scheduler.schedule(
-                item["at"], guarded(lambda: pool.quit(item["agent"]), action, item["agent"])
-            )
+            at, agent = _need(item, "at", "agent")
+            scheduler.schedule(at, guarded(partial(pool.quit, agent), action, agent))
         elif action == "stack-adopt":
-            law = resolve(item["law"])
-            scheduler.schedule(
-                item["at"],
-                guarded(lambda: pool.stack_adopt(item["agent"], law), action, item["agent"]),
-            )
+            at, agent, law = _need(item, "at", "agent", "law")
+            law = resolve(law)
+            scheduler.schedule(at, guarded(partial(pool.stack_adopt, agent, law), action, agent))
         elif action == "adopt":
             schedule_adoption(item)
         elif action == "random-traffic":
@@ -324,15 +314,24 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
     return report
 
 
+def _need(item: dict, *keys) -> tuple:
+    """The values of two or more ``keys`` in a cast entry or timeline item,
+    which must have them all."""
+    try:
+        return itemgetter(*keys)(item)
+    except KeyError as exc:
+        raise ScenarioError("%s has no %r" % (RECORD_ENCODER.encode(item), exc.args[0])) \
+            from None
+
+
 def _compile_random_traffic(item, seed, scheduler, pool, net, guarded):
+    senders, targets, count = _need(item, "senders", "targets", "count")
     rng = random.Random(seed * 1000003 + item.get("seedOffset", 0))
     t = item.get("start", 0)
-    senders = item["senders"]
-    targets = item["targets"]
     lo, hi = item.get("gap", [1, 3])
     cost_lo, cost_hi = item.get("costRange", [1, 40])
     rogue_prob = item.get("rogueProb", 0.0)
-    for i in range(item["count"]):
+    for i in range(count):
         t += rng.randint(lo, hi)
         sender = rng.choice(senders)
         target = rng.choice(targets)
@@ -523,12 +522,13 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     ``adopt`` record gives it, or the sender of the envelope an arrival
     cites.
 
-    Replay reports, and does not raise on, a ruling whose event arguments,
-    ops, ``blocked`` flag or overlay differ from its record, an opening
-    ruling of an open chain, any other ruling of a closed one, an arrival
-    that cites no envelope before it or another sender, a ruling it cannot
-    derive, a record it cannot read, and a law text that does not parse or
-    hash to its key.
+    Every field the controller's ``ruling_fields`` derives from a ruling is
+    compared with its record, one loop over them all, each difference
+    reported as ``seq N: <field> <derived> != <recorded>``. Replay also
+    reports, and does not raise on, an opening ruling of an open chain, any
+    other ruling of a closed one, an arrival that cites no envelope before
+    it or another sender, a ruling it cannot derive, a record it cannot
+    read, and a law text that does not parse or hash to its key.
     """
     try:
         fw = rebuild_framework(report.laws)
@@ -577,20 +577,14 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
             else:
                 happened = _other_event(event, args[0])
                 overlay = overlays.base(rec["time"])
-            text = Overlays.text(overlay)
-            if text != rec["overlay"]:
-                problems.append("seq %s: overlay %r != %r" % (seq, text, rec["overlay"]))
             view = state.with_overlay(overlay)
             seen = event_args(happened, view)
             ruling = derive_ruling(path, happened, view, seen)
-            if args_text(seen[1]) != args:
-                problems.append("seq %s: eventArgs %r != %r" % (seq, args_text(seen[1]), args))
-            if ruling.canonical_ops() != rec["ops"]:
-                problems.append("seq %s: ops %r != %r"
-                                % (seq, ruling.canonical_ops(), rec["ops"]))
-            if (ruling.block is not None) != rec["blocked"]:
-                problems.append("seq %s: blocked %r != %r"
-                                % (seq, ruling.block is not None, rec["blocked"]))
+            fields = ruling_fields(seen, overlay, ruling)
+            # one test of all fields; only a ruling that fails it names each that differs
+            if not fields.items() <= rec.items():
+                problems += ["seq %s: %s %r != %r" % (seq, attr, derived, rec[attr])
+                             for attr, derived in fields.items() if derived != rec[attr]]
             after = commit(view, event, ruling)
             if after is not None:
                 chains[key] = after

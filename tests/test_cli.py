@@ -68,6 +68,15 @@ class TestRunAndReplay:
             assert main(["run", str(path)]) == 2
             assert capsys.readouterr().err == "error: %s\n" % error
 
+    def test_a_timeline_item_without_a_key_it_needs_is_an_error(self, tmp_path, capsys):
+        scenario = json.loads(SCENARIO.read_text())
+        scenario["timeline"] = [{"action": "send", "from": "a", "to": "b", "payload": "m(1)"}]
+        path = tmp_path / "no-at.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            'error: {"action":"send","from":"a","payload":"m(1)","to":"b"} has no \'at\'\n')
+
     @needs_limit
     def test_a_payload_integer_too_long_to_convert_is_an_error(self, tmp_path, capsys):
         scenario = json.loads(SCENARIO.read_text())

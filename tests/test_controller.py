@@ -50,8 +50,8 @@ class TestCertificates:
 class TestAdoption:
     def test_adopt_registers_identity_terms(self, acme, pool):
         rec = pool.adopt(SinkActor(), issue_certificate("a", "D1"), acme.d1)
-        assert list(rec.states[0].visible("name")) == [Term("name", ("a",))]
-        assert list(rec.states[0].visible("division")) == [Term("division", ("D1",))]
+        assert list(rec.chains[0].state.visible("name")) == [Term("name", ("a",))]
+        assert list(rec.chains[0].state.visible("division")) == [Term("division", ("D1",))]
 
     def test_bad_certificate_is_auth_failed(self, acme, pool):
         bad = Certificate("a", "D1", "AcmeCA", "junk")
@@ -327,23 +327,24 @@ class ScanPool(ControllerPool):
     def tick(self, now: int):
         due = []
         for rec in self.agents.values():
-            for idx, table in enumerate(rec.obligations):
-                for canon, (when, seq) in table.items():
+            for chain in rec.chains:
+                for canon, (when, seq) in chain.obligations.items():
                     if when <= now:
-                        due.append((when, seq, rec.name, idx, canon))
+                        due.append((when, seq, rec.name, chain.idx, canon))
         due.sort(key=lambda d: (d[0], d[1]))
         for when, seq, name, idx, canon in due:
             rec = self.agents.get(name)
-            if rec is None or rec.obligations[idx].get(canon, (None, None))[1] != seq:
+            if rec is None or rec.chains[idx].obligations.get(canon, (None, None))[1] != seq:
                 continue
-            del rec.obligations[idx][canon]
-            ruling, rseq = self._mediate(rec, idx, ObligationDue(parse_term(canon)),
+            chain = rec.chains[idx]
+            del chain.obligations[canon]
+            ruling, rseq = self._mediate(rec, chain, ObligationDue(parse_term(canon)),
                                          self.overlays.base(now))
             if ruling.blocks():
                 continue
             for op in ruling.ops:
                 if isinstance(op, Forward):
-                    self._emit(rec, idx, op, [rseq])
+                    self._emit(rec, chain, op, [rseq])
                 elif isinstance(op, Deliver):
                     rec.actor.on_deliver(rec.name, op.payload)
 
@@ -483,18 +484,18 @@ class TestCommitRule:
         pool.adopt(SinkActor(), issue_certificate("b", ""), bundle.capped)
         assert not pool.send("a", "b", Term("m"))
         assert a.blocked[-1][2] == "capped"
-        assert list(rec.states[0].visible("count")) == [Term("count", (1,))]
+        assert list(rec.chains[0].state.visible("count")) == [Term("count", (1,))]
         sched.run(until=5)
         assert _fired(trace) == [(1, "a", 0, "nudge")]
 
     def test_a_stacking_the_native_chain_refuses_commits_nothing(self):
         pool, sched, trace, bundle = self._pool()
         rec = pool.adopt(SinkActor(), issue_certificate("a", ""), bundle.fussy)
-        before = rec.states[0].canonical()
+        before = rec.chains[0].state.canonical()
         with pytest.raises(AdoptionError, match="stack-refused"):
             pool.stack_adopt("a", bundle.seen)
         assert "add tried(1)" in trace.of_type("ruling")[-1]["ops"]
-        assert rec.states[0].canonical() == before
+        assert rec.chains[0].state.canonical() == before
         sched.run(until=5)
         assert _fired(trace) == []
 
@@ -505,7 +506,7 @@ class TestCommitRule:
             pool.stack_adopt("a", bundle.fussy)
         refusal = trace.of_type("ruling")[-1]
         assert refusal["chain"] == 1 and "oblige nudge in 1" in refusal["ops"]
-        assert len(rec.chains) == len(rec.states) == len(rec.obligations) == 1
+        assert len(rec.chains) == 1
         sched.run(until=5)
         assert _fired(trace) == []
 
@@ -518,7 +519,7 @@ class TestCommitRule:
         pool.adopt(SinkActor(), issue_certificate("b", ""), bundle.root)
         pool.stack_adopt("a", bundle.seen)
         assert pool.send("a", "b", Term("m"))
-        before = rec.states[0].canonical()
+        before = rec.chains[0].state.canonical()
         with contextlib.suppress(StateError):  # seen(1) is already there in chain 1
             pool.send("a", "b", Term("m"))
-        assert rec.states[0].canonical() == before
+        assert rec.chains[0].state.canonical() == before

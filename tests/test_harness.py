@@ -123,6 +123,24 @@ class TestRunner:
         with pytest.raises(ScenarioError, match="^net (latency|order|firewall) must be "):
             run_scenario(dict(MINI, net=net))
 
+    @pytest.mark.parametrize("section,entry,error", [
+        ("timeline", {"action": "send", "from": "a", "to": "b", "payload": "m(2)"},
+         "has no 'at'"),
+        ("cast", {"law": "d1"}, "has no 'name'"),
+        ("timeline", {"action": "send-every", "from": "a", "to": "b", "payload": "m({i})",
+                      "until": 9}, "has no 'period'"),
+        ("timeline", {"action": "send-every", "from": "a", "to": "b", "payload": "m({i})",
+                      "until": 9, "period": 0}, None),
+    ], ids=["send-without-at", "cast-without-name", "send-every-without-period",
+            "period-zero"])
+    def test_a_malformed_cast_entry_or_timeline_item_is_a_scenario_error(
+            self, section, entry, error):
+        # the item and the key it lacks are named before the run starts
+        message = "send-every period must be a positive integer, not 0" if error is None \
+            else json.dumps(entry, sort_keys=True, separators=(",", ":")) + " " + error
+        with pytest.raises(ScenarioError, match="^%s$" % re.escape(message)):
+            run_scenario(dict(MINI, **{section: MINI[section] + [entry]}))
+
     def test_unknown_assertion_name_errors(self):
         report = run_scenario(MINI)
         with pytest.raises(ScenarioError, match="unknown assertion"):
@@ -190,7 +208,7 @@ class TestRunner:
         rulings = [r for r in report.records if r["type"] == "ruling"]
         assert [(r["agent"], r["event"]) for r in rulings] == [
             ("a", "adopted"), ("b", "adopted")]
-        state = report.actors["a"].pool.agents["a"].states[0]
+        state = report.actors["a"].pool.agents["a"].chains[0].state
         assert state.canonical() == rulings[0]["stateBefore"]
         assert replay_report(report) == (True, [])
 
@@ -515,6 +533,28 @@ class TestCarriedReplay:
             ("adopted", 'add tried(5);block("no-stack")'), ("sent", 'forward("b",m(1))')]
         assert replay_report(report) == (True, [])
 
+    def test_a_stacking_whose_opening_ruling_raises_leaves_no_chain(self, tmp_path):
+        # the new chain's opening ruling removes a term its state lacks: the
+        # stacking is an action error, and the later send sees one chain
+        (tmp_path / "base.law").write_text("law base\ndefault pass\n")
+        (tmp_path / "gate.law").write_text(
+            "law gate\nextends base\n"
+            "rule g1 aspect gate:stack on adopted(stack(_)) do { remove nothere(1) }\n")
+        scenario = {
+            "name": "gate", "seed": 1, "duration": 20,
+            "laws": {"bundle": "dir", "params": {"dir": str(tmp_path)}},
+            "cast": [{"name": "a", "law": "base"}, {"name": "b", "law": "base"}],
+            "timeline": [
+                {"action": "stack-adopt", "at": 5, "agent": "a", "law": "gate"},
+                {"action": "send", "at": 8, "from": "a", "to": "b", "payload": "m(1)"},
+            ],
+        }
+        report = run_scenario(scenario)
+        assert [(r["action"], r["agent"], r["time"]) for r in report.records
+                if r["type"] == "action-error"] == [("stack-adopt", "a", 5)]
+        assert not [r for r in report.records if r["type"] == "ruling" and r["chain"] == 1]
+        assert replay_report(report) == (True, [])
+
     def test_a_state_read_from_text_that_is_not_canonical_is_carried(self):
         # "zz( a() )" parses to the term whose text is "zz(a())": the chain
         # opens with it and every later ruling of the chain starts from it
@@ -717,6 +757,26 @@ def test_a_changed_blocked_flag_or_event_argument_is_flagged(event, field, chang
     rec[field] = change(rec)
     assert replay_report(_tampered(report, records)) == (
         False, ["seq %d: %s %r != %r" % (rec["seq"], field, recorded, rec[field])])
+
+
+def test_replay_checks_every_field_the_controller_derives():
+    # a field added to the one function that builds a ruling's derived
+    # fields is recorded by the controller and checked by replay
+    real = controller.ruling_fields
+
+    def with_op_count(view, overlay, ruling):
+        return dict(real(view, overlay, ruling), opCount=len(ruling.ops))
+
+    scenario = _without_assertions(load_scenario(SCENARIOS / "acme-bc.json"))
+    with mock.patch.object(controller, "ruling_fields", with_op_count), \
+            mock.patch.object(harness, "ruling_fields", with_op_count):
+        report = run_scenario(scenario)
+        assert replay_report(report) == (True, [])
+        records = [dict(r) for r in report.records]
+        rec = next(r for r in records if r["type"] == "ruling" and r["opCount"] > 0)
+        rec["opCount"] += 1
+        assert replay_report(_tampered(report, records)) == (
+            False, ["seq %d: opCount %r != %r" % (rec["seq"], rec["opCount"] - 1, rec["opCount"])])
 
 
 @pytest.mark.parametrize("how,change,built", [
