@@ -16,8 +16,9 @@ it derives the ruling of one ``Chain`` on one event, computes the state it
 commits by the one commit rule, ``core.commit`` (which replay applies
 too), records the fields ``ruling_fields`` gives (which replay checks),
 and then commits that state and the ruling's obligation ops. A stacked
-chain joins its agent only once its opening ruling admits it. Sends and
-arrivals pass through the chains by one chain walk, ``ControllerPool._walk``.
+chain joins its agent only once its opening ruling admits it. Sends,
+arrivals and due obligations pass through the chains, and out of the last
+one, by one chain walk, ``ControllerPool._walk``.
 """
 
 from __future__ import annotations
@@ -244,13 +245,7 @@ class ControllerPool:
         rec = self.agents.get(sender)
         if rec is None:
             raise FdsError("unknown agent %s" % sender)
-        out, seqs, audited, reason = self._walk(
-            rec, rec.chains, self._sent(target, payload), Forward,
-            lambda op: self._sent(op.target, op.payload))
-        sent_any = False
-        for chain, op in out:
-            if self._emit(rec, chain, op, seqs) is not None:
-                sent_any = True
+        sent_any, audited, reason = self._walk(rec, rec.chains, self._sent(target, payload))
         if audited and sent_any:
             self._audit_record(rec.name, rec.division, rec.chains[0].path.leaf, target, payload)
         if not sent_any and reason is not None:
@@ -265,15 +260,6 @@ class ControllerPool:
         division, law = (peer.division, peer.chains[0].path.leaf) if peer else ("", "")
         return Sent(AgentName(target, division), payload), (target, division, law)
 
-    def _emit(self, rec: AgentRecord, chain: Chain, op: Forward, rulings) -> Optional[int]:
-        if op.target not in self.agents:
-            # drawing no latency, so later envelopes keep their delivery times
-            self.trace.add("dead-letter", sender=rec.name, target=op.target,
-                           payload=op.payload.canonical())
-            return None
-        env = Envelope(rec.name, rec.division, chain.path.leaf, op.target, op.payload)
-        return self.net.send(env, self._arrive, rulings)
-
     # -- inbound -----------------------------------------------------------
 
     def _arrive(self, env: Envelope, env_seq: int):
@@ -283,20 +269,13 @@ class ControllerPool:
             self.trace.add("dead-letter", sender=env.sender_name, target=name,
                            payload=env.payload.canonical(), envelope=env_seq)
             return
-        sender = AgentName(env.sender_name, env.sender_division)
         peer = (env.sender_name, env.sender_division, env.sender_law)
+        arrived = Arrived(AgentName(*peer[:2]), env.sender_law, env.payload)
         chains = rec.chains
         # crosscutting overlays inspect arrivals before the native law
-        out, _, audited, _ = self._walk(
-            rec, [chains[-1], *chains[:-1]], (Arrived(sender, env.sender_law, env.payload), peer),
-            Deliver, lambda op: (Arrived(sender, env.sender_law, op.payload), peer), env_seq)
-        for _, op in out:
-            self.trace.add("deliver", agent=name, sender=env.sender_name,
-                           payload=op.payload.canonical(), envelope=env_seq)
-            rec.actor.on_deliver(env.sender_name, op.payload)
-        if audited and out:
-            self._audit_record(env.sender_name, env.sender_division, env.sender_law,
-                               name, env.payload)
+        passed, audited, _ = self._walk(rec, chains[-1:] + chains[:-1], (arrived, peer), env_seq)
+        if audited and passed:
+            self._audit_record(*peer, name, env.payload)
 
     # -- obligations and time ----------------------------------------------
 
@@ -310,28 +289,21 @@ class ControllerPool:
                     or chain.obligations.get(canon) != (when, seq)):
                 continue  # agent quit, or obligation repealed or re-imposed
             del chain.obligations[canon]
-            ruling, rseq = self._mediate(rec, chain, ObligationDue(term),
-                                         self.overlays.base(self.now))
-            if ruling.block is not None:
-                continue
-            for op in ruling.ops:
-                if isinstance(op, Forward):
-                    self._emit(rec, chain, op, [rseq])
-                elif isinstance(op, Deliver):
-                    rec.actor.on_deliver(rec.name, op.payload)
+            self._walk(rec, (chain,), (ObligationDue(term), None))
 
     # -- internals ---------------------------------------------------------
 
-    def _walk(self, rec: AgentRecord, order, first, passes, relay,
-              envelope: Optional[int] = None):
-        """Mediate one message through ``rec``'s chains in ``order``.
+    def _walk(self, rec: AgentRecord, order, first, envelope: Optional[int] = None):
+        """Mediate a message or due obligation through ``order``; act on what passes.
 
-        ``first`` is the event the message submits to the first chain and
-        the peer ``(name, division, law)`` of its overlay. A chain passes
-        the message on by ops of type ``passes`` (``Forward`` or
-        ``Deliver``); ``relay(op)`` gives the event and peer such an op
-        submits to the next chain. Returns the ops the last chain passes
-        on, each with that chain, the ruling seqs, whether any ruling
+        ``first`` is the event submitted to the first chain and the peer
+        ``(name, division, law)`` of its overlay, or None for the base
+        overlay. A ``Forward`` submits the message it sends to the next
+        chain; past the last it goes on the wire, or to a dead letter if its
+        target is not adopted. A ``Deliver`` submits its arrival from the same
+        sender; past the last it reaches the actor under a ``deliver`` record,
+        from the peer citing ``envelope`` or, with none, from the agent citing
+        its ruling. Returns whether anything passed, whether any ruling
         audited, and the reason of the last block.
         """
         work = [(0, first)]
@@ -339,20 +311,43 @@ class ControllerPool:
         while work:
             pos, (event, peer) = work.pop(0)
             chain = order[pos]
-            overlay = self.overlays.peer(self.now, chain.path.leaf, *peer)
+            overlay = self.overlays.peer(self.now, chain.path.leaf, *peer) if peer \
+                else self.overlays.base(self.now)
             ruling, seq = self._mediate(rec, chain, event, overlay, envelope)
             seqs.append(seq)
             audited = audited or ruling.audits
             if ruling.block is not None:
                 reason = ruling.block.reason
                 continue
-            for o in ruling.ops:
-                if isinstance(o, passes):
-                    if pos + 1 < len(order):
-                        work.append((pos + 1, relay(o)))
-                    else:
-                        out.append((chain, o))
-        return out, seqs, audited, reason
+            for op in ruling.ops:
+                cls = op.__class__
+                if cls is not Forward and cls is not Deliver:
+                    continue
+                if pos + 1 == len(order):
+                    out.append((chain, op, seq))
+                elif cls is Forward:
+                    work.append((pos + 1, self._sent(op.target, op.payload)))
+                else:
+                    work.append((pos + 1, (Arrived(event.sender, event.sender_law, op.payload),
+                                           peer)))
+        passed = False
+        for chain, op, seq in out:
+            if op.__class__ is Deliver:
+                sender, cites = (first[1][0], {"envelope": envelope}) if envelope is not None \
+                    else (rec.name, {"ruling": seq})
+                self.trace.add("deliver", agent=rec.name, sender=sender,
+                               payload=op.payload.canonical(), **cites)
+                rec.actor.on_deliver(sender, op.payload)
+            elif op.target in self.agents:
+                env = Envelope(rec.name, rec.division, chain.path.leaf, op.target, op.payload)
+                self.net.send(env, self._arrive, seqs)
+            else:
+                # drawing no latency, so later envelopes keep their delivery times
+                self.trace.add("dead-letter", sender=rec.name, target=op.target,
+                               payload=op.payload.canonical())
+                continue
+            passed = True
+        return passed, audited, reason
 
     def _mediate(self, rec: AgentRecord, chain: Chain, event: Event, overlay,
                  envelope: Optional[int] = None, opens: bool = False):

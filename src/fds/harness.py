@@ -55,6 +55,7 @@ from .oracles import (
     rc_spacing_violations,
     RateControlReference,
     ring_token_oracle,
+    unruled_deliveries,
 )
 from .transport import Scheduler, SimNet, SimNetConfig, Trace
 
@@ -254,7 +255,7 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
         scheduler.schedule(entry.get("at", 0), guarded(do_adopt, "adopt", name))
 
     for entry in scenario.get("cast", []):
-        schedule_adoption(entry)
+        schedule_adoption(_checked(entry))
 
     # payloads may reference published laws symbolically: {law:d1} -> hash
     law_ref = re.compile(r"\{law:([\w-]+)\}")
@@ -274,11 +275,16 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
         elif action == "send-every":
             period, until, src, dst, text = _need(item, "period", "until", "from", "to",
                                                   "payload")
-            if type(period) is not int or period <= 0:
+            if period <= 0:
                 raise ScenarioError("send-every period must be a positive integer, not %r"
                                     % (period,))
             for i, t in enumerate(range(item.get("start", 0), until, period)):
-                payload = parse_term(text.format(i=i))
+                try:
+                    formatted = text.format(i=i)
+                except (LookupError, ValueError, AttributeError, TypeError) as exc:
+                    raise ScenarioError("%s has a payload that does not format with i=%d: %r"
+                                        % (RECORD_ENCODER.encode(item), i, exc)) from None
+                payload = parse_term(formatted)
                 scheduler.schedule(t, guarded(partial(pool.send, src, dst, payload), action, src))
         elif action == "quit":
             at, agent = _need(item, "at", "agent")
@@ -295,7 +301,7 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
             raise ScenarioError("unknown timeline action %r" % action)
 
     for item in scenario.get("timeline", []):
-        compile_action(item)
+        compile_action(_checked(item))
 
     scheduler.run(until=scenario.get("duration"))
 
@@ -312,6 +318,16 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
         name, params = (spec, {}) if isinstance(spec, str) else (spec["name"], spec.get("params", {}))
         report.verdicts[name] = check_assertion(name, report, params)
     return report
+
+
+def _checked(item) -> dict:
+    """A cast entry or timeline item: an object whose times are integers."""
+    if not isinstance(item, dict):
+        raise ScenarioError("%s is not an object" % RECORD_ENCODER.encode(item))
+    for key in ("at", "start", "until", "period"):
+        if key in item and type(item[key]) is not int:
+            raise ScenarioError("%s has a non-integer %r" % (RECORD_ENCODER.encode(item), key))
+    return item
 
 
 def _need(item: dict, *keys) -> tuple:
@@ -336,16 +352,9 @@ def _compile_random_traffic(item, seed, scheduler, pool, net, guarded):
         sender = rng.choice(senders)
         target = rng.choice(targets)
         payload = Term("order", ("i%d" % i, rng.randint(cost_lo, cost_hi)))
-        if rng.random() < rogue_prob:
-            scheduler.schedule(
-                t, guarded(lambda s=sender, g=target, p=payload: net.rogue_send(s, g, p),
-                           "random-traffic", sender)
-            )
-        else:
-            scheduler.schedule(
-                t, guarded(lambda s=sender, g=target, p=payload: pool.send(s, g, p),
-                           "random-traffic", sender)
-            )
+        submit = net.rogue_send if rng.random() < rogue_prob else pool.send
+        scheduler.schedule(t, guarded(partial(submit, sender, target, payload),
+                                      "random-traffic", sender))
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +428,10 @@ def _a_bc_rogue(report, params):
     if not rogues:
         return False, "no rogue attempts in this run"
     # rogue payloads bypass the controllers, so none may show up as a
-    # mediated delivery; every deliver record must cite a real envelope
-    unmediated = [r for r in report.records
-                  if r["type"] == "deliver" and "envelope" not in r]
+    # mediated delivery; every deliver record must stem from a deliver ruling
+    unmediated = unruled_deliveries(report.records)
     if unmediated:
-        return False, "deliveries without an envelope: %r" % unmediated[:3]
+        return False, "deliveries without a deliver ruling: %r" % unmediated[:3]
     return True, "%d rogue attempts stayed outside the mediated flow" % len(rogues)
 
 

@@ -580,12 +580,11 @@ def _ground(pt: PTerm, cur) -> Term:
 
 
 def _check_rule(rule: GroundRule):
-    bound = set()
-    for a in rule.pattern:
-        _collect_vars(a, bound)
+    # patterns hold no arithmetic (``_reject_arith``): matching binds all their variables
+    bound = {v for a in rule.pattern for v in _expr_vars(a)}
     for atom in rule.guard:
         if isinstance(atom, StateQuery):
-            _collect_vars(atom.pattern, bound)
+            bound.update(_expr_vars(atom.pattern))
         else:
             for side in (atom.left, atom.right):
                 for v in _expr_vars(side):
@@ -611,25 +610,18 @@ def _check_rule(rule: GroundRule):
                                      % (word, arg, rule.rule_id))
 
 
-def _collect_vars(node, acc: set):
-    if isinstance(node, Var):
-        acc.add(node.name)
-    elif isinstance(node, PTerm):
-        for a in node.args:
-            _collect_vars(a, acc)
-
-
 def _expr_vars(node):
-    if isinstance(node, Var):
+    cls = node.__class__
+    if cls is Var:
         yield node.name
-    elif isinstance(node, FunctorOf):
-        yield node.var.name
-    elif isinstance(node, BinExpr):
-        yield from _expr_vars(node.left)
-        yield from _expr_vars(node.right)
-    elif isinstance(node, PTerm):
+    elif cls is PTerm:
         for a in node.args:
             yield from _expr_vars(a)
+    elif cls is FunctorOf:
+        yield node.var.name
+    elif cls is BinExpr:
+        yield from _expr_vars(node.left)
+        yield from _expr_vars(node.right)
 
 
 def _op_vars(op):

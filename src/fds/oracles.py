@@ -351,20 +351,24 @@ def audit_mismatches(records, audit) -> List[str]:
     return ["expected %r" % (expected,), "audited %r" % (got,)]
 
 
+def unruled_deliveries(records) -> List[dict]:
+    """The deliver records no Deliver ruling accounts for: an arrival's
+    needs one on the envelope it cites, a due obligation's cites its own."""
+    covered = set()  # ("envelope", seq) and ("ruling", seq) of each delivering ruling
+    for r in records:
+        if r["type"] == "ruling" and "deliver" in r["ops"]:
+            covered.update((("envelope", r.get("envelope")), ("ruling", r["seq"])))
+    return [r for r in records if r["type"] == "deliver" and (("envelope", r["envelope"])
+            if "envelope" in r else ("ruling", r.get("ruling"))) not in covered]
+
+
 def mediation_violations(records, firewall: bool) -> List[str]:
     """Delivered payloads must stem from Deliver rulings; rogue flow must
     be absent (firewall on) or flagged and never audited (firewall off)."""
-    problems = []
-    rulings_by_env: Dict[int, List[dict]] = {}
+    problems = ["delivery at seq %d lacks a deliver ruling" % r["seq"]
+                for r in unruled_deliveries(records)]
     for r in records:
-        if r["type"] == "ruling" and "envelope" in r:
-            rulings_by_env.setdefault(r["envelope"], []).append(r)
-    for r in records:
-        if r["type"] == "deliver":
-            hits = rulings_by_env.get(r.get("envelope"), [])
-            if not any("deliver" in h.get("ops", "") for h in hits):
-                problems.append("delivery at seq %d lacks a deliver ruling" % r["seq"])
-        elif r["type"] == "rogue" and firewall:
+        if r["type"] == "rogue" and firewall:
             problems.append("rogue delivery at seq %d despite firewall" % r["seq"])
         elif r["type"] == "audit" and r.get("senderName") is None:
             problems.append("malformed audit record at seq %d" % r["seq"])

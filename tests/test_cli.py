@@ -77,6 +77,17 @@ class TestRunAndReplay:
         assert capsys.readouterr().err == (
             'error: {"action":"send","from":"a","payload":"m(1)","to":"b"} has no \'at\'\n')
 
+    def test_a_timeline_item_with_a_time_of_the_wrong_type_is_an_error(self, tmp_path, capsys):
+        scenario = json.loads(SCENARIO.read_text())
+        scenario["timeline"].append({"action": "send", "at": "5", "from": "a", "to": "b",
+                                     "payload": "m(1)"})
+        path = tmp_path / "string-at.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            'error: {"action":"send","at":"5","from":"a","payload":"m(1)","to":"b"} '
+            'has a non-integer \'at\'\n')
+
     @needs_limit
     def test_a_payload_integer_too_long_to_convert_is_an_error(self, tmp_path, capsys):
         scenario = json.loads(SCENARIO.read_text())

@@ -11,7 +11,7 @@ from fds.controller import (
     issue_certificate,
     verify_certificate,
 )
-from fds.core import Deliver, FdsError, Forward, ObligationDue, StateError, Term, parse_term
+from fds.core import FdsError, ObligationDue, StateError, Term, parse_term
 from fds.library import build_acme_hierarchy, make_token_ring_law
 from fds.lawlang import parse_law
 from fds.hierarchy import Framework, publish_laws
@@ -338,15 +338,7 @@ class ScanPool(ControllerPool):
                 continue
             chain = rec.chains[idx]
             del chain.obligations[canon]
-            ruling, rseq = self._mediate(rec, chain, ObligationDue(parse_term(canon)),
-                                         self.overlays.base(now))
-            if ruling.blocks():
-                continue
-            for op in ruling.ops:
-                if isinstance(op, Forward):
-                    self._emit(rec, chain, op, [rseq])
-                elif isinstance(op, Deliver):
-                    rec.actor.on_deliver(rec.name, op.payload)
+            self._walk(rec, (chain,), (ObligationDue(parse_term(canon)), None))
 
 
 class TestObligationClock:

@@ -131,11 +131,23 @@ class TestRunner:
                       "until": 9}, "has no 'period'"),
         ("timeline", {"action": "send-every", "from": "a", "to": "b", "payload": "m({i})",
                       "until": 9, "period": 0}, None),
+        ("timeline", {"action": "send", "at": "5", "from": "a", "to": "b", "payload": "m(2)"},
+         "has a non-integer 'at'"),
+        ("timeline", {"action": "send", "at": True, "from": "a", "to": "b", "payload": "m(2)"},
+         "has a non-integer 'at'"),
+        ("timeline", "send", "is not an object"),
+        ("cast", "c", "is not an object"),
+        ("timeline", {"action": "send-every", "from": "a", "to": "b", "payload": "m({i})",
+                      "until": "20", "period": 5}, "has a non-integer 'until'"),
+        ("timeline", {"action": "send-every", "from": "a", "to": "b", "payload": "m({j})",
+                      "until": 20, "period": 5},
+         "has a payload that does not format with i=0: KeyError('j')"),
     ], ids=["send-without-at", "cast-without-name", "send-every-without-period",
-            "period-zero"])
+            "period-zero", "at-string", "at-bool", "item-string", "cast-entry-string",
+            "until-string", "payload-unknown-field"])
     def test_a_malformed_cast_entry_or_timeline_item_is_a_scenario_error(
             self, section, entry, error):
-        # the item and the key it lacks are named before the run starts
+        # the item and what is wrong with it are named before the run starts
         message = "send-every period must be a positive integer, not 0" if error is None \
             else json.dumps(entry, sort_keys=True, separators=(",", ":")) + " " + error
         with pytest.raises(ScenarioError, match="^%s$" % re.escape(message)):
@@ -211,6 +223,31 @@ class TestRunner:
         state = report.actors["a"].pool.agents["a"].chains[0].state
         assert state.canonical() == rulings[0]["stateBefore"]
         assert replay_report(report) == (True, [])
+
+    def test_an_obligation_delivery_is_recorded_citing_its_ruling(self, tmp_path):
+        # a due obligation has no envelope, so its delivery cites the ruling
+        (tmp_path / "remind.law").write_text(
+            "law remind\ndefault pass\n"
+            "rule s aspect remind:send on sent(_, _, _) do { oblige reminder() in 3; forward }\n"
+            "rule o aspect remind:due on obligationDue(reminder()) do { deliver(reminder(1)) }\n")
+        scenario = {
+            "name": "remind", "seed": 1, "duration": 20,
+            "laws": {"bundle": "dir", "params": {"dir": str(tmp_path)}},
+            "cast": [{"name": "a", "law": "remind"}, {"name": "b", "law": "remind"}],
+            "timeline": [{"action": "send", "at": 5, "from": "a", "to": "b",
+                          "payload": "m(1)"}],
+            "assertions": ["mediation-complete", "replay-equiv"],
+        }
+        report = run_scenario(scenario)
+        due = [r for r in report.records if r["type"] == "ruling"
+               and r["event"] == "obligationDue"]
+        assert [(r["agent"], r["time"], r["ops"]) for r in due] == [
+            ("a", 8, "deliver(reminder(1))")]
+        delivered = [r for r in report.records if r["type"] == "deliver" and "ruling" in r]
+        assert [(r["agent"], r["sender"], r["payload"], r["ruling"]) for r in delivered] == [
+            ("a", "a", "reminder(1)", due[0]["seq"])]
+        assert report.actors["a"].deliveries == [(8, "a", parse_term("reminder(1)"))]
+        assert report.ok(), report.verdicts
 
     def test_metrics_report_median_per_law(self):
         report = run_scenario(MINI)
