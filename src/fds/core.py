@@ -3,7 +3,8 @@
 Terms, interactive events, ruling operations, per-agent control state and
 law identity by hash. Everything here is side-effect free, and no value is
 changed once built: terms and states refuse or never make a write, and the
-other value types are written only by their ``__init__``.
+other value types, slotted dataclasses declared with ``value``, are written
+only by their ``__init__``.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import hashlib
 import re
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError
-from typing import Iterable, Union
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import partial
+from typing import Iterable, Optional, Union
 
 
 class FdsError(Exception):
@@ -229,50 +231,21 @@ def _integer(text: str, m) -> int:
 
 
 # ---------------------------------------------------------------------------
-# value types
+# value types: agent names and law identity
 
 
-class Value:
-    """Base of the slotted value types: agent names, events, ops, rulings
-    and envelopes.
-
-    A subclass names its fields in ``_fields`` and its slots, the fields
-    and any kept beside them, in ``__slots__``; its plain ``__init__``
-    assigns each slot once, and nothing assigns one after. Equality,
-    hashing and ``repr`` are those of a frozen dataclass over ``_fields``,
-    per type: values of two types never compare equal.
-
-    The nine op types serve twice. In a ruling their fields hold values; in
-    a parsed rule (``lawlang.GroundRule.ops``) they hold the law's
-    expressions, with None for a bare ``forward``'s target and payload or a
-    bare ``deliver``'s payload, and ``""`` for a bare ``block``'s reason.
-    """
-
-    __slots__ = ()
-    _fields = ()
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "%s(%s)" % (self.__class__.__qualname__,
-                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields))
+# Every value type but ``Term`` is a slotted dataclass: equality, hashing and
+# ``repr`` are a frozen dataclass's, per type, so values of two types never
+# compare equal. It is not frozen, because a frozen dataclass writes each
+# field through ``object.__setattr__``; ``unsafe_hash`` is sound because
+# nothing assigns a field after ``__init__``.
+value = partial(dataclass, slots=True, unsafe_hash=True)
 
 
-# ---------------------------------------------------------------------------
-# agents and law identity
-
-
-class AgentName(Value):
-    __slots__ = _fields = ("name", "division")
+@value(init=False)
+class AgentName:
+    name: str
+    division: str
 
     def __init__(self, name: str, division: str = ""):
         if not name:
@@ -290,47 +263,37 @@ def hash_law(canonical_text: str) -> str:
 # interactive events
 
 
-class Adopted(Value):
-    __slots__ = _fields = ("cert",)  # cert(name, division, issuer)
+@value
+class Adopted:
+    cert: Term  # cert(name, division, issuer)
     kind = "adopted"
 
-    def __init__(self, cert: Term):
-        self.cert = cert
 
-
-class Sent(Value):
-    __slots__ = _fields = ("target", "payload")
+@value
+class Sent:
+    target: AgentName
+    payload: Term
     kind = "sent"
 
-    def __init__(self, target: AgentName, payload: Term):
-        self.target = target
-        self.payload = payload
 
-
-class Arrived(Value):
-    __slots__ = _fields = ("sender", "sender_law", "payload")
+@value
+class Arrived:
+    sender: AgentName
+    sender_law: str
+    payload: Term
     kind = "arrived"
 
-    def __init__(self, sender: AgentName, sender_law: str, payload: Term):
-        self.sender = sender
-        self.sender_law = sender_law
-        self.payload = payload
 
-
-class ObligationDue(Value):
-    __slots__ = _fields = ("name",)
+@value
+class ObligationDue:
+    name: Term
     kind = "obligationDue"
 
-    def __init__(self, name: Term):
-        self.name = name
 
-
-class ExceptionEvent(Value):
-    __slots__ = _fields = ("reason",)
+@value
+class ExceptionEvent:
+    reason: str
     kind = "exception"
-
-    def __init__(self, reason: str):
-        self.reason = reason
 
 
 Event = Union[Adopted, Sent, Arrived, ObligationDue, ExceptionEvent]
@@ -338,72 +301,62 @@ Event = Union[Adopted, Sent, Arrived, ObligationDue, ExceptionEvent]
 
 # ---------------------------------------------------------------------------
 # ruling operations
+#
+# The nine op types serve twice. In a ruling their fields hold values; in a
+# parsed rule (``lawlang.GroundRule.ops``) they hold the law's expressions,
+# with None for a bare ``forward``'s target and payload or a bare
+# ``deliver``'s payload, and ``""`` for a bare ``block``'s reason.
 
 
-class Forward(Value):
-    __slots__ = _fields = ("target", "payload")
-
-    def __init__(self, target: str, payload: Term):
-        self.target = target
-        self.payload = payload
+@value
+class Forward:
+    target: str
+    payload: Term
 
 
-class Deliver(Value):
-    __slots__ = _fields = ("payload",)
-
-    def __init__(self, payload: Term):
-        self.payload = payload
+@value
+class Deliver:
+    payload: Term
 
 
-class StateReplace(Value):
-    __slots__ = _fields = ("old", "new")
-
-    def __init__(self, old: Term, new: Term):
-        self.old = old
-        self.new = new
+@value
+class StateReplace:
+    old: Term
+    new: Term
 
 
-class StateAdd(Value):
-    __slots__ = _fields = ("term",)
-
-    def __init__(self, term: Term):
-        self.term = term
+@value
+class StateAdd:
+    term: Term
 
 
-class StateRemove(Value):
-    __slots__ = _fields = ("term",)
-
-    def __init__(self, term: Term):
-        self.term = term
+@value
+class StateRemove:
+    term: Term
 
 
-class ImposeObligation(Value):
-    __slots__ = _fields = ("name", "due_in")
-
-    def __init__(self, name: Term, due_in: int):
-        self.name = name
-        self.due_in = due_in
+@value
+class ImposeObligation:
+    name: Term
+    due_in: int
 
 
-class RepealObligation(Value):
-    __slots__ = _fields = ("name",)
-
-    def __init__(self, name: Term):
-        self.name = name
+@value
+class RepealObligation:
+    name: Term
 
 
-class AuditLog(Value):
-    __slots__ = ()
+@value
+class AuditLog:
+    pass
 
 
-class Block(Value):
-    __slots__ = _fields = ("reason",)
-
-    def __init__(self, reason: str = ""):
-        self.reason = reason
+@value
+class Block:
+    reason: str = ""
 
 
-def op_canonical(op: Value) -> str:
+def op_canonical(op) -> str:
     if isinstance(op, Forward):
         return "forward(%s,%s)" % (_render_arg(op.target), op.payload.canonical())
     if isinstance(op, Deliver):
@@ -564,18 +517,22 @@ def _drop(terms: dict, t: Term):
         del terms[t.functor]
 
 
-class Ruling(Value):
+@value(init=False)
+class Ruling:
     """The law's decision for one event: its ordered operations.
 
     Classified once, when built: ``block`` is its first ``Block`` op or
     None, ``audits`` whether an op is an ``AuditLog``, and ``obliges``
     whether an op imposes or repeals an obligation, so no caller scans
     ``ops`` for them. A ruling holds no state: ``commit`` applies its
-    state ops to the chain's state.
+    state ops to the chain's state. Equality, hashing and ``repr`` are
+    over ``ops`` alone.
     """
 
-    _fields = ("ops",)
-    __slots__ = _fields + ("block", "audits", "obliges")
+    ops: tuple
+    block: Optional[Block] = field(init=False, repr=False, compare=False)
+    audits: bool = field(init=False, repr=False, compare=False)
+    obliges: bool = field(init=False, repr=False, compare=False)
 
     def __init__(self, ops: tuple = ()):
         self.ops = ops

@@ -320,13 +320,21 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
     return report
 
 
+# the type of each key of a cast entry or timeline item that has one
+_KEY_TYPES = {"at": int, "start": int, "until": int, "period": int, "params": dict,
+              **dict.fromkeys(("from", "to", "payload", "agent", "name", "law", "division",
+                               "behavior"), str)}
+_TYPE_NAMES = {int: "integer", str: "string", dict: "object"}
+
+
 def _checked(item) -> dict:
-    """A cast entry or timeline item: an object whose times are integers."""
+    """A cast entry or timeline item: an object whose keys have their ``_KEY_TYPES``."""
     if not isinstance(item, dict):
         raise ScenarioError("%s is not an object" % RECORD_ENCODER.encode(item))
-    for key in ("at", "start", "until", "period"):
-        if key in item and type(item[key]) is not int:
-            raise ScenarioError("%s has a non-integer %r" % (RECORD_ENCODER.encode(item), key))
+    for key in item:
+        if key in _KEY_TYPES and type(item[key]) is not _KEY_TYPES[key]:
+            raise ScenarioError("%s has a non-%s %r" % (RECORD_ENCODER.encode(item),
+                                                        _TYPE_NAMES[_KEY_TYPES[key]], key))
     return item
 
 

@@ -51,6 +51,7 @@ from .core import (
     commit,
     quote,
     unquote,
+    value,
 )
 
 
@@ -142,7 +143,7 @@ class GroundRule:
     event_kind: str
     pattern: tuple  # arg patterns, arity fixed by event kind
     guard: tuple  # guard atoms
-    ops: tuple  # core ops whose fields hold law expressions (see core.Value)
+    ops: tuple  # core ops whose fields hold law expressions (see core's ruling operations)
 
     @cached_property
     def compiled(self) -> "CompiledRule":
@@ -625,7 +626,7 @@ def _expr_vars(node):
 
 
 def _op_vars(op):
-    for f in op._fields:
+    for f in op.__match_args__:
         yield from _expr_vars(getattr(op, f))
 
 
@@ -1082,14 +1083,15 @@ def in_force(ruling: Ruling, retained=()) -> Ruling:
     return ruling
 
 
+@value(init=False)
 class Evaluation(Ruling):
     """A ruling and the state it commits, as ``evaluate_law`` returns it."""
 
-    _fields = ("ops", "new_state")
-    __slots__ = ("new_state",)
+    new_state: ControlState
 
     def __init__(self, ops: tuple, new_state):
-        super().__init__(ops)
+        # not super(): its cell holds the class that dataclass replaced
+        Ruling.__init__(self, ops)
         self.new_state = new_state
 
 

@@ -38,10 +38,9 @@ class LawServer:
             return Term("lawError", (h, str(exc)))
         return Term("lawPath", (h, Term("path", tuple(path.hashes))))
 
-    def bind(self, pool, name: str = None):
+    def bind(self, pool, name: str):
         self._pool = pool
-        if name:
-            self.name = name
+        self.name = name
 
     def on_deliver(self, sender: str, payload: Term):
         reply = self.handle(payload)

@@ -14,24 +14,20 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import Term, Value
+from .core import Term, value
 
 
-class Envelope(Value):
+@value
+class Envelope:
     """One message on the wire: its sender's name, division and native law,
     its target's name, and the payload term the receiver rules on. The
     trace records the payload's canonical text."""
 
-    __slots__ = _fields = ("sender_name", "sender_division", "sender_law", "target",
-                           "payload")
-
-    def __init__(self, sender_name: str, sender_division: str, sender_law: str,
-                 target: str, payload: Term):
-        self.sender_name = sender_name
-        self.sender_division = sender_division
-        self.sender_law = sender_law
-        self.target = target
-        self.payload = payload
+    sender_name: str
+    sender_division: str
+    sender_law: str
+    target: str
+    payload: Term
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +37,7 @@ class Envelope(Value):
 class Trace:
     """Append-only run record; the replayable source of truth for a run."""
 
-    def __init__(self, now_fn: Callable[[], int] = lambda: 0):
+    def __init__(self, now_fn: Callable[[], int]):
         self.records: List[dict] = []
         self.now_fn = now_fn
 
@@ -63,8 +59,8 @@ class Trace:
 class Scheduler:
     """Logical-time event loop. Ties break by scheduling order."""
 
-    def __init__(self, start: int = 0):
-        self.now = start
+    def __init__(self):
+        self.now = 0
         self._heap: list = []
         self._seq = 0
         self._tickers: List[Callable[[int], None]] = []

@@ -88,6 +88,18 @@ class TestRunAndReplay:
             'error: {"action":"send","at":"5","from":"a","payload":"m(1)","to":"b"} '
             'has a non-integer \'at\'\n')
 
+    def test_a_timeline_item_with_a_target_of_the_wrong_type_is_an_error(self, tmp_path,
+                                                                          capsys):
+        scenario = json.loads(SCENARIO.read_text())
+        scenario["timeline"].append({"action": "send", "at": 5, "from": "a", "to": 7,
+                                     "payload": "m(1)"})
+        path = tmp_path / "integer-to.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            'error: {"action":"send","at":5,"from":"a","payload":"m(1)","to":7} '
+            'has a non-string \'to\'\n')
+
     @needs_limit
     def test_a_payload_integer_too_long_to_convert_is_an_error(self, tmp_path, capsys):
         scenario = json.loads(SCENARIO.read_text())
@@ -116,8 +128,15 @@ class TestRunAndReplay:
          "laws: root law must declare a default directive"),
         (lambda data: _edit_law(data, "oblige expire(Tk) in 80", "oblige expire(Tk) in 81"),
          "laws: law text does not hash to "),
+        # replay builds each overlay from the records before its ruling
+        (lambda data: _first_ruling(data, "sent", lambda r: r.update(
+            overlay=r["overlay"] + ";zz(1)")), ": overlay "),
+        # and re-derives each blocked flag
+        (lambda data: _first_ruling(data, "sent", lambda r: r.update(
+            blocked=not r["blocked"])), ": blocked "),
     ], ids=["not-json", "not-an-object", "no-laws", "law-not-text", "no-trace", "short-eventArgs",
-            "no-envelope", "unknown-envelope", "law-unparsable", "law-rule-edited"])
+            "no-envelope", "unknown-envelope", "law-unparsable", "law-rule-edited",
+            "overlay-edited", "blocked-flipped"])
     def test_a_malformed_report_fails_replay(self, tamper, problem, tmp_path, capsys):
         data = tamper(json.loads(_report_text()))
         trace = tmp_path / "trace.json"

@@ -142,9 +142,25 @@ class TestRunner:
         ("timeline", {"action": "send-every", "from": "a", "to": "b", "payload": "m({j})",
                       "until": 20, "period": 5},
          "has a payload that does not format with i=0: KeyError('j')"),
+        ("timeline", {"action": "send", "at": 2, "from": ["a"], "to": "b", "payload": "m(2)"},
+         "has a non-string 'from'"),
+        ("timeline", {"action": "send", "at": 2, "from": "a", "to": 7, "payload": "m(2)"},
+         "has a non-string 'to'"),
+        ("timeline", {"action": "send", "at": 2, "from": "a", "to": "b", "payload": 5},
+         "has a non-string 'payload'"),
+        ("timeline", {"action": "quit", "at": 2, "agent": ["a"]}, "has a non-string 'agent'"),
+        ("timeline", {"action": "stack-adopt", "at": 2, "agent": "a", "law": 5},
+         "has a non-string 'law'"),
+        ("cast", {"name": 5, "law": "d1"}, "has a non-string 'name'"),
+        ("cast", {"name": "c", "division": 5, "law": "d1"}, "has a non-string 'division'"),
+        ("cast", {"name": "c", "law": "d1", "behavior": ["sink"]},
+         "has a non-string 'behavior'"),
+        ("cast", {"name": "c", "law": "d1", "params": 5}, "has a non-object 'params'"),
     ], ids=["send-without-at", "cast-without-name", "send-every-without-period",
             "period-zero", "at-string", "at-bool", "item-string", "cast-entry-string",
-            "until-string", "payload-unknown-field"])
+            "until-string", "payload-unknown-field", "from-list", "to-integer",
+            "payload-integer", "agent-list", "law-integer", "name-integer",
+            "division-integer", "behavior-list", "params-integer"])
     def test_a_malformed_cast_entry_or_timeline_item_is_a_scenario_error(
             self, section, entry, error):
         # the item and what is wrong with it are named before the run starts

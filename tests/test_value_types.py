@@ -1,9 +1,10 @@
-"""The slotted value types of ``fds.core`` and ``fds.transport`` against
-frozen-dataclass twins, and the classification a ``Ruling`` makes of its ops."""
+"""The slotted dataclass value types of ``fds.core`` and ``fds.transport``
+against frozen-dataclass twins, and the classification a ``Ruling`` makes of
+its ops."""
 
 import copy
 import pickle
-from dataclasses import make_dataclass
+from dataclasses import is_dataclass, make_dataclass
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,6 @@ from fds.core import (
     StateRemove,
     StateReplace,
     Term,
-    Value,
 )
 from fds.transport import Envelope
 
@@ -39,7 +39,7 @@ TYPES = (AgentName, Envelope) + EVENTS + OPS
 
 
 def _twin_class(cls):
-    twin = make_dataclass(cls.__name__, [(f, object) for f in cls._fields], frozen=True)
+    twin = make_dataclass(cls.__name__, [(f, object) for f in cls.__match_args__], frozen=True)
     twin.__qualname__ = cls.__qualname__
     return twin
 
@@ -51,8 +51,8 @@ def _twin(v):
     """``v`` as an instance of its type's frozen-dataclass twin, nested
     values included; terms are their own twins (``test_core`` checks them
     against theirs)."""
-    if isinstance(v, Value):
-        return TWINS[v.__class__](*[_twin(getattr(v, f)) for f in v._fields])
+    if is_dataclass(v):
+        return TWINS[v.__class__](*[_twin(getattr(v, f)) for f in v.__match_args__])
     return v
 
 
@@ -75,7 +75,7 @@ FIELDS = {
 
 def values(cls):
     """Instances of ``cls`` over a few field values, so equal fields recur."""
-    return st.builds(cls, *[FIELDS.get(f, TERMS) for f in cls._fields])
+    return st.builds(cls, *[FIELDS.get(f, TERMS) for f in cls.__match_args__])
 
 
 ANY_VALUE = st.one_of(*[values(cls) for cls in TYPES])
@@ -89,12 +89,12 @@ class TestValueTypes:
             assert (x != y) == (_twin(x) != _twin(y))
             assert hash(x) == hash(_twin(x))
             assert repr(x) == repr(_twin(x))
-        assert a != _twin(a) and a != a._key()
+        assert a != _twin(a) and a != tuple(getattr(a, f) for f in a.__match_args__)
 
     @pytest.mark.parametrize("arity", [1, 2])
     def test_types_with_equal_fields_compare_unequal(self, arity):
         args = (Term("m", (1,)), Term("n"))[:arity]
-        same = [cls(*args) for cls in TYPES if len(cls._fields) == arity]
+        same = [cls(*args) for cls in TYPES if len(cls.__match_args__) == arity]
         assert len(same) >= 5
         for a, b in combinations(same, 2):
             assert a != b and not a == b, (a, b)
@@ -116,18 +116,38 @@ class TestValueTypes:
 
 
 OP_VALUES = st.one_of(*[values(cls) for cls in OPS])
+OP_TUPLES = st.lists(OP_VALUES, max_size=6).map(tuple)
+# a ruling's twin is over its ops alone: its classification is derived
+RULING_TWIN = make_dataclass("Ruling", [("ops", object)], frozen=True)
+
+
+def _classified(r):
+    """``r``'s classification, checked against a plain scan of its ops."""
+    ops = r.ops
+    assert r.block is next((o for o in ops if isinstance(o, Block)), None)
+    assert r.blocks() == any(isinstance(o, Block) for o in ops)
+    assert r.audits == any(isinstance(o, AuditLog) for o in ops)
+    assert r.obliges == any(isinstance(o, (ImposeObligation, RepealObligation))
+                            for o in ops)
+    return r.block, r.audits, r.obliges
 
 
 class TestRulingClassification:
-    @given(st.lists(OP_VALUES, max_size=6).map(tuple))
-    def test_fields_equal_a_plain_scan_of_the_ops(self, ops):
+    @given(OP_TUPLES, OP_TUPLES)
+    def test_fields_equal_a_plain_scan_of_the_ops(self, ops, others):
         r = Ruling(ops)
-        assert r.block is next((o for o in ops if isinstance(o, Block)), None)
-        assert r.blocks() == any(isinstance(o, Block) for o in ops)
-        assert r.audits == any(isinstance(o, AuditLog) for o in ops)
-        assert r.obliges == any(isinstance(o, (ImposeObligation, RepealObligation))
-                                for o in ops)
+        fields = _classified(r)
         assert r.ops is ops
+        # copies and pickles keep the classification, and compare, hash and
+        # print like a frozen dataclass over ops
+        for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert c.__class__ is Ruling and c.ops == ops
+            assert _classified(c) == fields
+            assert c == r and hash(c) == hash(r) and repr(c) == repr(r)
+        twin, other = RULING_TWIN(ops), Ruling(others)
+        assert (r == other) == (twin == RULING_TWIN(others))
+        assert (r != other) == (twin != RULING_TWIN(others))
+        assert hash(r) == hash(twin) and repr(r) == repr(twin)
 
     def test_eq_repr_and_hash_are_over_ops(self):
         r = Ruling((Block("x"), AuditLog()))
