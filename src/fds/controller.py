@@ -112,58 +112,69 @@ class AgentRecord:
     chains: List[Chain]
 
 
+@dataclass
+class Overlay:
+    """The overlay of one ruling: its terms, the map of each functor to its
+    terms that a view shares, and the text its ruling record keeps."""
+
+    terms: Tuple[Term, ...]
+    groups: Dict[str, tuple]
+    text: str
+
+
+def _overlay(*terms: Term) -> Overlay:
+    """The overlay of ``terms``, each of its own functor."""
+    return Overlay(terms, {t.functor: (t,) for t in terms},
+                   ";".join([t.canonical() for t in terms]))
+
+
 class Overlays:
     """The overlay rule: the terms the framework, not the law, supplies to
     a ruling. A ruling on no message sees the clock; one on a message also
     sees its peer's name, division and native law, and whether that law is
     the chain's own. The controller and replay both build overlays here.
-    Terms are built once and keep their text: one clock term per clock
-    value, four peer terms per (peer, division, law, same).
+    Each part is built once, with its map and its text: the clock part once
+    per clock value, the four peer terms once per (peer, division, law,
+    same). An overlay on a message joins the two parts.
     """
 
-    __slots__ = ("_clock", "_peers")
+    __slots__ = ("_now", "_clock", "_peers")
 
     def __init__(self):
-        self._clock = Term("clock", (0,))
-        self._peers: Dict[tuple, Tuple[Term, ...]] = {}
+        self._now = None
+        self._peers: Dict[tuple, Overlay] = {}
 
-    def base(self, now: int) -> Tuple[Term, ...]:
+    def base(self, now: int) -> Overlay:
         """The overlay of a ruling at ``now`` on no message."""
-        clock = self._clock
-        if clock.args[0] != now:
-            clock = self._clock = Term("clock", (now,))
-        return (clock,)
+        if now != self._now:
+            self._now, self._clock = now, _overlay(Term("clock", (now,)))
+        return self._clock
 
-    def peer(self, now: int, law: str, name: str, division: str,
-             peer_law: str) -> Tuple[Term, ...]:
+    def peer(self, now: int, law: str, name: str, division: str, peer_law: str) -> Overlay:
         """The overlay of a ruling at ``now`` of a chain under ``law`` on a
         message whose peer is ``name`` of ``division`` under ``peer_law``."""
         same = 1 if peer_law == law else 0
         key = (name, division, peer_law, same)
-        terms = self._peers.get(key)
-        if terms is None:
-            terms = self._peers[key] = (
-                Term("peerName", (name,)),
-                Term("peerDivision", (division,)),
-                Term("peerLaw", (peer_law,)),
-                Term("peerSameLaw", (same,)),
-            )
-        return self.base(now) + terms
+        part = self._peers.get(key)
+        if part is None:
+            part = self._peers[key] = _overlay(
+                Term("peerName", (name,)), Term("peerDivision", (division,)),
+                Term("peerLaw", (peer_law,)), Term("peerSameLaw", (same,)))
+        clock = self.base(now)
+        return Overlay(clock.terms + part.terms, {**clock.groups, **part.groups},
+                       clock.text + ";" + part.text)
 
 
-def ruling_fields(view, overlay, ruling) -> dict:
+def ruling_fields(view, overlay: Overlay, ruling) -> dict:
     """The fields of a ruling record that follow from the event ``view``
     (as ``event_args`` gave it), the ``overlay`` and the derived ``ruling``,
     terms by their text. The controller records them and replay checks
     each, so a field added here is recorded and checked alike."""
     kind, args = view
-    text = list(args)
-    # a loop and a map, not comprehensions, which would add frames to every ruling
-    for i, a in enumerate(args):
-        if isinstance(a, Term):
-            text[i] = a.canonical()
-    return {"event": kind, "eventArgs": text, "overlay": ";".join(map(Term.canonical, overlay)),
-            "ops": ruling.canonical_ops(), "blocked": ruling.block is not None}
+    return {"event": kind, "eventArgs": [a.canonical() if a.__class__ is Term else a
+                                         for a in args],
+            "overlay": overlay.text, "ops": ruling.canonical_ops(),
+            "blocked": ruling.block is not None}
 
 
 class ControllerPool:
@@ -207,8 +218,8 @@ class ControllerPool:
             bind(self, name)
         self.agents[name] = rec
         self.net.register_actor(name, actor)
-        self.trace.add("adopt", agent=name, division=cert.division,
-                       laws=[c.path.leaf for c in rec.chains])
+        self.trace.add("adopt", {"agent": name, "division": cert.division,
+                                 "laws": [c.path.leaf for c in rec.chains]})
         return rec
 
     def stack_adopt(self, name: str, second: str) -> AgentRecord:
@@ -229,14 +240,14 @@ class ControllerPool:
                              self.overlays.base(self.now), opens=opens)[0].blocks():
                 raise AdoptionError("stack-refused: %s" % name)
         rec.chains.append(chain)
-        self.trace.add("stack-adopt", agent=name, law=path.leaf)
+        self.trace.add("stack-adopt", {"agent": name, "law": path.leaf})
         return rec
 
     def quit(self, name: str):
         if name not in self.agents:
             raise FdsError("unknown-agent: %s" % name)
         del self.agents[name]
-        self.trace.add("quit", agent=name)
+        self.trace.add("quit", {"agent": name})
 
     # -- outbound ----------------------------------------------------------
 
@@ -266,8 +277,9 @@ class ControllerPool:
         name = env.target
         rec = self.agents.get(name)
         if rec is None:
-            self.trace.add("dead-letter", sender=env.sender_name, target=name,
-                           payload=env.payload.canonical(), envelope=env_seq)
+            self.trace.add("dead-letter", {"sender": env.sender_name, "target": name,
+                                           "payload": env.payload.canonical(),
+                                           "envelope": env_seq})
             return
         peer = (env.sender_name, env.sender_division, env.sender_law)
         arrived = Arrived(AgentName(*peer[:2]), env.sender_law, env.payload)
@@ -306,13 +318,14 @@ class ControllerPool:
         its ruling. Returns whether anything passed, whether any ruling
         audited, and the reason of the last block.
         """
+        now, overlays = self.now, self.overlays
         work = [(0, first)]
         out, seqs, audited, reason = [], [], False, None
-        while work:
-            pos, (event, peer) = work.pop(0)
+        # the loop also reaches what it appends to ``work``
+        for pos, (event, peer) in work:
             chain = order[pos]
-            overlay = self.overlays.peer(self.now, chain.path.leaf, *peer) if peer \
-                else self.overlays.base(self.now)
+            overlay = overlays.peer(now, chain.path.leaf, *peer) if peer \
+                else overlays.base(now)
             ruling, seq = self._mediate(rec, chain, event, overlay, envelope)
             seqs.append(seq)
             audited = audited or ruling.audits
@@ -335,48 +348,48 @@ class ControllerPool:
             if op.__class__ is Deliver:
                 sender, cites = (first[1][0], {"envelope": envelope}) if envelope is not None \
                     else (rec.name, {"ruling": seq})
-                self.trace.add("deliver", agent=rec.name, sender=sender,
-                               payload=op.payload.canonical(), **cites)
+                self.trace.add("deliver", {"agent": rec.name, "sender": sender,
+                                           "payload": op.payload.canonical(), **cites})
                 rec.actor.on_deliver(sender, op.payload)
             elif op.target in self.agents:
                 env = Envelope(rec.name, rec.division, chain.path.leaf, op.target, op.payload)
                 self.net.send(env, self._arrive, seqs)
             else:
                 # drawing no latency, so later envelopes keep their delivery times
-                self.trace.add("dead-letter", sender=rec.name, target=op.target,
-                               payload=op.payload.canonical())
+                self.trace.add("dead-letter", {"sender": rec.name, "target": op.target,
+                                               "payload": op.payload.canonical()})
                 continue
             passed = True
         return passed, audited, reason
 
-    def _mediate(self, rec: AgentRecord, chain: Chain, event: Event, overlay,
+    def _mediate(self, rec: AgentRecord, chain: Chain, event: Event, overlay: Overlay,
                  envelope: Optional[int] = None, opens: bool = False):
         """Derive ``chain``'s ruling on ``event``, record it and commit it.
 
-        ``commit`` gives the state to commit before the ruling is recorded,
-        so a law error in its state ops leaves no ruling record; a refused
-        adoption commits neither state nor obligation ops. Only the ruling
-        that ``opens`` the chain records the state it starts from; replay
-        derives every later state from it and the recorded ops. Returns the
-        ruling and the seq of its trace record.
+        The ruling is derived in one view of the chain's state and the
+        ``overlay``'s map. ``commit`` gives the state to commit before the
+        ruling is recorded, as one dict, so a law error in its state ops
+        leaves no ruling record; a refused adoption commits neither state
+        nor obligation ops. Only the ruling that ``opens`` the chain records
+        the state it starts from; replay derives every later state from it
+        and the recorded ops. Returns the ruling and the seq of its trace
+        record.
         """
-        path = chain.path
-        before = chain.state
-        state = before.with_overlay(overlay)
+        path, before = chain.path, chain.state
+        leaf = path.leaf
+        state = before.overlaid(overlay.groups)
         t0 = _time.perf_counter_ns()
         view = event_args(event, state)
         ruling = derive_ruling(path, event, state, view)
         after = commit(state, view[0], ruling)
-        self.metrics.append((path.leaf, _time.perf_counter_ns() - t0))
-        seq = self.trace.add(
-            "ruling",
-            agent=rec.name,
-            chain=chain.idx,
-            law=path.leaf,
-            **ruling_fields(view, overlay, ruling),
-            **({"envelope": envelope} if envelope is not None else {}),
-            **({"stateBefore": before.canonical()} if opens else {}),
-        )
+        self.metrics.append((leaf, _time.perf_counter_ns() - t0))
+        record = {"agent": rec.name, "chain": chain.idx, "law": leaf,
+                  **ruling_fields(view, overlay, ruling)}
+        if envelope is not None:
+            record["envelope"] = envelope
+        if opens:
+            record["stateBefore"] = before.canonical()
+        seq = self.trace.add("ruling", record)
         if after is None:
             return ruling, seq
         chain.state = after
@@ -401,5 +414,5 @@ class ControllerPool:
                       payload: Term):
         entry = {"senderName": sender, "senderDivision": division, "senderLaw": law,
                  "target": target, "payloadFunctor": payload.functor}
-        self.trace.add("audit", auditSeq=len(self.audit), **entry)
+        self.trace.add("audit", {"auditSeq": len(self.audit), **entry})
         self.audit.append(dict(entry, seq=len(self.audit), time=self.now))

@@ -56,7 +56,7 @@ class Term:
         text = self._text
         if text is None:
             if self.args:
-                text = "%s(%s)" % (self.functor, ",".join(_render_arg(a) for a in self.args))
+                text = "%s(%s)" % (self.functor, ",".join(map(_render_arg, self.args)))
             else:
                 text = self.functor
             _set_text(self, text)
@@ -95,17 +95,17 @@ _set_text = Term._text.__set__
 
 
 def _render_arg(a: TermArg) -> str:
-    if isinstance(a, bool):
-        raise TermSyntaxError("boolean term arguments are not supported")
-    if isinstance(a, int):
-        return str(a)
-    if isinstance(a, str):
-        return quote(a)
-    if isinstance(a, Term):
+    cls = a.__class__
+    if cls is Term:
         # nested, a zero-arity term keeps its parentheses: a bare atom reads
         # as a string
         return a.canonical() if a.args else a.functor + "()"
-    raise TermSyntaxError("unsupported term argument: %r" % (a,))
+    if cls is int:
+        return str(a)
+    if cls is str:
+        return quote(a)
+    raise TermSyntaxError("boolean term arguments are not supported" if cls is bool
+                          else "unsupported term argument: %r" % (a,))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,9 @@ _unescape = re.compile(_ESCAPE, re.DOTALL).sub
 
 def quote(s: str) -> str:
     """A string as a string token."""
-    return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
+    if "\\" in s or '"' in s:
+        s = s.replace("\\", "\\\\").replace('"', '\\"')
+    return '"%s"' % s
 
 
 def unquote(token: str) -> str:
@@ -356,26 +358,16 @@ class Block:
     reason: str = ""
 
 
-def op_canonical(op) -> str:
-    if isinstance(op, Forward):
-        return "forward(%s,%s)" % (_render_arg(op.target), op.payload.canonical())
-    if isinstance(op, Deliver):
-        return "deliver(%s)" % op.payload.canonical()
-    if isinstance(op, StateReplace):
-        return "replace %s <- %s" % (op.old.canonical(), op.new.canonical())
-    if isinstance(op, StateAdd):
-        return "add %s" % op.term.canonical()
-    if isinstance(op, StateRemove):
-        return "remove %s" % op.term.canonical()
-    if isinstance(op, ImposeObligation):
-        return "oblige %s in %d" % (op.name.canonical(), op.due_in)
-    if isinstance(op, RepealObligation):
-        return "repeal %s" % op.name.canonical()
-    if isinstance(op, AuditLog):
-        return "audit"
-    if isinstance(op, Block):
-        return "block(%s)" % _render_arg(op.reason)
-    raise FdsError("unknown operation %r" % (op,))
+# each op type's own ``canonical()``: its text in a ruling record's ``ops``
+Forward.canonical = lambda op: "forward(%s,%s)" % (quote(op.target), op.payload.canonical())
+Deliver.canonical = lambda op: "deliver(%s)" % op.payload.canonical()
+StateReplace.canonical = lambda op: "replace %s <- %s" % (op.old.canonical(), op.new.canonical())
+StateAdd.canonical = lambda op: "add " + op.term.canonical()
+StateRemove.canonical = lambda op: "remove " + op.term.canonical()
+ImposeObligation.canonical = lambda op: "oblige %s in %d" % (op.name.canonical(), op.due_in)
+RepealObligation.canonical = lambda op: "repeal " + op.name.canonical()
+AuditLog.canonical = lambda op: "audit"
+Block.canonical = lambda op: "block(%s)" % quote(op.reason)
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +388,17 @@ class ControlState:
 
     - ``add``, ``replace`` and ``remove`` copy the functor dict and rebuild
       only the bucket they touch, inserting at the sorted position.
-    - ``with_overlay`` and ``without_overlay`` share the base dict and
-      change only the overlay.
+    - ``overlaid`` shares the base dict and an overlay map, as
+      ``controller.Overlays`` builds it once, and keeps the base state in
+      ``_base``, for ``commit``. ``with_overlay`` groups overlay terms into
+      such a map, and ``without_overlay`` drops the overlay.
     - Building a state from an iterable sorts each bucket once.
     - ``canonical()`` is computed at most once per state, by joining the
       terms' kept texts, and versions that differ only in their overlay
       share it. Buckets sort and bisect on the same kept texts.
     """
 
-    __slots__ = ("_terms", "multi", "_overlay", "_canonical")
+    __slots__ = ("_terms", "multi", "_overlay", "_canonical", "_base")
 
     def __init__(self, terms: Iterable[Term] = (), multi: frozenset = frozenset()):
         buckets = {}
@@ -419,14 +413,16 @@ class ControlState:
                        for f, b in buckets.items()}
         self._overlay = {}
         self._canonical = None
+        self._base = None
 
-    def _version(self, terms: dict, overlay: dict, canonical=None) -> "ControlState":
+    def _version(self, terms: dict, overlay: dict, canonical=None, base=None) -> "ControlState":
         """A new state over the given (shared, never mutated) dicts."""
         st = ControlState.__new__(ControlState)
         st.multi = self.multi
         st._terms = terms
         st._overlay = overlay
         st._canonical = canonical
+        st._base = base
         return st
 
     def terms(self):
@@ -442,8 +438,17 @@ class ControlState:
             return self._overlay[functor]
         return self._terms.get(functor, ())
 
+    def overlaid(self, overlay: dict) -> "ControlState":
+        """This state seen with ``overlay`` (each overlay functor to its
+        terms) in place of any overlay it has."""
+        return self._version(self._terms, overlay, self._canonical,
+                             self._base if self._overlay else self)
+
     def with_overlay(self, terms: Iterable[Term]) -> "ControlState":
-        return self._version(self._terms, _group(terms), self._canonical)
+        overlay = {}
+        for t in terms:
+            overlay.setdefault(t.functor, []).append(t)
+        return self.overlaid(overlay)
 
     def without_overlay(self) -> "ControlState":
         if not self._overlay:
@@ -495,14 +500,6 @@ class ControlState:
         return "ControlState{%s}" % self.canonical()
 
 
-def _group(terms: Iterable[Term]) -> dict:
-    """Overlay terms by functor, in the order given."""
-    out = {}
-    for t in terms:
-        out.setdefault(t.functor, []).append(t)
-    return out
-
-
 def _drop(terms: dict, t: Term):
     """Remove ``t`` from its bucket of ``terms`` (a private copy)."""
     bucket = terms.get(t.functor, ())
@@ -552,7 +549,7 @@ class Ruling:
         return self.block is not None
 
     def canonical_ops(self) -> str:
-        return ";".join(op_canonical(o) for o in self.ops)
+        return ";".join([o.canonical() for o in self.ops])
 
 
 def commit(view: ControlState, kind: str, ruling: Ruling):
@@ -561,16 +558,21 @@ def commit(view: ControlState, kind: str, ruling: Ruling):
     overlay). A ruling that blocks an ``adopted`` event commits nothing
     (None): the adoption is refused. Any other, blocked or not, commits its
     state ops, applied in order in ``view``, so writing an overlay term is a
-    ``read-only term`` error. Its other ops are the controller's business.
+    ``read-only term`` error. A ruling with no state op commits the very
+    state ``view`` overlays, so it builds no state. Its other ops are the
+    controller's business.
     """
     if ruling.block is not None and kind == "adopted":
         return None
     st = view
     for op in ruling.ops:
-        if isinstance(op, StateReplace):
+        cls = op.__class__
+        if cls is StateReplace:
             st = st.replace(op.old, op.new)
-        elif isinstance(op, StateAdd):
+        elif cls is StateAdd:
             st = st.add(op.term)
-        elif isinstance(op, StateRemove):
+        elif cls is StateRemove:
             st = st.remove(op.term)
-    return st.without_overlay()
+    if st is view and view._base is not None:
+        return view._base
+    return st._version(st._terms, {}, st._canonical) if st._overlay else st

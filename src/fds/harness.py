@@ -201,8 +201,7 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
     netc["firewall"] = firewall
     scenario = dict(scenario, net=netc, seed=seed)
     latency, order = netc.get("latency", [1, 1]), netc.get("order", "fifo-per-pair")
-    if not (isinstance(latency, (list, tuple)) and len(latency) == 2
-            and all(type(v) is int for v in latency) and 0 <= latency[0] <= latency[1]):
+    if not (_range(latency) and latency[0] >= 0):
         raise ScenarioError("net latency must be two integers lo, hi with 0 <= lo <= hi, "
                             "not %r" % (latency,))
     if order not in ("fifo-per-pair", "random-seeded"):
@@ -228,7 +227,7 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
             try:
                 fn()
             except FdsError as exc:
-                trace.add("action-error", action=action, agent=agent, error=str(exc))
+                trace.add("action-error", {"action": action, "agent": agent, "error": str(exc)})
 
         return run
 
@@ -320,21 +319,41 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
     return report
 
 
+def _range(v) -> bool:  # two integers lo, hi with lo <= hi
+    return (isinstance(v, (list, tuple)) and len(v) == 2
+            and type(v[0]) is type(v[1]) is int and v[0] <= v[1])
+
+
+def _strings(v) -> bool:
+    return type(v) is list and all(type(s) is str for s in v)
+
+
 # the type of each key of a cast entry or timeline item that has one
-_KEY_TYPES = {"at": int, "start": int, "until": int, "period": int, "params": dict,
+_KEY_TYPES = {**dict.fromkeys(("at", "start", "until", "period", "count", "seedOffset"), int),
               **dict.fromkeys(("from", "to", "payload", "agent", "name", "law", "division",
-                               "behavior"), str)}
+                               "behavior"), str), "params": dict}
 _TYPE_NAMES = {int: "integer", str: "string", dict: "object"}
+# the kind and the test of each other key that has one: an agent list is a
+# non-empty list of strings
+_KEY_TESTS = {"rogueProb": ("number", lambda v: type(v) in (int, float)),
+              "gap": ("range", _range), "costRange": ("range", _range),
+              "stack": ("string-list", _strings),
+              **dict.fromkeys(("senders", "targets"), ("agent-list", lambda v: v and _strings(v)))}
 
 
 def _checked(item) -> dict:
-    """A cast entry or timeline item: an object whose keys have their ``_KEY_TYPES``."""
+    """A cast entry or timeline item: an object whose keys have their
+    ``_KEY_TYPES`` and pass their ``_KEY_TESTS``."""
     if not isinstance(item, dict):
         raise ScenarioError("%s is not an object" % RECORD_ENCODER.encode(item))
     for key in item:
         if key in _KEY_TYPES and type(item[key]) is not _KEY_TYPES[key]:
-            raise ScenarioError("%s has a non-%s %r" % (RECORD_ENCODER.encode(item),
-                                                        _TYPE_NAMES[_KEY_TYPES[key]], key))
+            kind = _TYPE_NAMES[_KEY_TYPES[key]]
+        elif key in _KEY_TESTS and not _KEY_TESTS[key][1](item[key]):
+            kind = _KEY_TESTS[key][0]
+        else:
+            continue
+        raise ScenarioError("%s has a non-%s %r" % (RECORD_ENCODER.encode(item), kind, key))
     return item
 
 
@@ -536,7 +555,8 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     ruling's overlay and event are built by the controller's rule (``Overlays``)
     from the ruling's ``time`` and its peer: a send's target as its latest
     ``adopt`` record gives it, or the sender of the envelope an arrival
-    cites.
+    cites. An arrival whose payload text is the one its send's rulings
+    parsed takes their term.
 
     Every field the controller's ``ruling_fields`` derives from a ruling is
     compared with its record, one loop over them all, each difference
@@ -554,6 +574,8 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     open_chains: Dict[str, Dict[tuple, ControlState]] = {}
     natives: Dict[str, Tuple[str, str]] = {}  # agent -> (division, native law)
     envelopes: Dict[int, dict] = {}  # seq -> envelope record
+    # (envelope seq, payload text) -> the payload term its send's rulings parsed
+    carried: Dict[Tuple[int, str], Term] = {}
     overlays = Overlays()
     # one-entry memo: the rulings of one message on its chains follow each
     # other and share its payload text
@@ -564,6 +586,7 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
             if kind != "ruling":
                 if kind == "envelope":
                     envelopes[rec["seq"]] = rec
+                    carried[rec["seq"], payload_text] = payload
                 elif kind == "adopt":
                     natives[rec["agent"]] = (rec["division"], rec["laws"][0])
                 elif kind == "quit":
@@ -585,15 +608,17 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
                 else chains[key]
             if event == "sent" or event == "arrived":
                 if args[1] != payload_text:
-                    payload, payload_text = parse_term(args[1]), args[1]
-                name, division, law = peer = _peer(rec, args, natives, envelopes)
+                    payload_text = args[1]
+                    payload = carried.pop((rec.get("envelope"), payload_text), None) \
+                        or parse_term(payload_text)
+                name, division, law = _peer(rec, args, natives, envelopes)
                 happened = Sent(AgentName(name, division), payload) if event == "sent" \
                     else Arrived(AgentName(name, division), law, payload)
-                overlay = overlays.peer(rec["time"], rec["law"], *peer)
+                overlay = overlays.peer(rec["time"], rec["law"], name, division, law)
             else:
                 happened = _other_event(event, args[0])
                 overlay = overlays.base(rec["time"])
-            view = state.with_overlay(overlay)
+            view = state.overlaid(overlay.groups)
             seen = event_args(happened, view)
             ruling = derive_ruling(path, happened, view, seen)
             fields = ruling_fields(seen, overlay, ruling)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .core import Block, Deliver, Forward, StateReplace, Term, op_canonical, parse_term
+from .core import Block, Deliver, Forward, StateReplace, Term, parse_term
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ class CCOracle:
                 ops = [Deliver(payload)]
         else:
             raise ValueError("unsupported event kind %r" % kind)
-        return ";".join(op_canonical(o) for o in ops)
+        return ";".join([o.canonical() for o in ops])
 
 
 # ---------------------------------------------------------------------------

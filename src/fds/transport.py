@@ -41,11 +41,12 @@ class Trace:
         self.records: List[dict] = []
         self.now_fn = now_fn
 
-    def add(self, rectype: str, **fields) -> int:
-        seq = len(self.records)
-        rec = {"seq": seq, "time": self.now_fn(), "type": rectype}
-        rec.update(fields)
-        self.records.append(rec)
+    def add(self, rectype: str, fields: dict) -> int:
+        """Append the record ``fields`` its caller built; returns its seq."""
+        seq = fields["seq"] = len(self.records)
+        fields["time"] = self.now_fn()
+        fields["type"] = rectype
+        self.records.append(fields)
         return seq
 
     def of_type(self, rectype: str) -> List[dict]:
@@ -124,30 +125,21 @@ class SimNet:
             key = (env.sender_name, env.target)
             at = max(at, self._last_pair.get(key, 0))
             self._last_pair[key] = at
-        seq = self.trace.add(
-            "envelope",
-            sender=env.sender_name,
-            senderDivision=env.sender_division,
-            senderLaw=env.sender_law,
-            target=env.target,
-            payload=env.payload.canonical(),
-            kind="lgi-message",
-            deliverAt=at,
-            fromRulings=list(from_rulings),
-        )
+        seq = self.trace.add("envelope", {
+            "sender": env.sender_name, "senderDivision": env.sender_division,
+            "senderLaw": env.sender_law, "target": env.target,
+            "payload": env.payload.canonical(), "kind": "lgi-message", "deliverAt": at,
+            "fromRulings": list(from_rulings)})
         self.scheduler.schedule(at, lambda: receive(env, seq))
         return seq
 
     def rogue_send(self, from_actor: str, to_actor: str, payload: Term):
         """Direct actor-to-actor delivery, bypassing every controller."""
+        record = {"sender": from_actor, "target": to_actor, "payload": payload.canonical()}
         if self.config.firewall:
-            self.trace.add(
-                "rogue-blocked", sender=from_actor, target=to_actor, payload=payload.canonical()
-            )
+            self.trace.add("rogue-blocked", record)
             return False
-        self.trace.add(
-            "rogue", sender=from_actor, target=to_actor, payload=payload.canonical()
-        )
+        self.trace.add("rogue", record)
         actor = self._actors.get(to_actor)
         if actor is not None:
             receive = getattr(actor, "receive_rogue", None)

@@ -13,6 +13,10 @@ loop.
 time, and ``tokenize_law`` reads law text into ``Token`` objects with their
 line and column; ``tests/test_term_grammar.py`` compares ``fds.core``'s one
 scanner with them.
+
+``op_canonical`` renders a ruling op, and ``term_canonical`` a term, by one
+chain of ``isinstance`` tests, as ``fds.core`` did before each op type and
+argument class rendered itself; ``tests/test_core.py`` compares them.
 """
 
 import re
@@ -233,6 +237,55 @@ def commit(state, kind, ruling):
         elif isinstance(op, StateRemove):
             state = state.remove(op.term)
     return state.without_overlay()
+
+
+# ---------------------------------------------------------------------------
+# op and term text, by isinstance tests
+
+
+def op_canonical(op) -> str:
+    if isinstance(op, Forward):
+        return "forward(%s,%s)" % (render_arg(op.target), term_canonical(op.payload))
+    if isinstance(op, Deliver):
+        return "deliver(%s)" % term_canonical(op.payload)
+    if isinstance(op, StateReplace):
+        return "replace %s <- %s" % (term_canonical(op.old), term_canonical(op.new))
+    if isinstance(op, StateAdd):
+        return "add %s" % term_canonical(op.term)
+    if isinstance(op, StateRemove):
+        return "remove %s" % term_canonical(op.term)
+    if isinstance(op, ImposeObligation):
+        return "oblige %s in %d" % (term_canonical(op.name), op.due_in)
+    if isinstance(op, RepealObligation):
+        return "repeal %s" % term_canonical(op.name)
+    if isinstance(op, AuditLog):
+        return "audit"
+    if isinstance(op, Block):
+        return "block(%s)" % render_arg(op.reason)
+    raise ValueError("unknown operation %r" % (op,))
+
+
+def term_canonical(t: Term) -> str:
+    if t.args:
+        return "%s(%s)" % (t.functor, ",".join(render_arg(a) for a in t.args))
+    return t.functor
+
+
+def render_arg(a) -> str:
+    if isinstance(a, bool):
+        raise TermSyntaxError("boolean term arguments are not supported")
+    if isinstance(a, int):
+        return str(a)
+    if isinstance(a, str):
+        return quote(a)
+    if isinstance(a, Term):
+        # nested, a zero-arity term keeps its parentheses
+        return term_canonical(a) if a.args else a.functor + "()"
+    raise TermSyntaxError("unsupported term argument: %r" % (a,))
+
+
+def quote(s: str) -> str:
+    return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,68 @@ class TestMediation:
         assert a.blocked[-1][2] == "stopped-by-mgr"
 
 
+# A law whose sends of w(1) write the clock overlay term, and of w(2) a
+# peer one; any other send passes.
+OVERLAY_WRITER = """\
+law ow
+default pass
+rule c1 aspect ow:send on sent(_, w(1), _) when clock(T)@CS do { replace clock(T) <- clock(T + 1); forward }
+rule p1 aspect ow:send on sent(_, w(2), _) do { add peerName("x"); forward }
+"""
+
+
+class TestMediationStep:
+    """``_mediate`` rules in a view over the chain's state and an overlay
+    built once, and records that overlay's kept text."""
+
+    def _pool(self):
+        bundle = publish_laws({"ow": parse_law(OVERLAY_WRITER)})
+        pool, sched, trace = make_pool(bundle.framework)
+        rec = pool.adopt(SinkActor(), issue_certificate("a", "D1"), bundle.ow)
+        pool.adopt(SinkActor(), issue_certificate("b", "D2"), bundle.ow)
+        return pool, sched, trace, rec
+
+    @pytest.mark.parametrize("payload,functor", [("w(1)", "clock"), ("w(2)", "peerName")])
+    def test_a_law_that_writes_an_overlay_term_is_a_read_only_error(self, payload, functor):
+        pool, sched, trace, rec = self._pool()
+        before, records = rec.chains[0].state, len(trace.records)
+        with pytest.raises(StateError, match="read-only term %r" % functor):
+            pool.send("a", "b", parse_term(payload))
+        assert rec.chains[0].state is before and len(trace.records) == records
+
+    def test_a_ruling_with_no_state_op_keeps_the_very_state(self):
+        pool, sched, trace, rec = self._pool()
+        target = pool.agents["b"].chains[0]
+        before, target_before = rec.chains[0].state, target.state
+        assert pool.send("a", "b", Term("m", (1,)))
+        sched.run()
+        assert [r["event"] for r in trace.of_type("ruling")][-2:] == ["sent", "arrived"]
+        assert rec.chains[0].state is before and target.state is target_before
+
+    def test_the_recorded_overlay_is_the_text_of_its_terms(self):
+        pool, sched, trace, rec = self._pool()
+        sched.schedule(7, lambda: pool.send("b", "a", Term("m", (2,))))
+        sched.run()
+        rulings = trace.of_type("ruling")
+        assert [r["event"] for r in rulings] == ["adopted", "adopted", "sent", "arrived"]
+
+        def peer(name, division):
+            return [Term("peerName", (name,)), Term("peerDivision", (division,)),
+                    Term("peerLaw", (pool.agents[name].chains[0].path.leaf,)),
+                    Term("peerSameLaw", (1,))]
+
+        overlays = [[Term("clock", (0,))], [Term("clock", (0,))],
+                    [Term("clock", (7,))] + peer("a", "D1"),
+                    [Term("clock", (8,))] + peer("b", "D2")]
+        for r, terms in zip(rulings, overlays):
+            assert r["overlay"] == ";".join(t.canonical() for t in terms)
+        base, message = pool.overlays.base(3), pool.overlays.peer(3, "x", "a", "D1", "y")
+        for overlay in (base, message):
+            assert overlay.text == ";".join(t.canonical() for t in overlay.terms)
+            assert overlay.groups == {t.functor: (t,) for t in overlay.terms}
+        assert message.terms[:1] == base.terms
+
+
 class TestStacking:
     def test_stacked_chain_rules_both_sides(self, acme, pool):
         s1 = SinkActor()

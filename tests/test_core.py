@@ -5,12 +5,15 @@ from dataclasses import FrozenInstanceError, dataclass
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from fds.core import (
+    AuditLog,
     Block,
     ControlState,
     Deliver,
     Forward,
     ImposeObligation,
+    RepealObligation,
     Ruling,
     StateAdd,
     StateError,
@@ -19,7 +22,6 @@ from fds.core import (
     Term,
     TermSyntaxError,
     commit,
-    op_canonical,
     parse_term,
     parse_terms,
 )
@@ -338,12 +340,45 @@ class TestControlStateModel:
             assert real.canonical() == canonical
 
 
+# Ops of all nine types over TERMS, with strings that hold the characters
+# the text quotes or splits on, the empty one included.
+OP_STRINGS = st.text(st.sampled_from('ab ;,()"\\'), max_size=6)
+OPS = st.one_of(
+    st.builds(Forward, OP_STRINGS, TERMS),
+    st.builds(Deliver, TERMS),
+    st.builds(StateReplace, TERMS, TERMS),
+    st.builds(StateAdd, TERMS),
+    st.builds(StateRemove, TERMS),
+    st.builds(ImposeObligation, TERMS, st.integers(-10**6, 10**6)),
+    st.builds(RepealObligation, TERMS),
+    st.just(AuditLog()),
+    st.builds(Block, OP_STRINGS),
+)
+
+
 class TestOps:
     def test_op_canonical_forms(self):
-        assert op_canonical(Forward("v", Term("m", (1,)))) == 'forward("v",m(1))'
-        assert op_canonical(Deliver(Term("m", (1,)))) == "deliver(m(1))"
-        assert op_canonical(Block("why")) == 'block("why")'
-        assert op_canonical(ImposeObligation(Term("flush"), 7)) == "oblige flush in 7"
+        assert Forward("v", Term("m", (1,))).canonical() == 'forward("v",m(1))'
+        assert Deliver(Term("m", (1,))).canonical() == "deliver(m(1))"
+        assert Block("why").canonical() == 'block("why")'
+        assert ImposeObligation(Term("flush"), 7).canonical() == "oblige flush in 7"
+
+    @given(st.lists(OPS, max_size=4))
+    def test_every_op_renders_as_the_reference_model(self, ops):
+        texts = [reference.op_canonical(o) for o in ops]
+        assert [o.canonical() for o in ops] == texts
+        assert Ruling(tuple(ops)).canonical_ops() == ";".join(texts)
+
+    @pytest.mark.parametrize("op", [
+        Deliver(Term("f", (True,))),
+        StateAdd(Term("f", (1, Term("g", (False,))))),
+        Forward("v", Term("f", (Term("g"), True))),
+    ], ids=["top", "nested", "after-a-zero-arity-term"])
+    def test_a_boolean_argument_is_a_term_syntax_error(self, op):
+        with pytest.raises(TermSyntaxError, match="boolean"):
+            op.canonical()
+        with pytest.raises(TermSyntaxError, match="boolean"):
+            reference.op_canonical(op)
 
     def test_commit_runs_state_ops_in_order(self):
         st_ = ControlState([Term("n", (0,))])
@@ -364,3 +399,12 @@ class TestOps:
         assert commit(view, "adopted", Ruling((StateAdd(Term("m", ())),))) == after
         with pytest.raises(StateError, match="read-only term"):
             commit(view, "sent", Ruling((StateAdd(Term("clock", (4,))),)))
+
+    def test_a_ruling_with_no_state_op_commits_the_state_its_view_overlays(self):
+        base = ControlState([Term("n", (0,))])
+        view = base.with_overlay([Term("clock", (3,))])
+        for ops in ((), (Forward("x", Term("m")), AuditLog()), (Block("no"),)):
+            assert commit(view, "sent", Ruling(ops)) is base
+            assert commit(base, "sent", Ruling(ops)) is base
+        # a view of a view commits the state under both
+        assert commit(view.with_overlay([Term("clock", (4,))]), "sent", Ruling()) is base

@@ -58,6 +58,10 @@ MINI = {
 }
 
 
+# a well-formed random-traffic item for MINI's agents
+TRAFFIC = {"action": "random-traffic", "senders": ["a"], "targets": ["b"], "count": 2}
+
+
 class TestLoading:
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(ScenarioError, match="no such scenario"):
@@ -156,11 +160,25 @@ class TestRunner:
         ("cast", {"name": "c", "law": "d1", "behavior": ["sink"]},
          "has a non-string 'behavior'"),
         ("cast", {"name": "c", "law": "d1", "params": 5}, "has a non-object 'params'"),
+        ("cast", {"name": "c", "law": "d1", "stack": "d1"}, "has a non-string-list 'stack'"),
+        ("timeline", dict(TRAFFIC, count="2"), "has a non-integer 'count'"),
+        ("timeline", dict(TRAFFIC, seedOffset="x"), "has a non-integer 'seedOffset'"),
+        ("timeline", dict(TRAFFIC, gap=5), "has a non-range 'gap'"),
+        ("timeline", dict(TRAFFIC, gap=[3, 1]), "has a non-range 'gap'"),
+        ("timeline", dict(TRAFFIC, costRange=[1]), "has a non-range 'costRange'"),
+        ("timeline", dict(TRAFFIC, rogueProb="0.1"), "has a non-number 'rogueProb'"),
+        ("timeline", dict(TRAFFIC, rogueProb=True), "has a non-number 'rogueProb'"),
+        ("timeline", dict(TRAFFIC, senders=[]), "has a non-agent-list 'senders'"),
+        ("timeline", dict(TRAFFIC, senders="a"), "has a non-agent-list 'senders'"),
+        ("timeline", dict(TRAFFIC, targets=[1]), "has a non-agent-list 'targets'"),
     ], ids=["send-without-at", "cast-without-name", "send-every-without-period",
             "period-zero", "at-string", "at-bool", "item-string", "cast-entry-string",
             "until-string", "payload-unknown-field", "from-list", "to-integer",
             "payload-integer", "agent-list", "law-integer", "name-integer",
-            "division-integer", "behavior-list", "params-integer"])
+            "division-integer", "behavior-list", "params-integer", "stack-string",
+            "count-string", "seed-offset-string", "gap-integer", "gap-lo-above-hi",
+            "cost-range-one-bound", "rogue-prob-string", "rogue-prob-bool", "senders-empty",
+            "senders-string", "targets-integers"])
     def test_a_malformed_cast_entry_or_timeline_item_is_a_scenario_error(
             self, section, entry, error):
         # the item and what is wrong with it are named before the run starts
@@ -810,6 +828,26 @@ def test_a_changed_blocked_flag_or_event_argument_is_flagged(event, field, chang
     rec[field] = change(rec)
     assert replay_report(_tampered(report, records)) == (
         False, ["seq %d: %s %r != %r" % (rec["seq"], field, recorded, rec[field])])
+
+
+def test_an_edited_arrival_payload_is_ruled_on_as_recorded():
+    # replay hands an arrival the payload term its send parsed only while the
+    # arrival's payload text is the envelope's; an edited one is parsed and
+    # ruled on, so the rulings differ in their ops and not in eventArgs
+    report = _trace("acme-bc.json")
+    records = [dict(r) for r in report.records]
+    cited = set()
+    for rec in records:
+        if rec["type"] == "ruling" and rec["event"] == "arrived":
+            if rec["envelope"] not in cited and "deliver(" in rec["ops"]:
+                break
+            cited.add(rec["envelope"])
+    payload = rec["eventArgs"][1]
+    assert payload == records[rec["envelope"]]["payload"]
+    rec["eventArgs"] = [rec["eventArgs"][0], "zz(%s)" % payload, rec["eventArgs"][2]]
+    ok, problems = replay_report(_tampered(report, records))
+    assert not ok and problems[0].startswith("seq %d: ops " % rec["seq"])
+    assert not [p for p in problems if p.startswith("seq %d: eventArgs" % rec["seq"])]
 
 
 def test_replay_checks_every_field_the_controller_derives():

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fds import library
-from fds.core import (Arrived, AgentName, ControlState, Sent, Term, hash_law, op_canonical,
-                      parse_term)
+from fds.core import Arrived, AgentName, ControlState, Sent, Term, hash_law, parse_term
 from fds.lawlang import (
     LawSyntaxError,
     aspect_matches,
@@ -150,7 +149,7 @@ class TestMatching:
         b = match_pattern(rule.compiled, ("a", Term("m", ("a",)), "b"))
         assert b == ["a"]
         ops = rule.compiled.build(b, Sent(AgentName("b"), Term("m", ("a",))))
-        assert [op_canonical(o) for o in ops] == ['forward("x",m("a"))']
+        assert [o.canonical() for o in ops] == ['forward("x",m("a"))']
 
     def test_inconsistent_repeat_binding_fails(self):
         rule = _rule("rule r aspect a on sent(X, m(X), _) do { block }")
