@@ -7,9 +7,9 @@ first; what that chain forwards is re-submitted to the next chain, and
 only the survivors reach the wire. Inbound traffic runs the last
 (crosscutting) chain first and then the others in order, so a
 crosscutting law sees arrivals before the native law does. The pool also
-keeps the obligation clock and the audit sink. Its ``agents`` is the
-only agent directory: a message to no adopted agent is dead-lettered when
-sent, one whose target quit in flight when it arrives (``_arrive``).
+keeps the audit sink; its obligations are scheduler entries. Its ``agents``
+is the only agent directory: a message to no adopted agent is dead-lettered
+when sent, one whose target quit in flight when it arrives (``_arrive``).
 
 Every ruling goes through one mediation step, ``ControllerPool._mediate``:
 it derives the ruling of one ``Chain`` on one event, computes the state it
@@ -24,9 +24,9 @@ one, by one chain walk, ``ControllerPool._walk``.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import time as _time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -51,10 +51,6 @@ from .transport import Envelope, SimNet, Trace
 
 CA_KEY = b"acme-test-ca-key"
 CA_NAME = "AcmeCA"
-
-
-def _noop():
-    pass
 
 
 class AdoptionError(FdsError):
@@ -96,7 +92,7 @@ def verify_certificate(cert: Certificate, key: bytes = CA_KEY) -> bool:
 class Chain:
     """One law chain of an agent: its index among the agent's chains, its
     law path, the state it committed, and its obligation validity map
-    beside the pool's heap (a popped entry fires only if it matches)."""
+    beside the scheduler's heap (an entry fires only if it matches)."""
 
     idx: int
     path: LawPath
@@ -187,10 +183,8 @@ class ControllerPool:
         self.agents: Dict[str, AgentRecord] = {}
         self.audit: List[dict] = []
         self.metrics: List[Tuple[str, int]] = []  # (leaf law, wall time ns) per ruling
-        self._obligations: List[tuple] = []  # heap: (due, seq, rec, chain, canon, term)
         self._oblig_seq = 0
         self.overlays = Overlays()
-        net.scheduler.add_ticker(self.tick)
 
     @property
     def now(self) -> int:
@@ -291,17 +285,14 @@ class ControllerPool:
 
     # -- obligations and time ----------------------------------------------
 
-    def tick(self, now: int):
-        # pop the due set before firing: what these impose waits for the next advance
-        heap, due = self._obligations, []
-        while heap and heap[0][0] <= now:
-            due.append(heapq.heappop(heap))
-        for when, seq, rec, chain, canon, term in due:
-            if (self.agents.get(rec.name) is not rec
-                    or chain.obligations.get(canon) != (when, seq)):
-                continue  # agent quit, or obligation repealed or re-imposed
-            del chain.obligations[canon]
-            self._walk(rec, (chain,), (ObligationDue(term), None))
+    def tick(self, entry):
+        """Fire the obligation ``(rec, chain, canon, term, key)`` unless its agent
+        quit or its chain's map no longer holds its ``key``, ``(due, seq)``."""
+        rec, chain, canon, term, key = entry
+        if self.agents.get(rec.name) is not rec or chain.obligations.get(canon) != key:
+            return
+        del chain.obligations[canon]
+        self._walk(rec, (chain,), (ObligationDue(term), None))
 
     # -- internals ---------------------------------------------------------
 
@@ -395,18 +386,14 @@ class ControllerPool:
         chain.state = after
         if not ruling.obliges:
             return ruling, seq
-        table = chain.obligations
+        table, scheduler = chain.obligations, self.net.scheduler
         for op in ruling.ops:
-            if isinstance(op, ImposeObligation):
+            if op.__class__ is ImposeObligation:
                 self._oblig_seq += 1
-                due, canon = self.now + op.due_in, op.name.canonical()
-                table[canon] = (due, self._oblig_seq)
-                heapq.heappush(self._obligations,
-                               (due, self._oblig_seq, rec, chain, canon, op.name))
-                # wake the scheduler so the obligation fires on time even
-                # when no other traffic advances the clock past its due point
-                self.net.scheduler.schedule(due, _noop)
-            elif isinstance(op, RepealObligation):
+                canon = op.name.canonical()
+                key = table[canon] = (scheduler.now + op.due_in, self._oblig_seq)
+                scheduler.oblige(key[0], partial(self.tick, (rec, chain, canon, op.name, key)))
+            elif op.__class__ is RepealObligation:
                 table.pop(op.name.canonical(), None)
         return ruling, seq
 

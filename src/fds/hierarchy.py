@@ -68,7 +68,7 @@ class LawPath:
     hashes: tuple  # LawHash strings, root first
     docs: tuple  # LawDoc per hash
 
-    @property
+    @cached_property
     def leaf(self) -> str:
         return self.hashes[-1]
 

@@ -58,39 +58,52 @@ class Trace:
 
 
 class Scheduler:
-    """Logical-time event loop. Ties break by scheduling order."""
+    """Logical-time event loop, the one queue of timed work. Its heap holds
+    ``(time, rank, seq, fn)``: obligations (rank 0) run first among the items
+    of their time, ties break by scheduling order. One due by ``now`` waits
+    for the next advance, so ``on obligationDue(x) do { oblige x in 0 }``
+    cannot hold the clock still; ``run(until)`` fires the waiting ones at
+    ``until`` as it stops, but not what they schedule there."""
 
     def __init__(self):
         self.now = 0
         self._heap: list = []
         self._seq = 0
-        self._tickers: List[Callable[[int], None]] = []
+        self._waiting: List[tuple] = []  # (due, seq, fn): due by now, fire at the next advance
 
     def schedule(self, time: int, fn: Callable[[], None]):
         if time < self.now:
             time = self.now
-        heapq.heappush(self._heap, (time, self._seq, fn))
+        heapq.heappush(self._heap, (time, 1, self._seq, fn))
         self._seq += 1
 
-    def add_ticker(self, fn: Callable[[int], None]):
-        """Called whenever logical time advances (before due items run)."""
-        self._tickers.append(fn)
+    def oblige(self, due: int, fn: Callable[[], None]):
+        """Fire ``fn`` as an obligation due at ``due``."""
+        if due > self.now:
+            heapq.heappush(self._heap, (due, 0, self._seq, fn))
+        else:
+            self._waiting.append((due, self._seq, fn))
+        self._seq += 1
+
+    def _advance(self, time: int):
+        self.now = time
+        if self._waiting:
+            waiting, self._waiting = sorted(self._waiting), []
+            for _, _, fn in waiting:
+                fn()
 
     def run(self, until: Optional[int] = None):
-        while self._heap:
-            time, _, fn = self._heap[0]
+        heap = self._heap
+        while heap:
+            time, _, _, fn = heap[0]
             if until is not None and time > until:
                 break
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             if time > self.now:
-                self.now = time
-                for t in self._tickers:
-                    t(self.now)
+                self._advance(time)
             fn()
         if until is not None and until > self.now:
-            self.now = until
-            for t in self._tickers:
-                t(self.now)
+            self._advance(until)
 
 
 @dataclass

@@ -319,6 +319,18 @@ rule d2 aspect clock:{c} on obligationDue(_) do {{ }}
 """.format(c=chain)
 
 
+# x() is imposed in 0 on adoption and re-imposed in 0 each time it falls due,
+# while left(N) counts down from 50: a clock that fired it at once would
+# fire it 50 times at one clock value rather than hang.
+AGAIN_LAW = """\
+law again
+default block
+init { left(50) }
+rule a1 aspect again:adopt on adopted(_) do { oblige x() in 0 }
+rule d1 aspect again:due on obligationDue(x()) when left(N)@CS, N > 0 do { replace left(N) <- left(N - 1); oblige x() in 0 }
+"""
+
+
 def _clock_bundle():
     return publish_laws({"root": parse_law(CLOCK_ROOT),
                          "c0": parse_law(_clock_law(0)),
@@ -383,33 +395,40 @@ class TestDeadLetters:
             (r["seq"], r["deliverAt"], r["payload"]) for r in envelopes]
 
 
-class ScanPool(ControllerPool):
-    """Reference obligation clock: scan and sort every table per advance."""
+class ScanScheduler(Scheduler):
+    """Reference obligation clock: an imposition only wakes the clock at its
+    due time, and each advance scans and sorts every table of ``pool``."""
 
-    def tick(self, now: int):
-        due = []
-        for rec in self.agents.values():
+    pool = None
+
+    def oblige(self, due, fn):
+        self.schedule(due, lambda: None)
+
+    def _advance(self, time):
+        self.now = time
+        pool, due = self.pool, []
+        for rec in pool.agents.values():
             for chain in rec.chains:
                 for canon, (when, seq) in chain.obligations.items():
-                    if when <= now:
+                    if when <= time:
                         due.append((when, seq, rec.name, chain.idx, canon))
         due.sort(key=lambda d: (d[0], d[1]))
         for when, seq, name, idx, canon in due:
-            rec = self.agents.get(name)
+            rec = pool.agents.get(name)
             if rec is None or rec.chains[idx].obligations.get(canon, (None, None))[1] != seq:
                 continue
             chain = rec.chains[idx]
             del chain.obligations[canon]
-            self._walk(rec, (chain,), (ObligationDue(parse_term(canon)), None))
+            pool._walk(rec, (chain,), (ObligationDue(parse_term(canon)), None))
 
 
 class TestObligationClock:
-    def _pool(self, agents, pool_cls=ControllerPool):
+    def _pool(self, agents, sched_cls=Scheduler):
         bundle = _clock_bundle()
-        sched = Scheduler()
+        sched = sched_cls()
         trace = Trace(lambda: sched.now)
         net = SimNet(sched, SimNetConfig(seed=0, latency=(1, 1)), trace)
-        pool = pool_cls(bundle.framework, net, trace)
+        pool = sched.pool = ControllerPool(bundle.framework, net, trace)
         for name, chains in agents:
             _clock_adopt(pool, bundle, name, chains)
         return pool, sched, trace, bundle
@@ -478,8 +497,8 @@ class TestObligationClock:
     ), max_size=40))
     def test_matches_a_full_scan_of_every_table(self, ops):
         runs = []
-        for pool_cls in (ControllerPool, ScanPool):
-            pool, sched, trace, bundle = self._pool([("a", 1), ("b", 2)], pool_cls)
+        for sched_cls in (Scheduler, ScanScheduler):
+            pool, sched, trace, bundle = self._pool([("a", 1), ("b", 2)], sched_cls)
             for op in ops:
                 kind, rest = op[0], op[1:]
                 if kind == "advance":
@@ -498,6 +517,16 @@ class TestObligationClock:
             runs.append((_fired(trace), trace.records))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
+
+    def test_an_obligation_reimposing_itself_in_0_fires_once_per_clock_value(self):
+        bundle = publish_laws({"again": parse_law(AGAIN_LAW)})
+        pool, sched, trace = make_pool(bundle.framework)
+        rec = pool.adopt(SinkActor(), issue_certificate("a", ""), bundle.again)
+        for t in range(1, 11):
+            sched.schedule(t, lambda: None)
+        sched.run(until=30)
+        assert [time for time, *_ in _fired(trace)] == list(range(1, 11)) + [30]
+        assert list(rec.chains[0].state.visible("left")) == [Term("left", (39,))]
 
 
 # A root that counts sends and three deltas: capped counts a send, imposes

@@ -68,13 +68,55 @@ class TestScheduler:
         sched.run()
         assert out == ["a", "b", "c"]
 
-    def test_tickers_run_on_time_advance_before_due_items(self):
+    def test_an_obligation_due_at_t_runs_before_an_earlier_item_of_t(self):
         sched = Scheduler()
         out = []
-        sched.add_ticker(lambda now: out.append(("tick", now)))
-        sched.schedule(2, lambda: out.append(("item", sched.now)))
+        sched.schedule(2, lambda: out.append("item"))
+        sched.oblige(2, lambda: out.append("obligation"))
         sched.run()
-        assert out == [("tick", 2), ("item", 2)]
+        assert out == ["obligation", "item"]
+
+    def test_obligations_due_by_one_advance_fire_in_due_then_seq_order(self):
+        sched = Scheduler()
+        out = []
+
+        def note(name):
+            return lambda: out.append((name, sched.now))
+
+        sched.run(until=5)
+        sched.schedule(6, note("item"))
+        sched.oblige(6, note("due 6"))
+        sched.oblige(5, note("due 5"))  # due in 0
+        sched.oblige(2, note("due 2"))  # due in -3
+        sched.oblige(5, note("due 5 again"))
+        sched.run()
+        assert out == [("due 2", 6), ("due 5", 6), ("due 5 again", 6), ("due 6", 6),
+                       ("item", 6)]
+
+    def test_an_obligation_due_by_now_waits_for_the_next_advance_or_the_stop(self):
+        sched = Scheduler()
+        out = []
+
+        def fire():
+            out.append(sched.now)
+
+        sched.schedule(3, lambda: sched.oblige(3, fire))
+        sched.schedule(5, lambda: sched.oblige(4, fire))
+        sched.run(until=5)
+        assert out == [5]  # the second, imposed at 5, waits
+        sched.run(until=5)
+        assert out == [5]  # no advance, no stop past 5
+        sched.run(until=9)
+        assert out == [5, 9]
+
+    def test_an_item_a_stop_time_firing_schedules_at_until_waits_for_the_next_run(self):
+        sched = Scheduler()
+        out = []
+        sched.oblige(0, lambda: sched.schedule(sched.now, lambda: out.append(sched.now)))
+        sched.run(until=4)
+        assert out == [] and sched.now == 4
+        sched.run()
+        assert out == [4]
 
     def test_run_until_advances_clock_to_bound(self):
         sched = Scheduler()
