@@ -13,17 +13,16 @@ punctuation, plus ``#`` comments. Tokens are ``(kind, value, pos)``
 tuples; line and column are computed from ``pos`` only for an error.
 
 Parsing yields a syntax tree per rule. The first time a rule is tried it
-is compiled, once, into three closures (``CompiledRule``): a pattern
-matcher specialised to the pattern's shape, a guard whose state queries
-and comparisons pass on to the rest of the conjunction, and an ops
-builder whose constant parts are built ahead of time. Events run only the
-closures; nothing walks the tree after compilation (Feeley & Lapalme,
-"Using closures for code generation", 1987).
+is compiled, once, into three Python functions generated as source text,
+as ``dataclasses`` builds its methods (``CompiledRule``): a pattern
+matcher, a guard whose state queries are nested loops, and an ops builder
+whose constant parts are built ahead of time. No event walks the tree.
+This replaced a tree of closures per rule (Feeley & Lapalme, "Using
+closures for code generation", 1987).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -147,7 +146,7 @@ class GroundRule:
 
     @cached_property
     def compiled(self) -> "CompiledRule":
-        """The rule's closures, compiled on first use and kept."""
+        """The rule's generated functions, compiled on first use and kept."""
         return CompiledRule(self)
 
 
@@ -690,332 +689,328 @@ def _render_atom(atom) -> str:
     return "%s %s %s" % (_render_node(atom.left), atom.op, _render_node(atom.right))
 
 
+# each op's law text, over its fields' law expressions in order
+_OP_TEXT = {Forward: "forward(%s, %s)", Deliver: "deliver(%s)", StateReplace: "replace %s <- %s",
+            StateAdd: "add %s", StateRemove: "remove %s", ImposeObligation: "oblige %s in %s",
+            RepealObligation: "repeal %s", AuditLog: "audit", Block: "block(%s)"}
+
+
 def _render_op(op) -> str:
-    if isinstance(op, Forward):
-        if op.target is None:
-            return "forward"
-        return "forward(%s, %s)" % (_render_node(op.target), _render_node(op.payload))
-    if isinstance(op, Deliver):
-        if op.payload is None:
-            return "deliver"
-        return "deliver(%s)" % _render_node(op.payload)
-    if isinstance(op, StateReplace):
-        return "replace %s <- %s" % (_render_node(op.old), _render_node(op.new))
-    if isinstance(op, StateAdd):
-        return "add %s" % _render_node(op.term)
-    if isinstance(op, StateRemove):
-        return "remove %s" % _render_node(op.term)
-    if isinstance(op, ImposeObligation):
-        return "oblige %s in %s" % (_render_node(op.name), _render_node(op.due_in))
-    if isinstance(op, RepealObligation):
-        return "repeal %s" % _render_node(op.name)
-    if isinstance(op, AuditLog):
-        return "audit"
-    if isinstance(op, Block):
-        if op.reason:
-            return "block(%s)" % quote(op.reason)
-        return "block"
-    raise FdsError("cannot render op %r" % (op,))
+    text = _OP_TEXT.get(op.__class__)
+    if text is None:
+        raise FdsError("cannot render op %r" % (op,))
+    if op in (Forward(None, None), Deliver(None), Block()):  # written bare
+        return text[:text.index("(")]
+    return text % tuple(_render_node(getattr(op, f)) for f in op.__match_args__)
 
 
 # ---------------------------------------------------------------------------
-# rules compiled to closures
+# rules compiled to Python source
 
 
 def event_args(event: Event, state: ControlState):
     """Positional view of an event as seen by rule patterns."""
-    if isinstance(event, Adopted):
-        return "adopted", (event.cert,)
-    if isinstance(event, Sent):
+    cls = event.__class__
+    if cls is Sent:
         return "sent", (_self_name(state), event.payload, event.target.name)
-    if isinstance(event, Arrived):
+    if cls is Arrived:
         return "arrived", (event.sender.name, event.payload, _self_name(state))
-    if isinstance(event, ObligationDue):
+    if cls is Adopted:
+        return "adopted", (event.cert,)
+    if cls is ObligationDue:
         return "obligationDue", (event.name,)
     return "exception", (event.reason,)
 
 
 def _self_name(state: ControlState) -> str:
     for t in state.visible("name"):
-        if t.args and isinstance(t.args[0], str):
+        # the class test spares the isinstance call for a plain str
+        if t.args and (t.args[0].__class__ is str or isinstance(t.args[0], str)):
             return t.args[0]
     return ""
 
 
 class CompiledRule:
-    """A rule as three closures, built once from its syntax tree.
-
-    Each variable of the rule owns a slot in a list, numbered in the order
-    matching first meets it, so whether an occurrence binds or compares is
-    decided here rather than per event.
+    """A rule as three Python functions, generated (``rule_source``) and
+    compiled once, in place of a tree of closures (Feeley & Lapalme, 1987).
+    Each variable owns a slot in a list, numbered in the order matching
+    first meets it.
 
     - ``match(args)`` unifies the pattern with an event's positional args
       and returns a fresh slot list, or None.
     - ``guard(slots, state)`` fills the guard's slots in place and returns
-      whether it holds; an empty guard always holds. State queries
-      backtrack over candidate terms in canonical order, so a later
-      comparison can reject one candidate and the query tries the next;
-      the first complete solution wins.
-    - ``build(slots, event)`` returns the ruling's operations. Sub-terms
-      without variables, audit ops and block ops are built once, here.
+      whether it holds. State queries backtrack over candidate terms in
+      canonical order; the first complete solution wins.
+    - ``build(slots, event)`` returns the ruling's operations.
 
-    A part of a guard or template that references something unresolvable (an
-    unbound variable, ``_`` where a value is needed) compiles to a closure
-    that raises ``GuardError`` when evaluation reaches it, so a law error
-    surfaces at the same point, with the same message, as it would if the
-    tree were read per event.
+    A law error (an unbound variable, ``_`` where a value is needed, an
+    ill-typed value) raises ``GuardError`` at the same point, with the same
+    message, as if the tree were read per event.
     """
 
     __slots__ = ("match", "guard", "build")
 
     def __init__(self, rule: "GroundRule"):
-        slots = {}  # variable name -> slot index
-        pattern = _compile_args(rule.pattern, slots)
-        self.guard = _compile_guard(rule.guard, slots)
-        self.build = _compile_ops(rule.ops, slots)
-        n = len(slots)
-
-        def match(args):
-            b = [None] * n
-            return b if pattern(args, b) else None
-
-        self.match = match
-
-
-def _raiser(msg: str):
-    def fail(*_):
-        raise GuardError(msg)
-
-    return fail
-
-
-def _compile_node(p, slots):
-    """Matcher ``m(value, b) -> bool`` for one pattern node that is neither
-    ``_`` nor a variable's first occurrence; a later occurrence compares
-    with the variable's slot."""
-    if isinstance(p, Var):
-        i = slots[p.name]
-        return lambda v, b: b[i] == v
-    if isinstance(p, str):
-        def atom(v, b):
-            # a bare atom matches both the string and the zero-argument term
-            if isinstance(v, Term):
-                return not v.args and v.functor == p
-            return p == v
-
-        return atom
-    if isinstance(p, int):
-        return lambda v, b: p == v
-    if isinstance(p, PTerm):
-        functor, n = p.functor, len(p.args)
-        args = _compile_args(p.args, slots)
-        return lambda v, b: (isinstance(v, Term) and v.functor == functor
-                             and len(v.args) == n and args(v.args, b))
-    return _raiser("invalid pattern node %r" % (p,))
-
-
-def _compile_args(nodes, slots):
-    """Matcher ``m(values, b) -> bool`` for a tuple of pattern nodes.
-
-    A variable met here for the first time gets the next slot and is bound
-    before the other nodes are tried, left to right. Binding cannot fail,
-    and any later occurrence of the variable lies to its right or inside a
-    node tried after it, so the outcome is that of a left-to-right match.
-    """
-    binds, steps = [], []
-    for j, p in enumerate(nodes):
-        if isinstance(p, Var) and p.name not in slots:
-            binds.append((j, slots.setdefault(p.name, len(slots))))
-        elif p is not WILDCARD:
-            steps.append((j, _compile_node(p, slots)))
-
-    def match_all(a, b):
-        for j, i in binds:
-            b[i] = a[j]
-        for j, m in steps:
-            if not m(a[j], b):
-                return False
-        return True
-
-    return match_all
-
-
-def _compile_guard(atoms, slots):
-    """``g(b, state) -> bool`` for a guard conjunction, each atom passing
-    on to the rest."""
-    if not atoms:
-        return lambda b, state: True
-    atom = atoms[0]
-    if isinstance(atom, StateQuery):
-        pat = atom.pattern
-        functor, n = pat.functor, len(pat.args)
-        args = _compile_args(pat.args, slots)
-        rest = _compile_guard(atoms[1:], slots)
-
-        def query(b, state):
-            for cand in state.visible(functor):
-                a = cand.args
-                if len(a) == n and args(a, b) and rest(b, state):
-                    return True
-            return False
-
-        return query
-    test = _compile_comparison(atom, slots)
-    rest = _compile_guard(atoms[1:], slots)
-    return lambda b, state: test(b) and rest(b, state)
+        source, namespace = rule_source(rule)
+        exec(compile(source, "<law rule>", "exec"), namespace)
+        self.match, self.guard, self.build = (namespace[f] for f in self.__slots__)
 
 
 _AUDIT = AuditLog()
-_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+# each op type's fields in the order they are evaluated, with the class each
+# value must have (None: any) and the error if it has not
+_OP_FIELDS = {
+    Forward: (("target", str, "forward target must be an agent name string"),
+              ("payload", Term, "forward payload must be a term")),
+    Deliver: (("payload", Term, "deliver payload must be a term"),),
+    ImposeObligation: (("due_in", int, "obligation due-in must be a non-negative integer"),
+                       ("name", None, None)),
+    **{cls: tuple((f, None, None) for f in cls.__match_args__)
+       for cls in (StateReplace, StateAdd, StateRemove, RepealObligation)},
+}
+
+# the names generated code reads besides its constants and locals
+_RUNTIME = {cls.__name__: cls for cls in (Term, GuardError, *_OP_FIELDS)}
+
+# the Python text of each comparison operator
+_COMPARE = {"==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+# query loops nested in one generated function; CPython allows 20 nested blocks
+_NEST = 15
+
+# what is known of a value computed per event: nothing, or that it is a term
+_VARIES, _A_TERM = object(), object()
 
 
-def _compile_comparison(cmp: Comparison, slots):
-    """``t(b) -> bool``, the operator chosen here rather than per event."""
-    op = cmp.op
-    left = _compile_expr(cmp.left, slots)
-    right = _compile_expr(cmp.right, slots)
-    if op == "==":
-        return lambda b: left(b) == right(b)
-    if op == "!=":
-        return lambda b: left(b) != right(b)
-    order = _ORDERINGS[op]
-
-    def ordered(b):
-        lv = left(b)
-        rv = right(b)
-        if not isinstance(lv, int) or not isinstance(rv, int):
-            raise GuardError("ordering comparison on non-integers: %r %s %r" % (lv, op, rv))
-        return order(lv, rv)
-
-    return ordered
+class _Raises(Exception):
+    """Evaluation raises here on every event: what follows never runs."""
 
 
-def _folded(fn, node):
-    """``fn``, the closure compiled for ``node``, or, when the node reads no
-    variable and evaluates without error, a closure over its one value."""
-    if next(_expr_vars(node), None) is not None:
-        return fn
-    try:
-        value = fn(None)
-    except GuardError:
-        return fn  # raises for every event, when the ruling reaches it
-    return lambda _: value
+def rule_source(rule: "GroundRule"):
+    """The source of a rule's ``match``, ``guard`` and ``build``, and the
+    namespace it runs in. Identifiers are generated, and every constant
+    (functors, atoms, strings, integers, terms, ops, error messages) is a
+    name bound in the namespace: no law text is spliced into source."""
+    src = _Source()
+    src.begin("def match(args):", "return None")
+    src.match_args("args", rule.pattern)
+    match, bound = src.lines, len(src.slots)
+    src.guard(rule.guard, bound)
+    src.build(rule.ops)
+    # the slot list's length is known once the guard has numbered its slots
+    src.lines = match + ["    return [%s]" % ", ".join(
+        ["s%d" % i for i in range(bound)] + ["None"] * (len(src.slots) - bound))]
+    src.end(0)
+    return "\n".join(src.functions), src.namespace
 
 
-def _compile_expr(node, slots):
-    """``e(b) -> value`` for a guard or template expression."""
-    if isinstance(node, (int, str)):
-        return lambda b: node
-    if isinstance(node, Var):
-        i = slots.get(node.name)
-        if i is None:
-            return _raiser("unbound variable %s" % node.name)
-        return operator.itemgetter(i)
-    if isinstance(node, FunctorOf):
-        i = slots.get(node.var.name)
+class _Source:
+    """The generated functions of one rule, written a line at a time.
 
-        def functor_of(b):
-            v = None if i is None else b[i]
-            if not isinstance(v, Term):
-                raise GuardError("functor() of a non-term value %r" % (v,))
-            return v.functor
+    An expression is generated as ``(text, value)``: the source of its
+    value, which has no side effect, and the value itself if it is the same
+    on every event, else ``_A_TERM`` for a term built per event or
+    ``_VARIES``. Its checks are written before it, in evaluation order.
+    """
 
-        return functor_of
-    if isinstance(node, BinExpr):
-        left = _compile_expr(node.left, slots)
-        right = _compile_expr(node.right, slots)
-        plus = node.op == "+"
+    def __init__(self):
+        self.namespace = dict(_RUNTIME)
+        self.slots = {}  # variable name -> slot index
+        self.names = 0  # constants and temporaries named so far
+        self.functions = []  # the finished functions' source
 
-        def arith(b):
-            lv = left(b)
-            rv = right(b)
-            if not isinstance(lv, int) or not isinstance(rv, int):
-                raise GuardError("arithmetic on non-integers")
-            return lv + rv if plus else lv - rv
+    def begin(self, head: str, fail: str):
+        """Start a function; ``fail`` is the statement a failed test runs."""
+        self.lines, self.depth, self.fail, self.used = [head], 1, fail, set()
 
-        return _folded(arith, node)
-    if isinstance(node, PTerm):
-        return _compile_term(node, slots)
-    return _raiser("cannot evaluate %r" % (node,))
+    def end(self, loaded: int):
+        """Finish the function, reading from ``b`` each slot below ``loaded``
+        that it uses."""
+        loads = ["    s%d = b[%d]" % (i, i) for i in sorted(self.used) if i < loaded]
+        self.functions.append("\n".join(self.lines[:1] + loads + self.lines[1:]) + "\n")
 
+    def line(self, text: str):
+        self.lines.append("    " * self.depth + text)
 
-def _compile_term(pt: PTerm, slots):
-    """``e(b) -> Term`` for a term template; a ground one is built once."""
-    functor = pt.functor
-    args = [_compile_expr(a, slots) for a in pt.args]
+    def const(self, value) -> str:
+        self.names += 1
+        self.namespace["c%d" % self.names] = value
+        return "c%d" % self.names
 
-    def term(b):
-        return Term(functor, tuple([a(b) for a in args]))
+    def temp(self) -> str:
+        self.names += 1
+        return "t%d" % self.names
 
-    return _folded(term, pt)
+    def slot(self, i: int) -> str:
+        self.used.add(i)
+        return "s%d" % i
 
+    def raises(self, msg: str, detail: str = "") -> str:
+        """The statement that raises ``GuardError(msg % (detail))``."""
+        return "raise GuardError(%s%s)" % (self.const(msg), detail and " % (" + detail + ")")
 
-def _compile_op(t, slots):
-    """``o(b, event) -> operation`` for one op template."""
-    if isinstance(t, Forward):
-        if t.target is None:
-            return lambda b, event: Forward(event.target.name, event.payload)
-        target = _compile_expr(t.target, slots)
-        payload = _compile_expr(t.payload, slots)
+    def always(self, msg: str, detail: str = ""):
+        """Raise on every evaluation that reaches here; write nothing after."""
+        self.line(self.raises(msg, detail))
+        raise _Raises
 
-        def forward(b, event):
-            to = target(b)
-            if not isinstance(to, str):
-                raise GuardError("forward target must be an agent name string")
-            msg = payload(b)
-            if not isinstance(msg, Term):
-                raise GuardError("forward payload must be a term")
-            return Forward(to, msg)
+    def check(self, parts, kind, msg: str, detail: str = ""):
+        """Raise unless each ``(text, value)`` of ``parts`` is a ``kind``:
+        tested per event for a value that varies, here for the others."""
+        tests = []
+        for text, value in parts:
+            if value is _VARIES:
+                tests.append("isinstance(%s, %s)" % (text, kind.__name__))
+            elif not (kind is Term if value is _A_TERM else isinstance(value, kind)):
+                self.always(msg, detail)
+        if tests:
+            self.line("if not (%s): %s" % (" and ".join(tests), self.raises(msg, detail)))
 
-        return forward
-    if isinstance(t, Deliver):
-        if t.payload is None:
-            return lambda b, event: Deliver(event.payload)
-        payload = _compile_expr(t.payload, slots)
+    def match_args(self, seq: str, nodes):
+        """Match the tuple ``seq`` with pattern ``nodes``: unpack it, binding
+        each variable met here first, then test the other nodes left to
+        right. A variable's later occurrences are all tried after it binds."""
+        targets, outer, self.lines = [], self.lines, []
+        for p in nodes:
+            if p is WILDCARD:
+                targets.append("_")
+            elif p.__class__ is Var and p.name not in self.slots:
+                self.slots[p.name] = len(self.slots)
+                targets.append("s%d" % self.slots[p.name])
+            else:
+                targets.append(self.temp())
+                self.node(targets[-1], p)
+        tests, self.lines = self.lines, outer
+        if any(t != "_" for t in targets):
+            self.line("%s, = %s" % (", ".join(targets), seq))
+        self.lines += tests
 
-        def deliver(b, event):
-            msg = payload(b)
-            if not isinstance(msg, Term):
-                raise GuardError("deliver payload must be a term")
-            return Deliver(msg)
+    def node(self, v: str, p):
+        """Test the value ``v`` against a pattern node that is neither ``_``
+        nor a variable's first occurrence."""
+        if p.__class__ is Var:
+            self.line("if not (%s == %s): %s" % (self.slot(self.slots[p.name]), v, self.fail))
+        elif isinstance(p, str):
+            # a bare atom matches both the string and the zero-argument term
+            c = self.const(p)
+            self.line("if ((%s.args or not (%s.functor == %s)) if isinstance(%s, Term) "
+                      "else not (%s == %s)): %s" % (v, v, c, v, c, v, self.fail))
+        elif isinstance(p, int):
+            self.line("if not (%s == %s): %s" % (self.const(p), v, self.fail))
+        elif p.__class__ is PTerm:
+            self.line("if not (isinstance(%s, Term) and %s.functor == %s and len(%s.args) == %d): "
+                      "%s" % (v, v, self.const(p.functor), v, len(p.args), self.fail))
+            self.match_args(v + ".args", p.args)
+        else:
+            self.line(self.raises("invalid pattern node %r" % (p,)))
 
-        return deliver
-    if isinstance(t, StateReplace):
-        old = _compile_term(t.old, slots)
-        new = _compile_term(t.new, slots)
-        return lambda b, event: StateReplace(old(b), new(b))
-    if isinstance(t, StateAdd):
-        term = _compile_term(t.term, slots)
-        return lambda b, event: StateAdd(term(b))
-    if isinstance(t, StateRemove):
-        term = _compile_term(t.term, slots)
-        return lambda b, event: StateRemove(term(b))
-    if isinstance(t, ImposeObligation):
-        due_in = _compile_expr(t.due_in, slots)
-        name = _compile_term(t.name, slots)
+    def guard(self, atoms, bound: int):
+        """``guard(b, state)``, given the slots below ``bound`` that matching
+        fills. The rest of the conjunction runs inside each query's loop, so
+        a failed test moves on to the innermost query's next candidate. Past
+        ``_NEST`` loops the rest is a function called from the innermost."""
+        self.begin("def guard(b, state):", "return False")
+        for atom in atoms:
+            if atom.__class__ is not StateQuery:
+                try:
+                    self.compare(atom)
+                except _Raises:
+                    pass  # the rest never runs, but numbers its slots
+                continue
+            if self.depth > _NEST:  # each loop one level deeper
+                call = "g%d(%s)" % (len(self.functions), ", ".join(
+                    ["b", "state"] + ["s%d" % i for i in range(bound, len(self.slots))]))
+                self.line("if %s: return True" % call)
+                self.lines.append("    return False")
+                self.end(bound)
+                self.begin("def %s:" % call, "continue")
+            pat, q = atom.pattern, self.temp()
+            self.line("for %s in state.visible(%s):" % (q, self.const(pat.functor)))
+            self.depth += 1
+            self.fail = "continue"
+            self.line("if len(%s.args) != %d: continue" % (q, len(pat.args)))
+            self.match_args(q + ".args", pat.args)
+        for i in range(bound, len(self.slots)):
+            self.line("b[%d] = s%d" % (i, i))
+        self.line("return True")
+        self.lines.append("    return False")
+        self.end(bound)
 
-        def oblige(b, event):
-            due = due_in(b)
-            if not isinstance(due, int) or due < 0:
-                raise GuardError("obligation due-in must be a non-negative integer")
-            return ImposeObligation(name(b), due)
+    def compare(self, cmp: Comparison):
+        (left, lv), (right, rv) = self.expr(cmp.left), self.expr(cmp.right)
+        op = _COMPARE[cmp.op]
+        if op not in ("==", "!="):
+            self.check([(left, lv), (right, rv)], int, "ordering comparison on non-integers: "
+                       "%%r %s %%r" % op, left + ", " + right)
+        self.line("if not (%s %s %s): %s" % (left, op, right, self.fail))
 
-        return oblige
-    if isinstance(t, RepealObligation):
-        name = _compile_term(t.name, slots)
-        return lambda b, event: RepealObligation(name(b))
-    if isinstance(t, AuditLog):
-        return lambda b, event: _AUDIT
-    if isinstance(t, Block):
-        block = Block(t.reason or "blocked-by-law")
-        return lambda b, event: block
-    return _raiser("unknown op template %r" % (t,))
+    def expr(self, node):
+        """A guard or template expression; a sub-term or sum without
+        variables that evaluates without error is a constant, built once."""
+        if isinstance(node, (int, str)):
+            return self.const(node), node
+        cls = node.__class__
+        if cls is Var or cls is FunctorOf:
+            i = self.slots.get(node.name if cls is Var else node.var.name)
+            if i is None:
+                self.always("unbound variable %s" % node.name if cls is Var
+                            else "functor() of a non-term value None")
+            if cls is Var:
+                return self.slot(i), _VARIES
+            self.check([(self.slot(i), _VARIES)], Term, "functor() of a non-term value %r",
+                       "s%d," % i)
+            return "s%d.functor" % i, _VARIES
+        if cls is BinExpr:
+            (left, lv), (right, rv) = self.expr(node.left), self.expr(node.right)
+            if isinstance(lv, int) and isinstance(rv, int):
+                value = lv + rv if node.op == "+" else lv - rv
+                return self.const(value), value
+            self.check([(left, lv), (right, rv)], int, "arithmetic on non-integers")
+            t = self.temp()
+            self.line("%s = %s %s %s" % (t, left, "+" if node.op == "+" else "-", right))
+            return t, _VARIES
+        if cls is PTerm:
+            args = [self.expr(a) for a in node.args]
+            if all(value is not _VARIES and value is not _A_TERM for _, value in args):
+                value = Term(node.functor, tuple(value for _, value in args))
+                return self.const(value), value
+            return "Term(%s, (%s))" % (self.const(node.functor),
+                                       "".join(text + ", " for text, _ in args)), _A_TERM
+        self.always("cannot evaluate %r" % (node,))
 
+    def build(self, templates):
+        """``build(b, event)``: each op's checks in order, then the ops."""
+        self.begin("def build(b, event):", "")
+        try:
+            ops = [self.op(t) for t in templates]
+            self.line("return (%s)" % "".join(op + ", " for op in ops))
+        except _Raises:
+            pass
+        self.end(len(self.slots))
 
-def _compile_ops(templates, slots):
-    """``build(b, event) -> ops``, one closure per op template in order."""
-    ops = [_compile_op(t, slots) for t in templates]
-    return lambda b, event: tuple([op(b, event) for op in ops])
+    def op(self, t) -> str:
+        cls = t.__class__
+        if cls is AuditLog:
+            return self.const(_AUDIT)
+        if cls is Block:
+            return self.const(Block(t.reason or "blocked-by-law"))
+        if cls is Forward and t.target is None:
+            return "Forward(event.target.name, event.payload)"
+        if cls is Deliver and t.payload is None:
+            return "Deliver(event.payload)"
+        if cls not in _OP_FIELDS:
+            self.always("unknown op template %r" % (t,))
+        made = {}
+        for field, kind, msg in _OP_FIELDS[cls]:
+            text, value = made[field] = self.expr(getattr(t, field))
+            if kind is not None:
+                self.check([(text, value)], kind, msg)
+            if field == "due_in" and value is _VARIES:
+                self.line("if %s < 0: %s" % (text, self.raises(msg)))
+            elif field == "due_in" and value < 0:
+                self.always(msg)
+        return "%s(%s)" % (cls.__name__, ", ".join(made[f][0] for f in cls.__match_args__))
 
 
 def match_pattern(crule: CompiledRule, args: tuple):

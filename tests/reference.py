@@ -1,11 +1,11 @@
 """Reference models: a tree-walking interpreter for law rules, and the two
 scanners that read term text and law text before they shared one grammar.
 
-``fds.lawlang`` compiles each rule once into closures. This module keeps
-the interpreter those closures replaced, as the model they are tested
-against: it reads the rule's syntax tree afresh for every event, binds
-variables in a dict by name, and copies the bindings for every candidate a
-state query tries. It shares only data types, ``event_args`` and the law
+``fds.lawlang`` compiles each rule once into generated Python source.
+This module keeps a tree-walking interpreter, as the model the generated
+code is tested against: it reads the rule's syntax tree afresh for every
+event, binds variables in a dict by name, and copies the bindings for
+every candidate a state query tries. It shares only data types, ``event_args`` and the law
 parser with ``src/fds``; ``commit`` applies a ruling's state ops by its own
 loop.
 

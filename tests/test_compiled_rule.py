@@ -1,4 +1,4 @@
-"""Rules compiled to closures against the tree-walking reference model.
+"""Rules compiled to Python source against the tree-walking reference model.
 
 Random rules are built straight from syntax-tree nodes, without the
 parser's static checks, so they also hold what no parsed law can: unbound
@@ -12,6 +12,10 @@ fail with the same error.
 """
 
 import functools
+import io
+import keyword
+import re
+import tokenize
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -50,6 +54,8 @@ from fds.lawlang import (
     StateQuery,
     Var,
     first_match,
+    parse_law,
+    rule_source,
 )
 
 # -- values: what events and states hold ----------------------------------------
@@ -294,3 +300,93 @@ def test_compiled_rules_rule_like_the_reference(case):
     doc, event, state = case
     assert (outcome(first_match, commit, doc, event, state)
             == outcome(reference.first_match, reference.commit, doc, event, state))
+
+
+# -- what the random rules do not reach: deep guards and hostile constants --------
+
+DEEP_STATE = ControlState(
+    [Term("name", ("a",)), Term("p", (1,)), Term("p", (2,)), Term("p", (3,))], frozenset({"p"}))
+
+
+def _deep_law(n):
+    """Two rules whose guards chain ``n`` queries on p, each equal to the one
+    before, and end with a comparison that only p(3) meets in the deepest
+    query. The first also asks ``X1 == 2``, which no solution meets, so every
+    query exhausts its candidates; the second rules."""
+    chain = ", ".join(["p(X1)@CS"] + ["p(X%d)@CS, X%d == X%d" % (i, i, i - 1)
+                                       for i in range(2, n)])
+    deepest = "p(X%d)@CS, X%d > X%d + 1" % (n, n, n - 1)
+    witness = "w(%s)" % ", ".join("X%d" % i for i in range(1, n + 1))
+    return parse_law(
+        "law deep\ndefault block\nmulti { p }\n"
+        "rule none aspect a on sent(_, _, _) when %s, %s, X1 == 2 do { add %s }\n"
+        "rule deepest aspect a on sent(_, _, _) when %s, %s do { add %s }\n"
+        % (chain, deepest, witness, chain, deepest, witness))
+
+
+@pytest.mark.parametrize("n", [25, 60])
+def test_deep_guards_rule_like_the_reference(n):
+    doc = _deep_law(n)
+    got = outcome(first_match, commit, doc, SEND, DEEP_STATE)
+    assert got == outcome(reference.first_match, reference.commit, doc, SEND, DEEP_STATE)
+    assert got[0] == "deepest" and "w(%s3)" % ("1," * (n - 1)) in got[2]
+
+
+# constants that would change the program if spliced into its source
+HOSTILE = ('__import__("os").system("x")', 'a"b', "back\\slash", "two\nlines", '"""',
+           "lambda", "987654321")
+
+
+def _hostile_rules():
+    """A parsed rule whose functors, atoms, strings and variables are Python
+    words and code, and a rule built from syntax-tree nodes whose functors and
+    atoms hold quotes, backslashes and newlines."""
+    text = r'''law evil
+default block
+multi { def }
+rule lambda aspect def on sent(_, lambda(None, def), _)
+  when def(None, "__import__(\"os\").system(\"x\")")@CS, None != "a\"b",
+       def(K, "back\\slash")@CS, K == 987654321
+  do { add def(None, "two
+lines"); block("\"\"\"") }
+'''
+    parsed = parse_law(text).rules[0]
+    strange = [s for s in HOSTILE if not s.isidentifier()]
+    tree = GroundRule("x", "a", "sent", (WILDCARD, PTerm(strange[0], (Var("X"), strange[1])),
+                                          WILDCARD),
+                      (Comparison("!=", Var("X"), strange[2]),),
+                      (StateAdd(PTerm(strange[3], (Var("X"), strange[4]))),))
+    return parsed, tree
+
+
+def test_hostile_constants_rule_like_the_reference():
+    parsed, tree = _hostile_rules()
+    state = ControlState([Term("name", ("a",)),
+                          Term("def", ("v", '__import__("os").system("x")')),
+                          Term("def", (987654321, "back\\slash"))], frozenset({"def"}))
+    sends = [Sent(AgentName("b"), Term("lambda", ("v", "def"))),
+             Sent(AgentName("b"), Term(HOSTILE[0], ("y", 'a"b')))]
+    for rule, event in zip((parsed, tree), sends):
+        got = outcome(first_match, commit, _doc(rule), event, state)
+        assert got == outcome(reference.first_match, reference.commit, _doc(rule), event, state)
+        assert got[0] == rule.rule_id
+
+
+def test_generated_source_holds_no_law_text():
+    # the generator's own words: its functions, their parameters, the
+    # attributes and builtins they read, and the classes they build
+    allowed = set(keyword.kwlist) | {
+        "match", "guard", "build", "args", "b", "state", "event", "_",
+        "target", "name", "payload", "functor", "visible", "isinstance", "len", "int", "str",
+        "Term", "GuardError", "Forward", "Deliver", "StateReplace", "StateAdd", "StateRemove",
+        "ImposeObligation", "RepealObligation"}
+    for rule in _hostile_rules():
+        source, namespace = rule_source(rule)
+        for text in HOSTILE:
+            assert text not in source
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert not [t for t in tokens if t.type == tokenize.STRING]
+        names = {t.string for t in tokens if t.type == tokenize.NAME}
+        assert {n for n in names if not re.fullmatch(r"[cgst]\d+", n)} <= allowed
+        # the constants are there, as names
+        assert set(HOSTILE[:5]) & set(namespace.values())

@@ -24,8 +24,8 @@ SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "src" / "fds" / "scena
 
 # scenario -> (simulation, replay) calls per ruling: bound (count when set)
 BOUNDS = {
-    "acme-bc.json": (154.9, 132.2),  # 147.5, 125.9
-    "ring-churn.json": (147.9, 119.3),  # 140.9, 113.6
+    "acme-bc.json": (127.9, 108.3),  # 121.8, 103.1
+    "ring-churn.json": (120.8, 100.6),  # 115.0, 95.8
 }
 
 
