@@ -99,6 +99,8 @@ def build_bundle(cfg: dict) -> Bundle:
 def load_laws_dir(path) -> Bundle:
     """Load a directory of ``.law`` files, published under their law names."""
     docs = [parse_law(p.read_text()) for p in sorted(Path(path).glob("*.law"))]
+    if not docs:
+        raise ScenarioError("no .law files in %s" % path)
     docs_by_name = {doc.name: doc for doc in docs}
     if len(docs_by_name) != len(docs):
         raise ScenarioError("duplicate law names in %s" % path)

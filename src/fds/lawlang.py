@@ -18,13 +18,15 @@ as ``dataclasses`` builds its methods (``CompiledRule``): a pattern
 matcher, a guard whose state queries are nested loops, and an ops builder
 whose constant parts are built ahead of time. No event walks the tree.
 This replaced a tree of closures per rule (Feeley & Lapalme, "Using
-closures for code generation", 1987).
+closures for code generation", 1987). ``parse_law`` is a bounded memo
+keyed by the exact text, so each law is parsed, checked and compiled once
+per process (Michie, "Memo functions and machine learning", 1968).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .core import (
@@ -150,7 +152,7 @@ class GroundRule:
         return CompiledRule(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LawDoc:
     name: str
     kind: str  # 'root' | 'delta'
@@ -161,8 +163,12 @@ class LawDoc:
     meta: tuple  # (aspect, mode) pairs, declared order
     rules: tuple  # GroundRules, textual order
 
-    def canonical(self) -> str:
+    @cached_property
+    def _canonical(self) -> str:
         return serialize_law(self)
+
+    def canonical(self) -> str:
+        return self._canonical
 
     def meta_mode(self, aspect: str) -> Optional[str]:
         """Explicit meta mode for an aspect, honoring '*' suffix patterns."""
@@ -271,7 +277,14 @@ class _Cursor:
 # parser
 
 
+PARSE_MEMO_SIZE = 128  # distinct law texts whose docs stay memoised
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_law(text: str) -> LawDoc:
+    """The law ``text`` names, parsed and checked once per process: one text
+    is one law (its hash names it), so the same text gives the same frozen
+    doc, whose rules keep the code they compile. A failing text raises anew."""
     cur = _Cursor(_tokenize(text), text)
     cur.expect("law")
     name = cur.word()

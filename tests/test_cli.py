@@ -36,6 +36,14 @@ class TestLawsCheck:
         assert main(["laws", "check", str(tmp_path)]) == 1
         assert "unresolved superiors" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("make", [lambda tmp: tmp / "missing", lambda tmp: tmp],
+                             ids=["missing", "no-law-files"])
+    def test_a_directory_with_no_law_file_fails(self, make, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("not a law")
+        directory = make(tmp_path)
+        assert main(["laws", "check", str(directory)]) == 1
+        assert capsys.readouterr().out == "FAIL no .law files in %s\n" % directory
+
 
 class TestRunAndReplay:
     def test_trace_out_replays(self, tmp_path, capsys):
@@ -44,6 +52,11 @@ class TestRunAndReplay:
         assert "PASS replay-equiv" in capsys.readouterr().out
         assert main(["replay", str(trace)]) == 0
         assert capsys.readouterr().out.startswith("PASS replay")
+
+    def test_a_laws_dir_with_no_law_file_is_an_error(self, tmp_path, capsys):
+        directory = tmp_path / "missing"
+        assert main(["run", str(SCENARIO), "--laws-dir", str(directory)]) == 2
+        assert capsys.readouterr().err == "error: no .law files in %s\n" % directory
 
     def test_a_payload_that_is_no_term_is_an_error(self, tmp_path, capsys):
         # a non-ASCII digit is no digit of the term syntax

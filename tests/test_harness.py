@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fds import controller, harness
+from fds import controller, harness, lawlang
 from fds.actors import BaseActor, SinkActor
 from fds.controller import AdoptionError, issue_certificate
 from fds.core import FdsError, StateError, parse_term
@@ -440,6 +440,41 @@ class TestLawsDir:
         (tmp_path / "c-d1.law").write_text(make_division_law("D1"))
         with pytest.raises(ScenarioError, match="duplicate law names"):
             load_laws_dir(tmp_path)
+
+    @pytest.mark.parametrize("where", ["missing", "."])
+    def test_a_directory_without_law_files_errors(self, tmp_path, where):
+        (tmp_path / "notes.txt").write_text("not a law")
+        directory = tmp_path / where
+        with pytest.raises(ScenarioError, match=re.escape("no .law files in %s" % directory)):
+            load_laws_dir(directory)
+
+
+def _compiled_rules(fn):
+    """``fn()`` and the number of ``CompiledRule`` objects it constructed."""
+    built = []
+    init = lawlang.CompiledRule.__init__
+
+    def counting(self, rule):
+        built.append(rule)
+        init(self, rule)
+
+    with mock.patch.object(lawlang.CompiledRule, "__init__", counting):
+        return fn(), len(built)
+
+
+class TestLawMemo:
+    """Each law text is parsed, checked and compiled once per process."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+    def test_a_warm_run_and_its_replay_compile_nothing_and_match_a_cold_run(self, name):
+        scenario = load_scenario(SCENARIOS / name)
+        lawlang.parse_law.cache_clear()
+        cold, cold_built = _compiled_rules(lambda: run_scenario(scenario))
+        warm, warm_built = _compiled_rules(lambda: run_scenario(scenario))
+        (ok, problems), replay_built = _compiled_rules(lambda: replay_report(warm))
+        assert ok, problems[:3]
+        assert cold_built > 0 and (warm_built, replay_built) == (0, 0)
+        assert warm.to_json() == cold.to_json()
 
 
 # ---------------------------------------------------------------------------

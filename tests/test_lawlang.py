@@ -1,9 +1,14 @@
+from dataclasses import FrozenInstanceError
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fds import library
+from fds import lawlang, library
 from fds.core import Arrived, AgentName, ControlState, Sent, Term, hash_law, parse_term
+from fds.hierarchy import Framework
 from fds.lawlang import (
+    PARSE_MEMO_SIZE,
     LawSyntaxError,
     aspect_matches,
     eval_guard,
@@ -136,6 +141,44 @@ class TestParsing:
         assert aspect_matches("send:*", "send:interdivision")
         assert not aspect_matches("send:*", "arrive:interdivision")
         assert aspect_matches("mgr:stop", "mgr:stop")
+
+
+class TestMemo:
+    def test_the_same_text_gives_the_same_doc(self):
+        text = library.make_budget_law()
+        doc = parse_law(text)
+        assert parse_law(text) is doc
+        assert parse_law(text[:1] + text[1:]) is doc  # equal text, another str object
+        assert doc.canonical() is doc.canonical()
+
+    def test_a_doc_is_frozen(self):
+        doc = parse_law(library.make_budget_law())
+        with pytest.raises(FrozenInstanceError):
+            doc.rules = ()
+
+    def test_a_text_that_fails_raises_on_every_call(self):
+        text = "law broken\n"
+        held = parse_law.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(LawSyntaxError, match="root law must declare a default"):
+                parse_law(text)
+        assert parse_law.cache_info().currsize == held
+
+    def test_the_memo_is_bounded(self):
+        texts = ["law m%d\ndefault block\n" % i for i in range(PARSE_MEMO_SIZE + 1)]
+        first = parse_law(texts[0])
+        for text in texts[1:]:
+            parse_law(text)
+        assert parse_law.cache_info().currsize <= PARSE_MEMO_SIZE
+        assert parse_law(texts[0]) is not first  # the oldest was let go
+
+    def test_publishing_reads_the_kept_canonical_text(self):
+        doc = parse_law(library.make_acme_root())
+        text = doc.canonical()
+        with mock.patch.object(lawlang, "serialize_law", side_effect=AssertionError):
+            fw = Framework()
+            h = fw.publish_root(doc)
+        assert fw.get_text(h) is text
 
 
 def _rule(text):
