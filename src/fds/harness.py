@@ -308,7 +308,7 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
 
     report = RunReport(
         scenario=scenario,
-        laws=dict(bundle.framework.texts),
+        laws={h: doc.canonical() for h, doc in bundle.framework.docs.items()},
         records=trace.records,
         audit=pool.audit,
         metrics=metrics_summary(pool.metrics, trace.records),

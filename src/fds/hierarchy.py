@@ -172,7 +172,6 @@ class Framework:
     def __init__(self):
         self.root: Optional[str] = None
         self.docs: Dict[str, LawDoc] = {}
-        self.texts: Dict[str, str] = {}
         self.parent: Dict[str, Optional[str]] = {}
         self._paths: Dict[str, LawPath] = {}  # leaf -> path; safe, append-only
 
@@ -181,11 +180,9 @@ class Framework:
             raise FrameworkError("already-rooted")
         if doc.kind != "root":
             raise FrameworkError("root-cannot-extend")
-        text = doc.canonical()
-        h = hash_law(text)
+        h = hash_law(doc.canonical())
         self.root = h
         self.docs[h] = doc
-        self.texts[h] = text
         self.parent[h] = None
         return h
 
@@ -201,19 +198,17 @@ class Framework:
             if effective_mode(superiors, rule.aspect) == "sealed":
                 raise MetaViolation("meta-violation: aspect %r is sealed above (rule %s)"
                                     % (rule.aspect, rule.rule_id))
-        text = doc.canonical()
-        h = hash_law(text)
+        h = hash_law(doc.canonical())
         if h in self.docs:
             return h  # identical republish is a no-op
         self.docs[h] = doc
-        self.texts[h] = text
         self.parent[h] = superior
         return h
 
     def get_text(self, h: str) -> str:
-        if h not in self.texts:
+        if h not in self.docs:
             raise FrameworkError("unknown law hash %s" % h)
-        return self.texts[h]
+        return self.docs[h].canonical()
 
     def resolve_path(self, leaf: str) -> LawPath:
         """The one path of a leaf (later publishes never change it)."""

@@ -4,11 +4,11 @@ The number of calls a run makes is exact, where its host time is not. Each
 count sums the raw ``callcount`` of every entry ``cProfile`` saw, read from
 ``Profile.getstats()``: ``pstats`` files every dataclass-generated
 ``__init__`` under one label and keeps one of them, so it under-counts. A
-scenario runs with its assertions removed and its report is replayed, once
-to warm up, then once more each profiled. The warm-up also fills the law
-memo (``lawlang.parse_law``) with the laws' texts and the canonical texts
-replay republishes, so neither profiled count holds parsing or compiling
-a law: what is left is the work each ruling costs.
+scenario runs once to warm up, then once profiled with its assertions
+removed, and its report is then replayed once profiled. The warm-up also
+fills the law memo (``lawlang.parse_law``) with the laws' texts, which are
+the canonical texts replay republishes, so neither profiled count holds
+parsing or compiling a law: what is left is the work each ruling costs.
 
 Each bound is 5 % above the count measured when it was set, which CPython
 3.10 and 3.11 share (3.10 counts one call per ruling fewer on acme-bc) and
@@ -45,7 +45,7 @@ def _calls(fn):
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_calls_per_ruling_stay_within_their_bounds(name):
     scenario = dict(load_scenario(SCENARIOS / name), assertions=[])
-    replay_report(run_scenario(scenario))
+    run_scenario(scenario)
     report, sim = _calls(lambda: run_scenario(scenario))
     rulings = report.metrics["events"]
     (ok, problems), replay = _calls(lambda: replay_report(report))

@@ -378,13 +378,13 @@ class TestReplay:
 
     def test_rebuild_framework_restores_hashes(self):
         acme = build_acme_hierarchy()
-        fw = rebuild_framework(dict(acme.framework.texts))
+        fw = rebuild_framework({h: d.canonical() for h, d in acme.framework.docs.items()})
         assert set(fw.docs) == set(acme.framework.docs)
         assert fw.root == acme.root
 
     def test_rebuild_framework_rejects_text_under_another_hash(self):
         acme = build_acme_hierarchy()
-        laws = dict(acme.framework.texts)
+        laws = {h: d.canonical() for h, d in acme.framework.docs.items()}
         laws[acme.d2] = laws[acme.d1]
         with pytest.raises(FdsError, match="does not hash to %s" % acme.d2):
             rebuild_framework(laws)
@@ -470,6 +470,10 @@ class TestLawMemo:
         scenario = load_scenario(SCENARIOS / name)
         lawlang.parse_law.cache_clear()
         cold, cold_built = _compiled_rules(lambda: run_scenario(scenario))
+        # the cold run's replay-equiv assertion republishes the laws the run
+        # published, by the same texts: each law was parsed once
+        assert cold.verdicts["replay-equiv"]["ok"]
+        assert lawlang.parse_law.cache_info().misses == len(cold.laws)
         warm, warm_built = _compiled_rules(lambda: run_scenario(scenario))
         (ok, problems), replay_built = _compiled_rules(lambda: replay_report(warm))
         assert ok, problems[:3]

@@ -6,6 +6,7 @@ from fds.lawlang import parse_law
 from fds.library import (
     build_acme_hierarchy,
     make_acme_root,
+    make_actor_promise_law,
     make_budget_law,
     make_cc_law,
     make_division_law,
@@ -48,8 +49,20 @@ class TestBundle:
             acme.law("nonsense")
 
     def test_texts_parse_and_rebuild_identically(self, acme):
-        for h, text in acme.framework.texts.items():
-            assert parse_law(text).canonical() == text
+        for doc in acme.framework.docs.values():
+            assert parse_law(doc.canonical()).canonical() == doc.canonical()
+
+    @pytest.mark.parametrize("text", [
+        make_acme_root(), make_division_law("D1"), make_division_law("Sales"),
+        make_budget_law(), make_cc_law(), make_cc_law("srv", 7),
+        make_rate_control_law("drop"), make_rate_control_law("drop", 12, "w"),
+        make_rate_control_law("buffer"), make_rate_control_law("buffer", 100, "x"),
+        make_token_ring_law(25), make_actor_promise_law(), make_actor_promise_law(5),
+    ], ids=lambda text: text.split()[1])
+    def test_builders_write_the_canonical_text(self, text):
+        # the text a report records, so a run and the replay of its report
+        # read one parse_law memo entry
+        assert parse_law(text).canonical() == text
 
 
 class TestDivisionPolicy:

@@ -181,7 +181,7 @@ def _shipped_law_texts():
              library.make_token_ring_law(25), library.make_actor_promise_law(80)]
     for path in sorted(SCENARIOS.glob("*.json")):
         cfg = json.loads(path.read_text()).get("laws", {"bundle": "acme"})
-        texts.extend(build_bundle(cfg).framework.texts.values())
+        texts.extend(doc.canonical() for doc in build_bundle(cfg).framework.docs.values())
     return texts
 
 
