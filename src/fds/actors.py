@@ -15,8 +15,7 @@ from .core import Term
 class BaseActor:
     """Records deliveries, rogue receipts and blocked-send notices."""
 
-    def __init__(self, **params):
-        self.params = params
+    def __init__(self):
         self.pool = None
         self.name = ""
         self.deliveries: List[Tuple[int, str, Term]] = []
@@ -57,8 +56,10 @@ class EchoActor(BaseActor):
 class RingMemberActor(BaseActor):
     """Holds a delivered token for a fixed time, then asks to pass it on."""
 
-    def __init__(self, hold: int = 5, **params):
-        super().__init__(**params)
+    def __init__(self, hold: int = 5):
+        if type(hold) is not int or hold < 0:
+            raise ValueError("hold must be a non-negative integer, not %r" % (hold,))
+        super().__init__()
         self.hold = hold
 
     def on_deliver(self, sender: str, payload: Term):
@@ -76,8 +77,8 @@ class ProberActor(BaseActor):
     """Collects law texts and paths served by the law-server and computes
     the lowest common ancestor of any two fetched paths."""
 
-    def __init__(self, **params):
-        super().__init__(**params)
+    def __init__(self):
+        super().__init__()
         self.texts: Dict[str, str] = {}
         self.paths: Dict[str, tuple] = {}
 

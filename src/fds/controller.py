@@ -6,10 +6,11 @@ crosscutting overlays). Outbound messages are evaluated native chain
 first; what that chain forwards is re-submitted to the next chain, and
 only the survivors reach the wire. Inbound traffic runs the last
 (crosscutting) chain first and then the others in order, so a
-crosscutting law sees arrivals before the native law does. The pool also
-keeps the audit sink; its obligations are scheduler entries. Its ``agents``
-is the only agent directory: a message to no adopted agent is dead-lettered
-when sent, one whose target quit in flight when it arrives (``_arrive``).
+crosscutting law sees arrivals before the native law does. The pool records
+into its net's trace and actors; its obligations are scheduler entries. Its
+``agents`` is the only agent directory: a message to no adopted agent is
+dead-lettered when sent, one whose target quit in flight when it arrives
+(``_arrive``).
 
 Every ruling goes through one mediation step, ``ControllerPool._mediate``:
 it derives the ruling of one ``Chain`` on one event, computes the state it
@@ -47,7 +48,7 @@ from .core import (
 )
 from .hierarchy import Framework, LawPath, derive_ruling
 from .lawlang import event_args
-from .transport import Envelope, SimNet, Trace
+from .transport import Envelope, SimNet
 
 CA_KEY = b"acme-test-ca-key"
 CA_NAME = "AcmeCA"
@@ -110,18 +111,16 @@ class AgentRecord:
 
 @dataclass
 class Overlay:
-    """The overlay of one ruling: its terms, the map of each functor to its
-    terms that a view shares, and the text its ruling record keeps."""
+    """The overlay of one ruling: the map of each functor to its terms that
+    a view shares, and the text its ruling record keeps."""
 
-    terms: Tuple[Term, ...]
     groups: Dict[str, tuple]
     text: str
 
 
 def _overlay(*terms: Term) -> Overlay:
     """The overlay of ``terms``, each of its own functor."""
-    return Overlay(terms, {t.functor: (t,) for t in terms},
-                   ";".join([t.canonical() for t in terms]))
+    return Overlay({t.functor: (t,) for t in terms}, ";".join([t.canonical() for t in terms]))
 
 
 class Overlays:
@@ -157,8 +156,7 @@ class Overlays:
                 Term("peerName", (name,)), Term("peerDivision", (division,)),
                 Term("peerLaw", (peer_law,)), Term("peerSameLaw", (same,)))
         clock = self.base(now)
-        return Overlay(clock.terms + part.terms, {**clock.groups, **part.groups},
-                       clock.text + ";" + part.text)
+        return Overlay({**clock.groups, **part.groups}, clock.text + ";" + part.text)
 
 
 def ruling_fields(view, overlay: Overlay, ruling) -> dict:
@@ -176,12 +174,12 @@ def ruling_fields(view, overlay: Overlay, ruling) -> dict:
 class ControllerPool:
     """All simulated controllers, sharing one framework, net and clock."""
 
-    def __init__(self, framework: Framework, net: SimNet, trace: Trace):
+    def __init__(self, framework: Framework, net: SimNet):
         self.framework = framework
         self.net = net
-        self.trace = trace
+        self.trace = net.trace
         self.agents: Dict[str, AgentRecord] = {}
-        self.audit: List[dict] = []
+        self._audit_seq = 0
         self.metrics: List[Tuple[str, int]] = []  # (leaf law, wall time ns) per ruling
         self._oblig_seq = 0
         self.overlays = Overlays()
@@ -211,7 +209,7 @@ class ControllerPool:
         if bind is not None:
             bind(self, name)
         self.agents[name] = rec
-        self.net.register_actor(name, actor)
+        self.net.actors[name] = actor
         self.trace.add("adopt", {"agent": name, "division": cert.division,
                                  "laws": [c.path.leaf for c in rec.chains]})
         return rec
@@ -399,7 +397,7 @@ class ControllerPool:
 
     def _audit_record(self, sender: str, division: str, law: str, target: str,
                       payload: Term):
-        entry = {"senderName": sender, "senderDivision": division, "senderLaw": law,
-                 "target": target, "payloadFunctor": payload.functor}
-        self.trace.add("audit", {"auditSeq": len(self.audit), **entry})
-        self.audit.append(dict(entry, seq=len(self.audit), time=self.now))
+        self.trace.add("audit", {"auditSeq": self._audit_seq, "senderName": sender,
+                                 "senderDivision": division, "senderLaw": law,
+                                 "target": target, "payloadFunctor": payload.functor})
+        self._audit_seq += 1

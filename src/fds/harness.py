@@ -57,7 +57,7 @@ from .oracles import (
     ring_token_oracle,
     unruled_deliveries,
 )
-from .transport import Scheduler, SimNet, SimNetConfig, Trace
+from .transport import Scheduler, SimNet, SimNetConfig
 
 
 class ScenarioError(FdsError):
@@ -209,13 +209,11 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
     if order not in ("fifo-per-pair", "random-seeded"):
         raise ScenarioError("net order must be fifo-per-pair or random-seeded, not %r" % (order,))
     scheduler = Scheduler()
-    trace = Trace(lambda: scheduler.now)
     cfg = SimNetConfig(seed=seed, latency=tuple(latency), delivery_order=order,
                        firewall=firewall)
-    net = SimNet(scheduler, cfg, trace)
+    net = SimNet(scheduler, cfg)
     bundle = build_bundle(scenario.get("laws", {"bundle": "acme"}))
-    pool = ControllerPool(bundle.framework, net, trace)
-    actors: Dict[str, object] = {}
+    pool = ControllerPool(bundle.framework, net)
 
     def resolve(ref: str) -> str:
         try:
@@ -229,7 +227,8 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
             try:
                 fn()
             except FdsError as exc:
-                trace.add("action-error", {"action": action, "agent": agent, "error": str(exc)})
+                net.trace.add("action-error", {"action": action, "agent": agent,
+                                               "error": str(exc)})
 
         return run
 
@@ -238,18 +237,21 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
         law = resolve(law)
         stack = [resolve(s) for s in entry.get("stack", [])]
         behavior = entry.get("behavior", "sink")
-        params = entry.get("params", {})
         if behavior == "law-server":
-            actor = LawServer(bundle.framework, name)
+            make = partial(LawServer, bundle.framework, name)
         elif behavior in BEHAVIORS:
-            actor = BEHAVIORS[behavior](**params)
+            make = BEHAVIORS[behavior]
         else:
             raise ScenarioError("unknown behavior %r" % behavior)
+        try:
+            actor = make(**entry.get("params", {}))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError("%s has params its %r behavior refuses: %s"
+                                % (RECORD_ENCODER.encode(entry), behavior, exc)) from None
 
         def do_adopt():
             cert = issue_certificate(name, entry.get("division", ""))
             pool.adopt(actor, cert, law)
-            actors[name] = actor  # only an admitted actor joins the run
             for extra in stack:
                 pool.stack_adopt(name, extra)
 
@@ -309,11 +311,11 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
     report = RunReport(
         scenario=scenario,
         laws={h: doc.canonical() for h, doc in bundle.framework.docs.items()},
-        records=trace.records,
-        audit=pool.audit,
-        metrics=metrics_summary(pool.metrics, trace.records),
+        records=net.trace.records,
+        audit=audit_log(net.trace.records),
+        metrics=metrics_summary(pool.metrics, net.trace.records),
         warnings=warnings,
-        actors=actors,
+        actors=net.actors,
     )
     for spec in scenario.get("assertions", []):
         name, params = (spec, {}) if isinstance(spec, str) else (spec["name"], spec.get("params", {}))
@@ -384,6 +386,13 @@ def _compile_random_traffic(item, seed, scheduler, pool, net, guarded):
         submit = net.rogue_send if rng.random() < rogue_prob else pool.send
         scheduler.schedule(t, guarded(partial(submit, sender, target, payload),
                                       "random-traffic", sender))
+
+
+def audit_log(records) -> List[dict]:
+    """The audit log of a trace's ``audit`` records, ``auditSeq`` as ``seq``."""
+    return [dict({k: r[k] for k in ("senderName", "senderDivision", "senderLaw", "target",
+                                     "payloadFunctor", "time")}, seq=r["auditSeq"])
+            for r in records if r["type"] == "audit"]
 
 
 # ---------------------------------------------------------------------------
@@ -676,5 +685,10 @@ def replay_report_file(path) -> Tuple[bool, List[str]]:
         return False, ["report has no laws object of law texts"]
     if not isinstance(data.get("trace"), list):
         return False, ["report has no trace list"]
-    return replay_report(RunReport(data.get("scenario", {}), laws, data["trace"],
-                                   data.get("audit", []), data.get("metrics", {})))
+    problems = replay_report(RunReport({}, laws, data["trace"], [], {}))[1]
+    try:
+        if data.get("audit") != audit_log(data["trace"]):
+            problems.append("audit: the report's audit log is not its trace's audit records")
+    except (LookupError, TypeError) as exc:
+        problems.append("audit: unreadable trace (%s: %s)" % (type(exc).__name__, exc))
+    return not problems, problems

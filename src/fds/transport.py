@@ -35,16 +35,16 @@ class Envelope:
 
 
 class Trace:
-    """Append-only run record; the replayable source of truth for a run."""
+    """Append-only run record on its scheduler's clock; the replayable source of truth."""
 
-    def __init__(self, now_fn: Callable[[], int]):
+    def __init__(self, scheduler: Scheduler):
         self.records: List[dict] = []
-        self.now_fn = now_fn
+        self.scheduler = scheduler
 
     def add(self, rectype: str, fields: dict) -> int:
         """Append the record ``fields`` its caller built; returns its seq."""
         seq = fields["seq"] = len(self.records)
-        fields["time"] = self.now_fn()
+        fields["time"] = self.scheduler.now
         fields["type"] = rectype
         self.records.append(fields)
         return seq
@@ -115,18 +115,16 @@ class SimNetConfig:
 
 
 class SimNet:
-    """Seeded, reproducible message carrier for simulation runs."""
+    """Seeded, reproducible message carrier for simulation runs; it owns the
+    run's one trace and ``actors``, each actor ever admitted, by name."""
 
-    def __init__(self, scheduler: Scheduler, config: SimNetConfig, trace: Trace):
+    def __init__(self, scheduler: Scheduler, config: SimNetConfig):
         self.scheduler = scheduler
         self.config = config
-        self.trace = trace
+        self.trace = Trace(scheduler)
         self.rng = random.Random(config.seed)
-        self._actors: Dict[str, object] = {}
+        self.actors: Dict[str, object] = {}
         self._last_pair: Dict[Tuple[str, str], int] = {}
-
-    def register_actor(self, name: str, actor):
-        self._actors[name] = actor
 
     def send(self, env: Envelope, receive: Callable[[Envelope, int], None],
              from_rulings=()) -> int:
@@ -153,7 +151,7 @@ class SimNet:
             self.trace.add("rogue-blocked", record)
             return False
         self.trace.add("rogue", record)
-        actor = self._actors.get(to_actor)
+        actor = self.actors.get(to_actor)
         if actor is not None:
             receive = getattr(actor, "receive_rogue", None)
             if receive is not None:

@@ -81,6 +81,18 @@ class TestRunAndReplay:
             assert main(["run", str(path)]) == 2
             assert capsys.readouterr().err == "error: %s\n" % error
 
+    def test_a_cast_entry_with_params_its_behavior_refuses_is_an_error(self, tmp_path, capsys):
+        scenario = json.loads(SCENARIO.with_name("ring-churn.json").read_text())
+        entry = next(e for e in scenario["cast"] if e["name"] == "m1")
+        entry["params"] = {"hold": "5"}
+        path = tmp_path / "string-hold.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            'error: {"behavior":"ring-member","division":"","law":"ring","name":"m1",'
+            '"params":{"hold":"5"}} has params its \'ring-member\' behavior refuses: '
+            "hold must be a non-negative integer, not '5'\n")
+
     def test_a_timeline_item_without_a_key_it_needs_is_an_error(self, tmp_path, capsys):
         scenario = json.loads(SCENARIO.read_text())
         scenario["timeline"] = [{"action": "send", "from": "a", "to": "b", "payload": "m(1)"}]
@@ -147,9 +159,17 @@ class TestRunAndReplay:
         # and re-derives each blocked flag
         (lambda data: _first_ruling(data, "sent", lambda r: r.update(
             blocked=not r["blocked"])), ": blocked "),
+        # the audit log must be the one the trace's audit records give
+        (lambda data: _audit(data, lambda audit: audit[0].update(target="zz")),
+         "audit: the report's audit log is not its trace's audit records"),
+        (lambda data: _audit(data, lambda audit: audit.pop(1)),
+         "audit: the report's audit log is not its trace's audit records"),
+        (lambda data: _first_audit_record(data, lambda r: r.pop("auditSeq")),
+         "audit: unreadable trace (KeyError: 'auditSeq')"),
     ], ids=["not-json", "not-an-object", "no-laws", "law-not-text", "no-trace", "short-eventArgs",
             "no-envelope", "unknown-envelope", "law-unparsable", "law-rule-edited",
-            "overlay-edited", "blocked-flipped"])
+            "overlay-edited", "blocked-flipped", "audit-target-edited", "audit-entry-deleted",
+            "audit-record-unreadable"])
     def test_a_malformed_report_fails_replay(self, tamper, problem, tmp_path, capsys):
         data = tamper(json.loads(_report_text()))
         trace = tmp_path / "trace.json"
@@ -174,6 +194,16 @@ def _edit_law(data, old, new):
     """``data`` with ``old`` replaced by ``new`` in the law text that holds it."""
     ref = next(ref for ref, text in data["laws"].items() if old in text)
     data["laws"][ref] = data["laws"][ref].replace(old, new)
+    return data
+
+
+def _audit(data, change):
+    change(data["audit"])
+    return data
+
+
+def _first_audit_record(data, change):
+    change(next(r for r in data["trace"] if r["type"] == "audit"))
     return data
 
 

@@ -15,14 +15,13 @@ from fds.core import FdsError, ObligationDue, StateError, Term, parse_term
 from fds.library import build_acme_hierarchy, make_token_ring_law
 from fds.lawlang import parse_law
 from fds.hierarchy import Framework, publish_laws
-from fds.transport import Envelope, Scheduler, SimNet, SimNetConfig, Trace
+from fds.transport import Envelope, Scheduler, SimNet, SimNetConfig
 
 
 def make_pool(framework):
     sched = Scheduler()
-    trace = Trace(lambda: sched.now)
-    net = SimNet(sched, SimNetConfig(seed=0, latency=(1, 1)), trace)
-    return ControllerPool(framework, net, trace), sched, trace
+    net = SimNet(sched, SimNetConfig(seed=0, latency=(1, 1)))
+    return ControllerPool(framework, net), sched, net.trace
 
 
 @pytest.fixture()
@@ -122,16 +121,16 @@ class TestMediation:
         assert pool.send("a", "b", Term("m", (1,)))
         pool.net.scheduler.run()
         assert len(b.deliveries) == 1
-        assert [x["senderName"] for x in pool.audit] == ["a"]
-        assert pool.audit[0]["target"] == "b"
-        assert pool.audit[0]["payloadFunctor"] == "m"
+        audit = pool.trace.of_type("audit")
+        assert [(x["auditSeq"], x["senderName"], x["target"], x["payloadFunctor"])
+                for x in audit] == [(0, "a", "b", "m")]
 
     def test_blocked_pipeline_writes_no_audit(self, acme, pool):
         pool.adopt(SinkActor(), issue_certificate("a", "D1"), acme.root)
         pool.adopt(SinkActor(), issue_certificate("b", "D2"), acme.d2)
         pool.send("a", "b", Term("m", (1,)))
         pool.net.scheduler.run()
-        assert pool.audit == []
+        assert pool.trace.of_type("audit") == []
 
     def test_manager_stop_halts_sends(self, acme, pool):
         a = SinkActor()
@@ -201,10 +200,12 @@ class TestMediationStep:
         for r, terms in zip(rulings, overlays):
             assert r["overlay"] == ";".join(t.canonical() for t in terms)
         base, message = pool.overlays.base(3), pool.overlays.peer(3, "x", "a", "D1", "y")
-        for overlay in (base, message):
-            assert overlay.text == ";".join(t.canonical() for t in overlay.terms)
-            assert overlay.groups == {t.functor: (t,) for t in overlay.terms}
-        assert message.terms[:1] == base.terms
+        peer_terms = [Term("peerName", ("a",)), Term("peerDivision", ("D1",)),
+                      Term("peerLaw", ("y",)), Term("peerSameLaw", (0,))]
+        for overlay, terms in ((base, [Term("clock", (3,))]),
+                               (message, [Term("clock", (3,))] + peer_terms)):
+            assert overlay.text == ";".join(t.canonical() for t in terms)
+            assert overlay.groups == {t.functor: (t,) for t in terms}
 
 
 class TestStacking:
@@ -356,10 +357,9 @@ class TestDeadLetters:
     def _run(self, ghost=False, quit_b=False):
         bundle = _clock_bundle()
         sched = Scheduler()
-        trace = Trace(lambda: sched.now)
         net = SimNet(sched, SimNetConfig(seed=3, latency=(1, 9),
-                                         delivery_order="random-seeded"), trace)
-        pool = ControllerPool(bundle.framework, net, trace)
+                                         delivery_order="random-seeded"))
+        pool, trace = ControllerPool(bundle.framework, net), net.trace
         for name in ("a", "b"):
             pool.adopt(SinkActor(), issue_certificate(name, ""), bundle.c0)
         if ghost:
@@ -426,12 +426,11 @@ class TestObligationClock:
     def _pool(self, agents, sched_cls=Scheduler):
         bundle = _clock_bundle()
         sched = sched_cls()
-        trace = Trace(lambda: sched.now)
-        net = SimNet(sched, SimNetConfig(seed=0, latency=(1, 1)), trace)
-        pool = sched.pool = ControllerPool(bundle.framework, net, trace)
+        net = SimNet(sched, SimNetConfig(seed=0, latency=(1, 1)))
+        pool = sched.pool = ControllerPool(bundle.framework, net)
         for name, chains in agents:
             _clock_adopt(pool, bundle, name, chains)
-        return pool, sched, trace, bundle
+        return pool, sched, net.trace, bundle
 
     def test_due_obligations_fire_in_due_then_imposition_order(self):
         pool, sched, trace, _ = self._pool([("a", 2), ("b", 1)])

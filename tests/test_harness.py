@@ -161,6 +161,16 @@ class TestRunner:
          "has a non-string 'behavior'"),
         ("cast", {"name": "c", "law": "d1", "params": 5}, "has a non-object 'params'"),
         ("cast", {"name": "c", "law": "d1", "stack": "d1"}, "has a non-string-list 'stack'"),
+        # an actor's params are checked by its behavior before the run starts
+        ("cast", {"name": "c", "law": "d1", "behavior": "ring-member", "params": {"hold": "5"}},
+         "has params its 'ring-member' behavior refuses: hold must be a non-negative integer, "
+         "not '5'"),
+        ("cast", {"name": "c", "law": "d1", "behavior": "ring-member", "params": {"hodl": 50}},
+         "has params its 'ring-member' behavior refuses: RingMemberActor.__init__() got an "
+         "unexpected keyword argument 'hodl'"),
+        ("cast", {"name": "c", "law": "d1", "params": {"anything": 1}},
+         "has params its 'sink' behavior refuses: BaseActor.__init__() got an unexpected "
+         "keyword argument 'anything'"),
         ("timeline", dict(TRAFFIC, count="2"), "has a non-integer 'count'"),
         ("timeline", dict(TRAFFIC, seedOffset="x"), "has a non-integer 'seedOffset'"),
         ("timeline", dict(TRAFFIC, gap=5), "has a non-range 'gap'"),
@@ -176,6 +186,7 @@ class TestRunner:
             "until-string", "payload-unknown-field", "from-list", "to-integer",
             "payload-integer", "agent-list", "law-integer", "name-integer",
             "division-integer", "behavior-list", "params-integer", "stack-string",
+            "hold-string", "params-misspelt", "params-for-no-parameter",
             "count-string", "seed-offset-string", "gap-integer", "gap-lo-above-hi",
             "cost-range-one-bound", "rogue-prob-string", "rogue-prob-bool", "senders-empty",
             "senders-string", "targets-integers"])
@@ -544,7 +555,9 @@ def _opens(rec):
 
 
 def _tampered(report, records):
-    return RunReport(scenario={}, laws=report.laws, records=records, audit=[], metrics={})
+    """``report`` with ``records``, which leave its audit records as they were."""
+    return RunReport(scenario={}, laws=report.laws, records=records, audit=report.audit,
+                     metrics={})
 
 
 def _replay_fresh_parse(report, directory):

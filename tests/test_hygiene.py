@@ -1,4 +1,5 @@
-"""Static hygiene checks over the package source (stdlib ``ast`` only)."""
+"""Static hygiene checks over the package source and the tests (stdlib
+``ast`` only)."""
 
 import ast
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fds"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -31,7 +33,7 @@ def test_detects_an_unused_import():
     assert unused_imports(src) == [(2, "os")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -5,7 +5,7 @@ from fds.controller import ControllerPool, issue_certificate
 from fds.core import Term, hash_law, parse_term
 from fds.lawserver import LawServer
 from fds.library import build_acme_hierarchy, make_division_law
-from fds.transport import Scheduler, SimNet, SimNetConfig, Trace
+from fds.transport import Scheduler, SimNet, SimNetConfig
 
 
 @pytest.fixture()
@@ -37,9 +37,7 @@ class TestQueryProtocol:
 class TestGovernedMaintenance:
     def _pool(self, acme):
         sched = Scheduler()
-        trace = Trace(lambda: sched.now)
-        net = SimNet(sched, SimNetConfig(seed=0, latency=(1, 1)), trace)
-        pool = ControllerPool(acme.framework, net, trace)
+        pool = ControllerPool(acme.framework, SimNet(sched, SimNetConfig(seed=0, latency=(1, 1))))
         server = LawServer(acme.framework)
         pool.adopt(server, issue_certificate("law-server", ""), acme.root)
         return pool, sched, server

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from fds.core import Term, parse_term
-from fds.transport import Envelope, Scheduler, SimNet, SimNetConfig, Trace
+from fds.transport import Envelope, Scheduler, SimNet, SimNetConfig
 
 
 def _env(payload=Term("m", (1, "x")), target="b"):
@@ -12,8 +12,8 @@ def _env(payload=Term("m", (1, "x")), target="b"):
 
 def _net(**cfg):
     sched = Scheduler()
-    trace = Trace(lambda: sched.now)
-    return sched, trace, SimNet(sched, SimNetConfig(**cfg), trace)
+    net = SimNet(sched, SimNetConfig(**cfg))
+    return sched, net.trace, net
 
 
 def _carry(payload):
@@ -165,7 +165,7 @@ class TestSimNet:
             def receive_rogue(self, s, p):
                 hits.append(p)
 
-        net.register_actor("b", A())
+        net.actors["b"] = A()
         assert net.rogue_send("x", "b", Term("covert")) is False
         assert hits == []
         assert trace.of_type("rogue-blocked")
@@ -178,7 +178,7 @@ class TestSimNet:
             def receive_rogue(self, s, p):
                 hits.append((s, p))
 
-        net.register_actor("b", A())
+        net.actors["b"] = A()
         assert net.rogue_send("x", "b", Term("covert")) is True
         assert hits == [("x", Term("covert"))]
         assert trace.of_type("rogue")
