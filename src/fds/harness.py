@@ -57,7 +57,7 @@ from .oracles import (
     ring_token_oracle,
     unruled_deliveries,
 )
-from .transport import Scheduler, SimNet, SimNetConfig
+from .transport import Scheduler, SimNet, SimNetConfig, collector_paused
 
 
 class ScenarioError(FdsError):
@@ -671,24 +671,28 @@ def _other_event(kind: str, arg: str):
 
 
 def replay_report_file(path) -> Tuple[bool, List[str]]:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        return False, ["cannot read a report from %s: %s" % (path, exc)]
-    if not isinstance(data, dict):
-        return False, ["a report is a JSON object, not %s" % type(data).__name__]
-    if data.get("traceVersion") != TRACE_VERSION:
-        return False, ["trace version %r is not %d" % (data.get("traceVersion"),
-                                                       TRACE_VERSION)]
-    laws = data.get("laws")
-    if not isinstance(laws, dict) or not all(isinstance(t, str) for t in laws.values()):
-        return False, ["report has no laws object of law texts"]
-    if not isinstance(data.get("trace"), list):
-        return False, ["report has no trace list"]
-    problems = replay_report(RunReport({}, laws, data["trace"], [], {}))[1]
-    try:
-        if data.get("audit") != audit_log(data["trace"]):
-            problems.append("audit: the report's audit log is not its trace's audit records")
-    except (LookupError, TypeError) as exc:
-        problems.append("audit: unreadable trace (%s: %s)" % (type(exc).__name__, exc))
-    return not problems, problems
+    """``replay_report`` of the report file at ``path``, and its audit log
+    checked against its trace. The cyclic collector is held off as in
+    ``Scheduler.run``: reference counting frees every temporary they make."""
+    with collector_paused():
+        try:
+            data = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            return False, ["cannot read a report from %s: %s" % (path, exc)]
+        if not isinstance(data, dict):
+            return False, ["a report is a JSON object, not %s" % type(data).__name__]
+        if data.get("traceVersion") != TRACE_VERSION:
+            return False, ["trace version %r is not %d" % (data.get("traceVersion"),
+                                                           TRACE_VERSION)]
+        laws = data.get("laws")
+        if not isinstance(laws, dict) or not all(isinstance(t, str) for t in laws.values()):
+            return False, ["report has no laws object of law texts"]
+        if not isinstance(data.get("trace"), list):
+            return False, ["report has no trace list"]
+        problems = replay_report(RunReport({}, laws, data["trace"], [], {}))[1]
+        try:
+            if data.get("audit") != audit_log(data["trace"]):
+                problems.append("audit: the report's audit log is not its trace's audit records")
+        except (LookupError, TypeError) as exc:
+            problems.append("audit: unreadable trace (%s: %s)" % (type(exc).__name__, exc))
+        return not problems, problems

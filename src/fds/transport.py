@@ -9,8 +9,10 @@ firewall is switched on.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -57,13 +59,30 @@ class Trace:
 # deterministic scheduler and simulated network
 
 
+@contextmanager
+def collector_paused():
+    """Hold the cyclic collector off for the block, then restore it as it was."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class Scheduler:
     """Logical-time event loop, the one queue of timed work. Its heap holds
     ``(time, rank, seq, fn)``: obligations (rank 0) run first among the items
     of their time, ties break by scheduling order. One due by ``now`` waits
     for the next advance, so ``on obligationDue(x) do { oblige x in 0 }``
     cannot hold the clock still; ``run(until)`` fires the waiting ones at
-    ``until`` as it stops, but not what they schedule there."""
+    ``until`` as it stops, but not what they schedule there. ``run()`` with
+    no ``until`` advances the clock by one while only waiting ones are left,
+    so a law that re-imposes ``oblige x in 0`` on each firing keeps it going,
+    as a periodic obligation does. ``run`` holds the cyclic collector off:
+    reference counting frees every temporary the loop makes (pinned by
+    ``tests/test_collector.py``), so a collection would free nothing."""
 
     def __init__(self):
         self.now = 0
@@ -94,16 +113,20 @@ class Scheduler:
 
     def run(self, until: Optional[int] = None):
         heap = self._heap
-        while heap:
-            time, _, _, fn = heap[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(heap)
-            if time > self.now:
-                self._advance(time)
-            fn()
-        if until is not None and until > self.now:
-            self._advance(until)
+        with collector_paused():
+            while heap or (until is None and self._waiting):
+                if not heap:  # only obligations waiting for an advance are left
+                    self._advance(self.now + 1)
+                    continue
+                time, _, _, fn = heap[0]
+                if until is not None and time > until:
+                    break
+                heapq.heappop(heap)
+                if time > self.now:
+                    self._advance(time)
+                fn()
+            if until is not None and until > self.now:
+                self._advance(until)
 
 
 @dataclass

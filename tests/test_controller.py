@@ -475,6 +475,13 @@ class TestObligationClock:
         sched.run(until=4)
         assert _fired(trace) == [(3, "a", 0, "relay(1)"), (4, "a", 0, "ob(1)")]
 
+    def test_run_without_until_fires_what_waits_once_the_queue_runs_dry(self):
+        pool, sched, trace, _ = self._pool([("a", 1)])
+        pool.send("a", "x", parse_term("rel(0, 1, 3)"))
+        sched.run()
+        assert _fired(trace) == [(3, "a", 0, "relay(1)"), (4, "a", 0, "ob(1)")]
+        assert pool.agents["a"].chains[0].obligations == {}
+
     def test_quit_then_readoption_with_fewer_chains_drops_old_obligations(self):
         pool, sched, trace, bundle = self._pool([("a", 2)])
         pool.send("a", "x", parse_term("imp(1, 1, 5)"))
@@ -526,6 +533,15 @@ class TestObligationClock:
         sched.run(until=30)
         assert [time for time, *_ in _fired(trace)] == list(range(1, 11)) + [30]
         assert list(rec.chains[0].state.visible("left")) == [Term("left", (39,))]
+
+    def test_run_without_until_advances_while_an_obligation_reimposes_itself(self):
+        bundle = publish_laws({"again": parse_law(AGAIN_LAW)})
+        pool, sched, trace = make_pool(bundle.framework)
+        rec = pool.adopt(SinkActor(), issue_certificate("a", ""), bundle.again)
+        sched.run()
+        # left(0) at 51: the guard fails, nothing is re-imposed, the run ends
+        assert [time for time, *_ in _fired(trace)] == list(range(1, 52))
+        assert sched.now == 51 and rec.chains[0].obligations == {}
 
 
 # A root that counts sends and three deltas: capped counts a send, imposes

@@ -519,22 +519,27 @@ def _without_assertions(scenario):
     return dict(scenario, assertions=[])
 
 
+def small_workload(name):
+    """A small instance of a bench workload, with no assertions; acme-stacked's
+    agents have two stacked chains each."""
+    if name == "acme-stacked":
+        return _without_assertions(workloads.acme_stacked(5, orders=40))
+    sizes = {
+        "buffer-deep": dict(BUFFER_CLIENTS=2, BUFFER_DEPTH=8, BUFFER_LIGHT=2),
+        "ring-large": dict(RING_MEMBERS=12, RING_HOPS=150, RING_CHURN_PERIOD=200),
+    }[name]
+    with mock.patch.multiple(workloads, **sizes):
+        return _without_assertions(workloads.WORKLOADS[name](5))
+
+
 @lru_cache(maxsize=None)
 def _run(name):
     """The report of a shipped scenario or a small workload, and the state
     the controller started each of its rulings from."""
     if name.endswith(".json"):
         scenario = _without_assertions(load_scenario(SCENARIOS / name))
-        return _starting_states(controller, lambda: run_scenario(scenario))
-    if name == "acme-stacked":
-        scenario = _without_assertions(workloads.acme_stacked(5, orders=40))
-        return _starting_states(controller, lambda: run_scenario(scenario))
-    sizes = {
-        "buffer-deep": dict(BUFFER_CLIENTS=2, BUFFER_DEPTH=8, BUFFER_LIGHT=2),
-        "ring-large": dict(RING_MEMBERS=12, RING_HOPS=150, RING_CHURN_PERIOD=200),
-    }[name]
-    with mock.patch.multiple(workloads, **sizes):
-        scenario = _without_assertions(workloads.WORKLOADS[name](5))
+    else:
+        scenario = small_workload(name)
     return _starting_states(controller, lambda: run_scenario(scenario))
 
 
