@@ -48,7 +48,7 @@ from .core import (
 )
 from .hierarchy import Framework, LawPath, derive_ruling
 from .lawlang import event_args
-from .transport import Envelope, SimNet
+from .transport import SimNet
 
 CA_KEY = b"acme-test-ca-key"
 CA_NAME = "AcmeCA"
@@ -265,21 +265,23 @@ class ControllerPool:
 
     # -- inbound -----------------------------------------------------------
 
-    def _arrive(self, env: Envelope, env_seq: int):
-        name = env.target
+    def _arrive(self, envelope: dict, payload: Term):
+        """Rule on the arrival of ``payload`` under its ``envelope`` record."""
+        name = envelope["target"]
         rec = self.agents.get(name)
         if rec is None:
-            self.trace.add("dead-letter", {"sender": env.sender_name, "target": name,
-                                           "payload": env.payload.canonical(),
-                                           "envelope": env_seq})
+            self.trace.add("dead-letter", {"sender": envelope["sender"], "target": name,
+                                           "payload": envelope["payload"],
+                                           "envelope": envelope["seq"]})
             return
-        peer = (env.sender_name, env.sender_division, env.sender_law)
-        arrived = Arrived(AgentName(*peer[:2]), env.sender_law, env.payload)
+        peer = (envelope["sender"], envelope["senderDivision"], envelope["senderLaw"])
+        arrived = Arrived(AgentName(*peer[:2]), peer[2], payload)
         chains = rec.chains
         # crosscutting overlays inspect arrivals before the native law
-        passed, audited, _ = self._walk(rec, chains[-1:] + chains[:-1], (arrived, peer), env_seq)
+        passed, audited, _ = self._walk(rec, chains[-1:] + chains[:-1], (arrived, peer),
+                                        envelope["seq"])
         if audited and passed:
-            self._audit_record(*peer, name, env.payload)
+            self._audit_record(*peer, name, payload)
 
     # -- obligations and time ----------------------------------------------
 
@@ -341,8 +343,10 @@ class ControllerPool:
                                            "payload": op.payload.canonical(), **cites})
                 rec.actor.on_deliver(sender, op.payload)
             elif op.target in self.agents:
-                env = Envelope(rec.name, rec.division, chain.path.leaf, op.target, op.payload)
-                self.net.send(env, self._arrive, seqs)
+                self.net.send({"sender": rec.name, "senderDivision": rec.division,
+                               "senderLaw": chain.path.leaf, "target": op.target,
+                               "payload": op.payload.canonical(), "kind": "lgi-message",
+                               "fromRulings": seqs[:]}, op.payload, self._arrive)
             else:
                 # drawing no latency, so later envelopes keep their delivery times
                 self.trace.add("dead-letter", {"sender": rec.name, "target": op.target,

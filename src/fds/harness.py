@@ -518,7 +518,8 @@ def _a_law_fetch(report, params):
             continue
         p = parse_term(r["payload"])
         if p.functor == "lawText" and len(p.args) == 2:
-            fetched.append(hash_law(p.args[1]) == p.args[0])
+            # a text that is not a string is no law's text
+            fetched.append(type(p.args[1]) is str and hash_law(p.args[1]) == p.args[0])
     ok = bool(fetched) and all(fetched)
     return ok, "%d law texts fetched, all hash-consistent" % len(fetched) \
         if ok else "fetched=%d consistent=%s" % (len(fetched), fetched)
@@ -566,8 +567,10 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     ruling's overlay and event are built by the controller's rule (``Overlays``)
     from the ruling's ``time`` and its peer: a send's target as its latest
     ``adopt`` record gives it, or the sender of the envelope an arrival
-    cites. An arrival whose payload text is the one its send's rulings
-    parsed takes their term.
+    cites. Every term text an event reads (a payload, an adoption's
+    argument, an obligation name) is parsed the first time replay meets it,
+    and each later ruling on that text takes the same term, which renders
+    its text at most once.
 
     Every field the controller's ``ruling_fields`` derives from a ruling is
     compared with its record, one loop over them all, each difference
@@ -585,19 +588,14 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     open_chains: Dict[str, Dict[tuple, ControlState]] = {}
     natives: Dict[str, Tuple[str, str]] = {}  # agent -> (division, native law)
     envelopes: Dict[int, dict] = {}  # seq -> envelope record
-    # (envelope seq, payload text) -> the payload term its send's rulings parsed
-    carried: Dict[Tuple[int, str], Term] = {}
+    terms = _Parsed()
     overlays = Overlays()
-    # one-entry memo: the rulings of one message on its chains follow each
-    # other and share its payload text
-    payload_text, payload = None, None
     for i, rec in enumerate(report.records):
         try:
             kind = rec["type"]
             if kind != "ruling":
                 if kind == "envelope":
                     envelopes[rec["seq"]] = rec
-                    carried[rec["seq"], payload_text] = payload
                 elif kind == "adopt":
                     natives[rec["agent"]] = (rec["division"], rec["laws"][0])
                 elif kind == "quit":
@@ -618,16 +616,13 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
             state = ControlState(parse_terms(rec["stateBefore"]), path.multi) if opens \
                 else chains[key]
             if event == "sent" or event == "arrived":
-                if args[1] != payload_text:
-                    payload_text = args[1]
-                    payload = carried.pop((rec.get("envelope"), payload_text), None) \
-                        or parse_term(payload_text)
+                payload = terms[args[1]]
                 name, division, law = _peer(rec, args, natives, envelopes)
                 happened = Sent(AgentName(name, division), payload) if event == "sent" \
                     else Arrived(AgentName(name, division), law, payload)
                 overlay = overlays.peer(rec["time"], rec["law"], name, division, law)
             else:
-                happened = _other_event(event, args[0])
+                happened = _other_event(event, args[0], terms)
                 overlay = overlays.base(rec["time"])
             view = state.overlaid(overlay.groups)
             seen = event_args(happened, view)
@@ -661,12 +656,22 @@ def _peer(rec: dict, args: list, natives: dict, envelopes: dict) -> Tuple[str, s
     return env["sender"], env["senderDivision"], env["senderLaw"]
 
 
-def _other_event(kind: str, arg: str):
-    """The event of a ruling on no message, from its one recorded argument."""
+class _Parsed(dict):
+    """Each term text replay meets, mapped to its term: a text is parsed the
+    first time it is looked up, and never again."""
+
+    def __missing__(self, text: str) -> Term:
+        term = self[text] = parse_term(text)
+        return term
+
+
+def _other_event(kind: str, arg: str, terms: _Parsed):
+    """The event of a ruling on no message, from its one recorded argument,
+    its term taken from ``terms``."""
     if kind == "adopted":
-        return Adopted(parse_term(arg))
+        return Adopted(terms[arg])
     if kind == "obligationDue":
-        return ObligationDue(parse_term(arg))
+        return ObligationDue(terms[arg])
     return ExceptionEvent(arg)
 
 

@@ -1,10 +1,12 @@
-"""Envelopes, the trace, and the simulated message carrier.
+"""The trace, the scheduler and the simulated message carrier.
 
-The net only carries: the controller pool decides what goes on the wire
-and hands ``SimNet.send`` the callback that receives it, on a
-deterministic logical-time scheduler. A rogue side channel delivers
-payloads actor-to-actor, bypassing all mediation, unless the simulated
-firewall is switched on.
+The net only carries: the controller pool decides what goes on the wire,
+builds its ``envelope`` record (the sender's name, division and native
+law, the target and the payload's canonical text) and hands
+``SimNet.send`` that record, the payload ``Term`` the receiver rules on
+and the callback that receives both, on a deterministic logical-time
+scheduler. A rogue side channel delivers payloads actor-to-actor,
+bypassing all mediation, unless the simulated firewall is switched on.
 """
 
 from __future__ import annotations
@@ -14,22 +16,10 @@ import heapq
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import Term, value
-
-
-@value
-class Envelope:
-    """One message on the wire: its sender's name, division and native law,
-    its target's name, and the payload term the receiver rules on. The
-    trace records the payload's canonical text."""
-
-    sender_name: str
-    sender_division: str
-    sender_law: str
-    target: str
-    payload: Term
+from .core import Term
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +139,19 @@ class SimNet:
         self.actors: Dict[str, object] = {}
         self._last_pair: Dict[Tuple[str, str], int] = {}
 
-    def send(self, env: Envelope, receive: Callable[[Envelope, int], None],
-             from_rulings=()) -> int:
-        """Record ``env`` and schedule ``receive(env, seq)``; returns ``seq``."""
+    def send(self, envelope: dict, payload: Term,
+             receive: Callable[[dict, Term], None]) -> int:
+        """Stamp the ``envelope`` record's ``deliverAt``, record that very
+        dict and schedule ``receive(envelope, payload)``; returns its seq."""
         lo, hi = self.config.latency
-        lat = self.rng.randint(lo, hi) if hi > lo else lo
-        at = self.scheduler.now + lat
+        at = self.scheduler.now + (self.rng.randint(lo, hi) if hi > lo else lo)
         if self.config.delivery_order == "fifo-per-pair":
-            key = (env.sender_name, env.target)
+            key = (envelope["sender"], envelope["target"])
             at = max(at, self._last_pair.get(key, 0))
             self._last_pair[key] = at
-        seq = self.trace.add("envelope", {
-            "sender": env.sender_name, "senderDivision": env.sender_division,
-            "senderLaw": env.sender_law, "target": env.target,
-            "payload": env.payload.canonical(), "kind": "lgi-message", "deliverAt": at,
-            "fromRulings": list(from_rulings)})
-        self.scheduler.schedule(at, lambda: receive(env, seq))
+        envelope["deliverAt"] = at
+        seq = self.trace.add("envelope", envelope)
+        self.scheduler.schedule(at, partial(receive, envelope, payload))
         return seq
 
     def rogue_send(self, from_actor: str, to_actor: str, payload: Term):

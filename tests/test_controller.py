@@ -15,7 +15,7 @@ from fds.core import FdsError, ObligationDue, StateError, Term, parse_term
 from fds.library import build_acme_hierarchy, make_token_ring_law
 from fds.lawlang import parse_law
 from fds.hierarchy import Framework, publish_laws
-from fds.transport import Envelope, Scheduler, SimNet, SimNetConfig
+from fds.transport import Scheduler, SimNet, SimNetConfig
 
 
 def make_pool(framework):
@@ -96,13 +96,11 @@ class TestMediation:
         assert [(r["event"], r["eventArgs"][1]) for r in rulings] == [
             ("sent", "f(a())"), ("arrived", "f(a())")]
         assert [(s, p) for _, s, p in deliveries] == [("a", Term("f", (Term("a"),)))]
-        # the same records as when the envelope carries the wire text parsed back
+        # the same records as when the net hands on the wire text parsed back
         send = SimNet.send
 
-        def send_parsed(net, env, receive, from_rulings=()):
-            wire = parse_term(env.payload.canonical())
-            return send(net, Envelope(env.sender_name, env.sender_division, env.sender_law,
-                                      env.target, wire), receive, from_rulings)
+        def send_parsed(net, envelope, payload, receive):
+            return send(net, envelope, parse_term(envelope["payload"]), receive)
 
         monkeypatch.setattr(SimNet, "send", send_parsed)
         assert self._send_nested_atom(acme) == (records, deliveries)

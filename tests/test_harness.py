@@ -235,6 +235,18 @@ class TestRunner:
         assert report.verdicts == run_scenario(scenario).verdicts
         assert "zz" not in report.actors
 
+    @pytest.mark.parametrize("payload", ["lawText(1,2)", 'lawText("h",f("x"))'])
+    def test_a_fetched_law_text_that_is_not_a_string_fails_law_fetch(self, payload):
+        scenario = load_scenario(SCENARIOS / "acme-basic.json")
+        forged = dict(scenario, timeline=scenario["timeline"] + [
+            {"action": "send", "at": 100, "from": "law-server", "to": "p", "payload": payload}])
+        report = run_scenario(forged)
+        assert [r["payload"] for r in report.records
+                if r["type"] == "deliver" and r["payload"].startswith("lawText")][-1] == payload
+        assert report.verdicts["law-fetch"] == {
+            "ok": False, "detail": "fetched=3 consistent=[True, True, False]"}
+        assert run_scenario(scenario).verdicts["law-fetch"]["ok"]
+
     def test_an_adoption_under_a_taken_name_keeps_the_first_actor(self):
         taken = dict(MINI, timeline=MINI["timeline"] + [
             {"action": "adopt", "at": 3, "name": "a", "division": "D1", "law": "d1",
@@ -633,6 +645,26 @@ class TestCarriedReplay:
             # a changed overlay, or a changed input of one, flags every
             # ruling whose overlay it feeds
             assert {"seq %d" % s for s in _fed(records, i, how)} <= flagged, problems
+
+    @pytest.mark.parametrize("name", ["buffer-deep", "ring-large"])
+    def test_each_distinct_term_text_is_parsed_once(self, name):
+        report = _trace(name)
+        rulings = [r for r in report.records if r["type"] == "ruling"]
+        texts = [r["eventArgs"][1] for r in rulings if r["event"] in ("sent", "arrived")]
+        texts += [r["eventArgs"][0] for r in rulings
+                  if r["event"] in ("adopted", "obligationDue")]
+        parsed = []
+        real = harness.parse_term
+
+        def counted(text):
+            parsed.append(text)
+            return real(text)
+
+        with mock.patch.object(harness, "parse_term", counted):
+            assert replay_report(report) == (True, [])
+        # a payload, an adoption's argument or an obligation name: each text
+        # once, though texts recur
+        assert sorted(parsed) == sorted(set(texts)) and len(parsed) < len(texts)
 
     def test_a_failed_ruling_passes_no_state_on(self, tmp_path):
         # a refused stacking commits nothing on the native chain: had replay

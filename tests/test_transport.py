@@ -1,13 +1,16 @@
-"""The envelope, the trace, the scheduler and the simulated net."""
+"""The envelope record, the trace, the scheduler and the simulated net."""
 
 from hypothesis import given, strategies as st
 
 from fds.core import Term, parse_term
-from fds.transport import Envelope, Scheduler, SimNet, SimNetConfig
+from fds.transport import Scheduler, SimNet, SimNetConfig
 
 
-def _env(payload=Term("m", (1, "x")), target="b"):
-    return Envelope("a", "D1", "h2", target, payload)
+def _env(payload=Term("m", (1, "x")), target="b", from_rulings=()):
+    """The envelope record a controller builds for ``payload``, and the payload."""
+    return {"sender": "a", "senderDivision": "D1", "senderLaw": "h2", "target": target,
+            "payload": payload.canonical(), "kind": "lgi-message",
+            "fromRulings": list(from_rulings)}, payload
 
 
 def _net(**cfg):
@@ -20,7 +23,7 @@ def _carry(payload):
     """Send ``payload`` over a net; the envelope record and what arrived."""
     sched, trace, net = _net()
     got = []
-    seq = net.send(_env(payload), lambda env, s: got.append((env, s)))
+    seq = net.send(*_env(payload), lambda env, p: got.append((env, p)))
     sched.run()
     return trace.records[seq], got
 
@@ -41,7 +44,7 @@ class TestCarriedTerm:
     def test_carried_term_is_what_the_text_parses_to(self, term):
         record, got = _carry(term)
         assert record["payload"] == term.canonical()
-        assert [(env.payload, seq) for env, seq in got] == [(term, record["seq"])]
+        assert [(env["seq"], p) for env, p in got] == [(record["seq"], term)]
         assert repr(parse_term(record["payload"])) == repr(term)
 
     def test_nested_zero_arity_term_arrives_as_a_term(self):
@@ -54,8 +57,8 @@ class TestCarriedTerm:
 
     def test_plain_term_travels_as_the_same_object(self):
         term = Term("m", (1, "x", Term("n", (-2,))))
-        _, got = _carry(term)
-        assert len(got) == 1 and got[0][0].payload is term
+        record, got = _carry(term)
+        assert len(got) == 1 and got[0][0] is record and got[0][1] is term
 
 
 class TestScheduler:
@@ -128,7 +131,7 @@ class TestScheduler:
 class TestSimNet:
     def test_envelope_record_names_the_sender_and_the_rulings(self):
         sched, trace, net = _net(latency=(3, 3))
-        sched.schedule(4, lambda: net.send(_env(), lambda env, s: None, [7, 9]))
+        sched.schedule(4, lambda: net.send(*_env(from_rulings=[7, 9]), lambda env, p: None))
         sched.run()
         record = trace.of_type("envelope")[0]
         assert {k: v for k, v in record.items() if k != "seq"} == {
@@ -142,8 +145,8 @@ class TestSimNet:
             got = []
             for i in range(20):
                 sched.schedule(i, lambda i=i: net.send(
-                    _env(Term("m", (i,))),
-                    lambda env, seq: got.append((sched.now, env.payload))))
+                    *_env(Term("m", (i,))),
+                    lambda env, p: got.append((sched.now, p))))
             sched.run()
             return got
 
@@ -153,7 +156,7 @@ class TestSimNet:
         sched, trace, net = _net(seed=1, latency=(1, 20))
         got = []
         for i in range(30):
-            net.send(_env(Term("m", (i,))), lambda env, seq: got.append(env.payload.args[0]))
+            net.send(*_env(Term("m", (i,))), lambda env, p: got.append(p.args[0]))
         sched.run()
         assert got == list(range(30))
 

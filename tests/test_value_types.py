@@ -1,6 +1,5 @@
-"""The slotted dataclass value types of ``fds.core`` and ``fds.transport``
-against frozen-dataclass twins, and the classification a ``Ruling`` makes of
-its ops."""
+"""The slotted dataclass value types of ``fds.core`` against frozen-dataclass
+twins, and the classification a ``Ruling`` makes of its ops."""
 
 import copy
 import pickle
@@ -30,12 +29,11 @@ from fds.core import (
     StateReplace,
     Term,
 )
-from fds.transport import Envelope
 
 EVENTS = (Adopted, Sent, Arrived, ObligationDue, ExceptionEvent)
 OPS = (Forward, Deliver, StateReplace, StateAdd, StateRemove, ImposeObligation,
        RepealObligation, AuditLog, Block)
-TYPES = (AgentName, Envelope) + EVENTS + OPS
+TYPES = (AgentName,) + EVENTS + OPS
 
 
 def _twin_class(cls):
@@ -65,9 +63,6 @@ FIELDS = {
     "division": st.sampled_from(["", "D1"]),
     "target": st.one_of(NAMES, st.sampled_from("ab")),
     "sender": NAMES,
-    "sender_name": st.sampled_from("ab"),
-    "sender_division": st.sampled_from(["", "D1"]),
-    "sender_law": st.sampled_from(["h1", "h2"]),
     "due_in": st.integers(0, 3),
     "reason": st.sampled_from(["", "no-rule", "x"]),
 }
