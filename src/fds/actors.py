@@ -85,7 +85,10 @@ class ProberActor(BaseActor):
     def on_deliver(self, sender: str, payload: Term):
         super().on_deliver(sender, payload)
         if payload.functor == "lawText" and len(payload.args) == 2:
-            self.texts[payload.args[0]] = payload.args[1]
+            h, text = payload.args
+            # kept even if it does not hash to h: the law-fetch check tests that
+            if isinstance(h, str) and isinstance(text, str):
+                self.texts[h] = text
         elif payload.functor == "lawPath" and len(payload.args) == 2:
             path = payload.args[1]
             if isinstance(path, Term) and path.functor == "path":

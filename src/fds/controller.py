@@ -201,13 +201,11 @@ class ControllerPool:
         # identity terms come from the controller, not from law operations
         native = Chain(0, path, path.initial_state(name, cert.division))
         rec = AgentRecord(name, cert.division, actor, [native])
-        if self._mediate(rec, native, Adopted(cert.to_term()), self.overlays.base(self.now),
-                         opens=True)[0].blocks():
+        if self._mediate(rec, native, Adopted(cert.to_term()),
+                         self.overlays.base(self.now))[0].blocks():
             raise AdoptionError("adoption-refused: %s" % name)
         # only an admitted actor is bound to the pool
-        bind = getattr(actor, "bind", None)
-        if bind is not None:
-            bind(self, name)
+        actor.bind(self, name)
         self.agents[name] = rec
         self.net.actors[name] = actor
         self.trace.add("adopt", {"agent": name, "division": cert.division,
@@ -227,9 +225,9 @@ class ControllerPool:
         path = self.framework.resolve_path(second)
         chain = Chain(len(rec.chains), path, path.initial_state(name, rec.division))
         native = rec.chains[0]
-        for ruled, other, opens in ((native, chain, False), (chain, native, True)):
+        for ruled, other in ((native, chain), (chain, native)):
             if self._mediate(rec, ruled, Adopted(Term("stack", (other.path.leaf,))),
-                             self.overlays.base(self.now), opens=opens)[0].blocks():
+                             self.overlays.base(self.now))[0].blocks():
                 raise AdoptionError("stack-refused: %s" % name)
         rec.chains.append(chain)
         self.trace.add("stack-adopt", {"agent": name, "law": path.leaf})
@@ -252,9 +250,7 @@ class ControllerPool:
         if audited and sent_any:
             self._audit_record(rec.name, rec.division, rec.chains[0].path.leaf, target, payload)
         if not sent_any and reason is not None:
-            notify = getattr(rec.actor, "on_blocked", None)
-            if notify is not None:
-                notify(target, payload, reason)
+            rec.actor.on_blocked(target, payload, reason)
         return sent_any
 
     def _sent(self, target: str, payload: Term):
@@ -356,21 +352,21 @@ class ControllerPool:
         return passed, audited, reason
 
     def _mediate(self, rec: AgentRecord, chain: Chain, event: Event, overlay: Overlay,
-                 envelope: Optional[int] = None, opens: bool = False):
+                 envelope: Optional[int] = None):
         """Derive ``chain``'s ruling on ``event``, record it and commit it.
 
         The ruling is derived in one view of the chain's state and the
         ``overlay``'s map. ``commit`` gives the state to commit before the
         ruling is recorded, as one dict, so a law error in its state ops
         leaves no ruling record; a refused adoption commits neither state
-        nor obligation ops. Only the ruling that ``opens`` the chain records
-        the state it starts from; replay derives every later state from it
-        and the recorded ops. Returns the ruling and the seq of its trace
-        record.
+        nor obligation ops. No record holds a state: replay opens a chain in
+        its law path's ``initial_state``, as ``adopt`` and ``stack_adopt``
+        do, and derives every later state from the recorded rulings.
+        Returns the ruling and the seq of its trace record.
         """
-        path, before = chain.path, chain.state
+        path = chain.path
         leaf = path.leaf
-        state = before.overlaid(overlay.groups)
+        state = chain.state.overlaid(overlay.groups)
         t0 = _time.perf_counter_ns()
         view = event_args(event, state)
         ruling = derive_ruling(path, event, state, view)
@@ -380,8 +376,6 @@ class ControllerPool:
                   **ruling_fields(view, overlay, ruling)}
         if envelope is not None:
             record["envelope"] = envelope
-        if opens:
-            record["stateBefore"] = before.canonical()
         seq = self.trace.add("ruling", record)
         if after is None:
             return ruling, seq

@@ -154,24 +154,6 @@ def parse_term(text: str) -> Term:
     return term
 
 
-def parse_terms(text: str) -> list:
-    """Parse a ``;``-separated list of terms, as ``ControlState.canonical``
-    writes a state and the trace an overlay. A ``;`` inside a string
-    argument is part of the string. Empty text is the empty list."""
-    m = _scan(text)
-    if m is None:
-        return []
-    terms = []
-    while True:
-        term, m = _read_term(text, m)
-        terms.append(term)
-        if m is None:
-            return terms
-        if m["op"] != ";":
-            raise _unexpected(text, m)
-        m = _scan(text, m.end())
-
-
 def _unexpected(text: str, m) -> TermSyntaxError:
     if m is None:
         return TermSyntaxError("unexpected end of input in %r" % text)

@@ -33,7 +33,6 @@ from .core import (
     commit,
     hash_law,
     parse_term,
-    parse_terms,
 )
 from .hierarchy import Bundle, Framework, FrameworkError, derive_ruling, publish_laws
 from .lawlang import EVENT_KINDS, event_args, parse_law
@@ -113,7 +112,8 @@ def load_laws_dir(path) -> Bundle:
 # ---------------------------------------------------------------------------
 # run report
 
-TRACE_VERSION = 2  # a ruling records its stateBefore only if it opens a chain
+# no record holds a control state: replay opens each chain in its law path's initial_state
+TRACE_VERSION = 3
 
 # how a trace record is written, the same for ``trace_lines``, the report
 # file and the golden digests: compact, keys sorted, by the C encoder
@@ -238,7 +238,7 @@ def run_scenario(scenario: dict, seed: Optional[int] = None,
         stack = [resolve(s) for s in entry.get("stack", [])]
         behavior = entry.get("behavior", "sink")
         if behavior == "law-server":
-            make = partial(LawServer, bundle.framework, name)
+            make = partial(LawServer, bundle.framework)
         elif behavior in BEHAVIORS:
             make = BEHAVIORS[behavior]
         else:
@@ -561,9 +561,14 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
     """Re-derive every recorded ruling offline from the trace alone.
 
     Each agent's open chains map (chain, law) to the state replay derived
-    for them. A chain opens with the ``stateBefore`` of its opening ruling,
-    advances by the controller's commit rule, ``core.commit`` (a refused
-    adoption commits nothing), and closes at its agent's ``quit``. Each
+    for them; no record holds a state. A ruling on ``adopted`` opens its
+    chain if it is an adoption (chain 0, an argument that is no
+    ``stack(…)``) or a stacking's new chain (any other chain), and the
+    chain starts, as the controller's does, from its law path's
+    ``initial_state`` for the agent and its division: the certificate's on
+    chain 0, the one its latest ``adopt`` record gives on any other. A
+    chain advances by the controller's commit rule, ``core.commit`` (a
+    refused adoption commits nothing), and closes at its agent's ``quit``. Each
     ruling's overlay and event are built by the controller's rule (``Overlays``)
     from the ruling's ``time`` and its peer: a send's target as its latest
     ``adopt`` record gives it, or the sender of the envelope an arrival
@@ -603,18 +608,24 @@ def replay_report(report: RunReport) -> Tuple[bool, List[str]]:
                     natives.pop(rec["agent"], None)
                 continue
             seq, event, args = rec["seq"], rec["event"], rec["eventArgs"]
-            chains = open_chains.setdefault(rec["agent"], {})
-            key = (rec["chain"], rec["law"])
-            opens = "stateBefore" in rec
-            if opens == (key in chains):
-                problems.append("seq %s: chain %s of %s is %s" % (
-                    seq, rec["chain"], rec["agent"], "open" if opens else "closed"))
-                continue
             if EVENT_KINDS.get(event) != len(args):
                 raise FdsError("%r event with %d eventArgs" % (event, len(args)))
+            agent, idx = rec["agent"], rec["chain"]
+            chains = open_chains.setdefault(agent, {})
+            key = (idx, rec["law"])
+            # an adoption, or a stacking's new chain (not its native chain's ruling)
+            opens = event == "adopted" and (idx != 0 or terms[args[0]].functor != "stack")
+            if opens == (key in chains):
+                problems.append("seq %s: chain %s of %s is %s" % (
+                    seq, idx, agent, "open" if opens else "closed"))
+                continue
             path = fw.resolve_path(rec["law"])
-            state = ControlState(parse_terms(rec["stateBefore"]), path.multi) if opens \
-                else chains[key]
+            if opens:
+                # the certificate's division, or the agent's as last adopted
+                division = terms[args[0]].args[1] if idx == 0 else natives[agent][0]
+                state = path.initial_state(agent, division)
+            else:
+                state = chains[key]
             if event == "sent" or event == "arrived":
                 payload = terms[args[1]]
                 name, division, law = _peer(rec, args, natives, envelopes)

@@ -11,19 +11,19 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .actors import BaseActor
 from .core import FdsError, Term
 from .hierarchy import Framework, FrameworkError
 from .lawlang import parse_law
 
-SERVER_NAME = "law-server"
 
+class LawServer(BaseActor):
+    """Governed query and maintenance front-end over a framework, an actor
+    like any other: adoption binds it to its pool and names it."""
 
-class LawServer:
-    """Governed query and maintenance front-end over a framework."""
-
-    def __init__(self, framework: Framework, name: str = SERVER_NAME):
+    def __init__(self, framework: Framework):
+        super().__init__()
         self.framework = framework
-        self.name = name
 
     def _text_reply(self, h: str) -> Term:
         try:
@@ -38,17 +38,10 @@ class LawServer:
             return Term("lawError", (h, str(exc)))
         return Term("lawPath", (h, Term("path", tuple(path.hashes))))
 
-    def bind(self, pool, name: str):
-        self._pool = pool
-        self.name = name
-
     def on_deliver(self, sender: str, payload: Term):
         reply = self.handle(payload)
         if reply is not None:
-            self._pool.send(self.name, sender, reply)
-
-    def on_blocked(self, target, payload, reason):
-        pass
+            self.pool.send(self.name, sender, reply)
 
     def handle(self, payload: Term) -> Optional[Term]:
         f = payload.functor

@@ -163,8 +163,6 @@ class SimNet:
         self.trace.add("rogue", record)
         actor = self.actors.get(to_actor)
         if actor is not None:
-            receive = getattr(actor, "receive_rogue", None)
-            if receive is not None:
-                receive(from_actor, payload)
+            actor.receive_rogue(from_actor, payload)
         return True
 

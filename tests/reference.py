@@ -9,10 +9,10 @@ every candidate a state query tries. It shares only data types, ``event_args`` a
 parser with ``src/fds``; ``commit`` applies a ruling's state ops by its own
 loop.
 
-``parse_term``/``parse_terms`` below scan term text one character at a
-time, and ``tokenize_law`` reads law text into ``Token`` objects with their
-line and column; ``tests/test_term_grammar.py`` compares ``fds.core``'s one
-scanner with them.
+``parse_term`` below scans term text one character at a time, and
+``tokenize_law`` reads law text into ``Token`` objects with their line and
+column; ``tests/test_term_grammar.py`` compares ``fds.core``'s one scanner
+with them.
 
 ``op_canonical`` renders a ruling op, and ``term_canonical`` a term, by one
 chain of ``isinstance`` tests, as ``fds.core`` did before each op type and
@@ -299,22 +299,6 @@ def parse_term(text: str) -> Term:
     if pos != len(text):
         raise TermSyntaxError("trailing input at %d in %r" % (pos, text))
     return term
-
-
-def parse_terms(text: str) -> list:
-    """Parse a ``;``-separated list of terms. Empty text is the empty list."""
-    terms, pos = [], _skip_ws(text, 0)
-    if pos == len(text):
-        return terms
-    while True:
-        term, pos = _parse_term(text, pos)
-        terms.append(term)
-        pos = _skip_ws(text, pos)
-        if pos == len(text):
-            return terms
-        if text[pos] != ";":
-            raise TermSyntaxError("expected ';' at %d in %r" % (pos, text))
-        pos += 1
 
 
 def _skip_ws(s: str, i: int) -> int:

@@ -23,7 +23,6 @@ from fds.core import (
     TermSyntaxError,
     commit,
     parse_term,
-    parse_terms,
 )
 
 
@@ -154,30 +153,12 @@ def _copy(t: Term) -> Term:
     return Term(t.functor, tuple(_copy(a) if isinstance(a, Term) else a for a in t.args))
 
 
-class TestTermLists:
-    @given(st.lists(TERMS, max_size=5))
-    def test_reads_what_parse_term_reads_term_by_term(self, terms):
-        text = ";".join(t.canonical() for t in terms)
-        assert parse_terms(text) == [parse_term(t.canonical()) for t in terms]
-        # and each term's text reads back as that term, argument types included
-        assert [repr(t) for t in parse_terms(text)] == [repr(t) for t in terms]
-
-    def test_separator_inside_a_string_is_part_of_it(self):
+class TestControlState:
+    def test_a_separator_inside_a_string_is_part_of_it(self):
         st_ = ControlState([Term("q", (0, Term("m", ("a;b", 3)))), Term("z", (";",))],
                            multi=frozenset({"q"}))
         assert st_.canonical() == 'q(0,m("a;b",3));z(";")'
-        assert ControlState(parse_terms(st_.canonical()), st_.multi) == st_
 
-    def test_empty_text_is_no_terms(self):
-        assert parse_terms("") == parse_terms("  ") == []
-
-    def test_rejects_malformed_lists(self):
-        for text in [";", "a;", "a;;b", "a b", 'a;f("x;y)', "f(1);g("]:
-            with pytest.raises(TermSyntaxError):
-                parse_terms(text)
-
-
-class TestControlState:
     def test_single_valued_functor_rejects_duplicates(self):
         st_ = ControlState([Term("delay", (5,))])
         with pytest.raises(StateError):

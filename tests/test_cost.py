@@ -27,8 +27,8 @@ SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "src" / "fds" / "scena
 
 # scenario -> (simulation, replay) calls per ruling: bound (count when set)
 BOUNDS = {
-    "acme-bc.json": (122.8, 103.9),  # 116.9, 98.9
-    "ring-churn.json": (114.7, 87.1),  # 109.2, 82.9
+    "acme-bc.json": (122.3, 103.6),  # 116.4, 98.7
+    "ring-churn.json": (114.7, 86.9),  # 109.2, 82.7
 }
 
 

@@ -247,6 +247,17 @@ class TestRunner:
             "ok": False, "detail": "fetched=3 consistent=[True, True, False]"}
         assert run_scenario(scenario).verdicts["law-fetch"]["ok"]
 
+    def test_a_prober_keeps_a_fetched_law_text_only_if_both_arguments_are_strings(self):
+        scenario = load_scenario(SCENARIOS / "acme-basic.json")
+        forged = dict(scenario, timeline=scenario["timeline"] + [
+            {"action": "send", "at": 100 + i, "from": "law-server", "to": "p",
+             "payload": payload}
+            for i, payload in enumerate(['lawText(1,2)', 'lawText("h",f("x"))',
+                                         'lawText("g","not the text of g")'])])
+        texts = run_scenario(forged).actors["p"].texts
+        assert texts == dict(run_scenario(scenario).actors["p"].texts,
+                             g="not the text of g")
+
     def test_an_adoption_under_a_taken_name_keeps_the_first_actor(self):
         taken = dict(MINI, timeline=MINI["timeline"] + [
             {"action": "adopt", "at": 3, "name": "a", "division": "D1", "law": "d1",
@@ -277,8 +288,8 @@ class TestRunner:
         rulings = [r for r in report.records if r["type"] == "ruling"]
         assert [(r["agent"], r["event"]) for r in rulings] == [
             ("a", "adopted"), ("b", "adopted")]
-        state = report.actors["a"].pool.agents["a"].chains[0].state
-        assert state.canonical() == rulings[0]["stateBefore"]
+        chain = report.actors["a"].pool.agents["a"].chains[0]
+        assert chain.state == chain.path.initial_state("a", "")
         assert replay_report(report) == (True, [])
 
     def test_an_obligation_delivery_is_recorded_citing_its_ruling(self, tmp_path):
@@ -350,7 +361,7 @@ class TestReplay:
     def test_report_file_reads_as_the_indented_layout(self):
         report = run_scenario(MINI)
         indented = json.dumps({
-            "traceVersion": 2,
+            "traceVersion": 3,
             "scenario": report.scenario,
             "laws": report.laws,
             "trace": report.records,
@@ -378,14 +389,14 @@ class TestReplay:
 
     def test_a_report_file_of_another_trace_version_is_refused(self, tmp_path):
         data = json.loads(run_scenario(MINI).to_json())
-        assert data["traceVersion"] == 2
+        assert data["traceVersion"] == 3
         p = tmp_path / "report.json"
-        for version, name in ((1, "1"), (None, "None"), ("2", "'2'")):
+        for version, name in ((2, "2"), (None, "None"), ("3", "'3'")):
             p.write_text(json.dumps(dict(data, traceVersion=version)))
-            assert replay_report_file(p) == (False, ["trace version %s is not 2" % name])
+            assert replay_report_file(p) == (False, ["trace version %s is not 3" % name])
         del data["traceVersion"]
         p.write_text(json.dumps(data))
-        assert replay_report_file(p) == (False, ["trace version None is not 2"])
+        assert replay_report_file(p) == (False, ["trace version None is not 3"])
 
     def test_state_strings_with_separators_replay(self):
         scenario = load_scenario(SCENARIOS / "rc-buffer.json")
@@ -591,15 +602,35 @@ class TestCarriedReplay:
     @pytest.mark.parametrize("name", SHIPPED + SMALL_WORKLOADS)
     def test_agrees_with_fresh_parse_and_carries_state(self, name, tmp_path):
         report, live = _run(name)
-        rulings = [r for r in report.records if r["type"] == "ruling"]
-        assert not any("stateAfter" in r for r in rulings)
-        assert [r["seq"] for r in rulings if "stateBefore" in r] == \
-            [r["seq"] for r in rulings if _opens(r)]
+        assert not any("stateAfter" in r for r in report.records)
         got, replayed = _starting_states(harness, lambda: replay_report(report))
         assert got == (True, []) == _replay_fresh_parse(report, tmp_path)
         # every ruling starts from the state the controller started it from,
-        # though only the chains' openings record one
+        # though no record holds a state
         assert _term_reprs(replayed) == _term_reprs(live)
+
+    @pytest.mark.parametrize("name", SHIPPED + SMALL_WORKLOADS)
+    def test_each_chain_opens_in_its_law_paths_initial_state(self, name):
+        report = _trace(name)
+        assert not any("stateBefore" in r for r in report.records)
+        fw = rebuild_framework(report.laws)
+        got, replayed = _starting_states(harness, lambda: replay_report(report))
+        assert got == (True, [])
+        divisions, opened = {}, 0
+        rulings = iter(replayed)
+        for rec in report.records:
+            if rec["type"] == "adopt":
+                divisions[rec["agent"]] = rec["division"]
+            if rec["type"] != "ruling":
+                continue
+            state = next(rulings)
+            if _opens(rec):
+                division = parse_term(rec["eventArgs"][0]).args[1] if rec["chain"] == 0 \
+                    else divisions[rec["agent"]]
+                initial = fw.resolve_path(rec["law"]).initial_state(rec["agent"], division)
+                assert _term_reprs([state]) == _term_reprs([initial]), rec["seq"]
+                opened += 1
+        assert opened >= 2 and next(rulings, None) is None
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -609,21 +640,11 @@ class TestCarriedReplay:
         original = _trace(name)
         of_type = lambda kind: [i for i, r in enumerate(original.records) if r["type"] == kind]
         rulings = of_type("ruling")
-        openings = [i for i in rulings if "stateBefore" in original.records[i]]
-        continuing = [i for i in rulings if i not in openings]
-        how = data.draw(st.sampled_from(("ops", "add", "drop", "stateBefore", "overlay",
-                                         "time", *OVERLAY_INPUTS)))
+        how = data.draw(st.sampled_from(("ops", "overlay", "time", *OVERLAY_INPUTS)))
         kind = OVERLAY_INPUTS.get(how, "ruling")
-        i = data.draw(st.sampled_from(
-            {"add": continuing, "drop": openings, "stateBefore": openings}.get(
-                how, of_type(kind))))
+        i = data.draw(st.sampled_from(of_type(kind)))
         rec = dict(original.records[i])
-        if how == "add":
-            rec["stateBefore"] = original.records[data.draw(st.sampled_from(openings))][
-                "stateBefore"]
-        elif how == "drop":
-            del rec["stateBefore"]
-        elif how == "time":
+        if how == "time":
             rec["time"] = data.draw(st.one_of(
                 st.sampled_from([original.records[j]["time"] for j in rulings]),
                 st.integers(0, 10**6)))
@@ -639,9 +660,9 @@ class TestCarriedReplay:
         assert (ok, problems) == _replay_fresh_parse(
             tampered, tmp_path_factory.mktemp("tampered"))
         flagged = {p.split(":")[0] for p in problems}
-        if how in ("ops", "add", "drop"):
+        if how == "ops":
             assert "seq %d" % rec["seq"] in flagged, problems
-        elif how != "stateBefore" and rec[how] != original.records[i][how]:
+        elif rec[how] != original.records[i][how]:
             # a changed overlay, or a changed input of one, flags every
             # ruling whose overlay it feeds
             assert {"seq %d" % s for s in _fed(records, i, how)} <= flagged, problems
@@ -714,22 +735,6 @@ class TestCarriedReplay:
                 if r["type"] == "action-error"] == [("stack-adopt", "a", 5)]
         assert not [r for r in report.records if r["type"] == "ruling" and r["chain"] == 1]
         assert replay_report(report) == (True, [])
-
-    def test_a_state_read_from_text_that_is_not_canonical_is_carried(self):
-        # "zz( a() )" parses to the term whose text is "zz(a())": the chain
-        # opens with it and every later ruling of the chain starts from it
-        report = _trace("rc-buffer.json")
-        records = [dict(r) for r in report.records]
-        opening = next(r for r in records if "stateBefore" in r)
-        opening["stateBefore"] += ";zz( a() )"
-        tampered = _tampered(report, records)
-        got, replayed = _starting_states(harness, lambda: replay_report(tampered))
-        assert got == (True, [])
-        rulings = [r for r in records if r["type"] == "ruling"]
-        chain = [s for r, s in zip(rulings, replayed)
-                 if (r["agent"], r["chain"]) == (opening["agent"], opening["chain"])]
-        assert len(chain) >= 3
-        assert all(list(s.visible("zz")) == [parse_term("zz(a())")] for s in chain)
 
     def test_a_law_writing_a_nested_atom_term_replays(self, tmp_path):
         # seen(a()) renders as seen(a()), which parses back to the same term
@@ -828,7 +833,7 @@ class TestContinuityBreaks:
         own = [r for r in report.records if r["type"] == "ruling"
                and r["agent"] == "t" and r["chain"] == 0]
         assert len({r["law"] for r in own}) == 2
-        openings = [r["seq"] for r in own if "stateBefore" in r]
+        openings = [r["seq"] for r in own if _opens(r)]
         assert len(openings) == 3
         assert any("reserved" in r["ops"] for r in own)
         assert _replay_fresh_parse(report, tmp_path) == (True, [])
@@ -855,11 +860,16 @@ class TestContinuityBreaks:
             ],
         }
         report = run_scenario(scenario)
-        stacked = [r for r in report.records if r["type"] == "ruling"
-                   and r["agent"] == "a" and r["chain"] == 1]
-        assert [r["blocked"] for r in stacked[:2]] == [True, False]
-        assert "add tried(5)" in stacked[0]["ops"]
-        assert "tried" not in stacked[1]["stateBefore"]
+        rulings = [r for r in report.records if r["type"] == "ruling"]
+        got, replayed = _starting_states(harness, lambda: replay_report(report))
+        assert got == (True, [])
+        stacked = [(r, state) for r, state in zip(rulings, replayed)
+                   if r["agent"] == "a" and r["chain"] == 1]
+        assert [r["blocked"] for r, _ in stacked[:2]] == [True, False]
+        assert "add tried(5)" in stacked[0][0]["ops"]
+        # the refused stacking's tried(5) is not in the state the accepted one opens
+        assert all(_opens(r) for r, _ in stacked[:2])
+        assert not list(stacked[1][1].visible("tried"))
         assert _replay_fresh_parse(report, tmp_path) == (True, [])
 
 
@@ -876,29 +886,38 @@ def test_roadmap_item_3_a_law_error_does_not_abort_the_run():
 
 
 def test_roadmap_item_4_state_continuity_is_checked():
-    report = _trace("acme-bc.json")
-
-    def replay_with(seq, change):
+    def replay_with(report, seq, change):
         records = [change(dict(r)) if r["seq"] == seq else r for r in report.records]
         return replay_report(_tampered(report, records))
 
-    # a stateBefore on a ruling that continues a chain
-    rec = report.records[2]
-    assert rec["type"] == "ruling" and "stateBefore" not in rec
-    assert replay_with(2, lambda r: dict(r, stateBefore='division("");name("x")')) == (
-        False, ["seq 2: chain 0 of budget-office is open"])
-    # no stateBefore on the ruling that opens a chain: every ruling of it is
-    # on a closed chain
-    ok, problems = replay_with(3, lambda r: {k: v for k, v in r.items()
-                                             if k != "stateBefore"})
-    assert not ok and problems[0] == "seq 3: chain 1 of budget-office is closed"
-    # c1's bc chain opens with a budget of 1000 instead of 0: the first grant
-    # it receives replaces a budget of 1000, not the recorded 0
-    rec = report.records[13]
-    assert rec["agent"] == "c1" and "budget(0)" in rec["stateBefore"]
-    ok, problems = replay_with(13, lambda r: dict(
-        r, stateBefore=r["stateBefore"].replace("budget(0)", "budget(1000)")))
-    assert not ok and problems[0].startswith("seq 106: ops")
+    # a deleted opening ruling: the next ruling of its chain is on a closed chain
+    report = _trace("acme-bc.json")
+    rec = report.records[3]
+    assert rec["type"] == "ruling" and _opens(rec) and rec["chain"] == 1
+    later = next(r for r in report.records[4:] if r["type"] == "ruling"
+                 and (r["agent"], r["chain"]) == (rec["agent"], rec["chain"]))
+    ok, problems = replay_report(_tampered(report, [r for r in report.records if r is not rec]))
+    assert not ok and problems[0] == "seq %d: chain 1 of budget-office is closed" % later["seq"]
+    # a re-adoption whose quit record is missing: its chain is still open
+    scenario = _without_assertions(load_scenario(SCENARIOS / "acme-basic.json"))
+    scenario["timeline"] = scenario["timeline"] + [
+        {"action": "quit", "at": 100, "agent": "a1"},
+        {"action": "adopt", "at": 105, "name": "a1", "division": "D1", "law": "d1"}]
+    report = run_scenario(scenario)
+    assert replay_report(report) == (True, [])
+    readoption = [r for r in report.records if r["type"] == "ruling" and r["agent"] == "a1"
+                  and _opens(r)][1]
+    assert replay_report(_tampered(report, [r for r in report.records
+                                            if r["type"] != "quit"])) == (
+        False, ["seq %d: chain 0 of a1 is open" % readoption["seq"]])
+    # the certificate division of an opening ruling edited from D1 to D2:
+    # the chain opens in D2's initial state, where d1 refuses the adoption
+    report = _trace("acme-basic.json")
+    rec = report.records[4]
+    assert _opens(rec) and '"D1"' in rec["eventArgs"][0]
+    ok, problems = replay_with(report, 4, lambda r: dict(
+        r, eventArgs=[r["eventArgs"][0].replace('"D1"', '"D2"')]))
+    assert not ok and problems[0] == """seq 4: ops 'block("adoption-refused")' != ''"""
 
 
 @pytest.mark.parametrize("event,field,change", [

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from fds import library
-from fds.core import Term, TermSyntaxError, parse_term, parse_terms
+from fds.core import Term, TermSyntaxError, parse_term
 from fds.harness import build_bundle
 from fds.lawlang import LawSyntaxError, _line_col, _tokenize, parse_law
 
@@ -82,9 +82,9 @@ def _edited(draw, texts, chars):
 
 
 def _term_texts(chars, terms):
-    """Texts over ``chars``, and canonical texts of ``terms`` lists edited
-    with ``chars``."""
-    canonical = st.lists(terms, max_size=3).map(lambda ts: ";".join(t.canonical() for t in ts))
+    """Texts over ``chars``, and canonical texts of ``terms`` edited with
+    ``chars``."""
+    canonical = terms.map(Term.canonical)
     return st.one_of(st.text(st.sampled_from(chars), max_size=16), _edited(canonical, chars))
 
 
@@ -98,22 +98,19 @@ class TestTermText:
     @given(_term_texts(ASCII_TERM_CHARS, _terms(ASCII_STRING_CHARS))
            .filter(lambda t: not _BLANK_PAREN.search(t)))
     def test_reads_as_the_character_scanner_read(self, text):
-        assert _outcome(parse_terms, text) == _outcome(reference.parse_terms, text)
         assert _outcome(parse_term, text) == _outcome(reference.parse_term, text)
 
     @settings(max_examples=300)
     @given(_term_texts(ASCII_TERM_CHARS + NON_ASCII, TERMS))
     def test_what_it_reads_the_character_scanner_read_the_same(self, text):
         # every documented change but newlines only rejects more text
-        for new, old in ((parse_terms, reference.parse_terms),
-                         (parse_term, reference.parse_term)):
-            got = _outcome(new, text)
-            assert got is TermSyntaxError or isinstance(got, str), got
-            if isinstance(got, str) and not re.search(r"[\r\n]", text):
-                assert got == _outcome(old, text)
+        got = _outcome(parse_term, text)
+        assert got is TermSyntaxError or isinstance(got, str), got
+        if isinstance(got, str) and not re.search(r"[\r\n]", text):
+            assert got == _outcome(reference.parse_term, text)
 
-    @given(st.lists(TERMS, max_size=3), st.data())
-    def test_blanks_between_tokens_change_nothing(self, terms, data):
+    @given(TERMS, st.data())
+    def test_blanks_between_tokens_change_nothing(self, term, data):
         def blank():
             return data.draw(st.text(st.sampled_from(" \t\r\n"), max_size=2))
 
@@ -127,15 +124,14 @@ class TestTermText:
                 return '"%s"%s' % (v.replace("\\", "\\\\").replace('"', '\\"'), blank())
             return "%d%s" % (v, blank())
 
-        text = ";".join(blank() + render(t) for t in terms)
-        assert _outcome(parse_terms, text) == repr(terms)
+        text = blank() + render(term)
+        assert _outcome(parse_term, text) == repr(term)
         if not re.search(r"[\r\n]", text):
-            assert _outcome(reference.parse_terms, text) == repr(terms)
+            assert _outcome(reference.parse_term, text) == repr(term)
 
     @given(TERMS)
     def test_every_term_reads_back(self, term):
         assert repr(parse_term(term.canonical())) == repr(term)
-        assert repr(parse_terms(term.canonical())) == repr([term])
 
     @pytest.mark.parametrize("text, old", [
         ("é(1)", "Term(functor='é', args=(1,))"),

@@ -16,25 +16,25 @@ from fds.harness import load_scenario, run_scenario
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "src" / "fds" / "scenarios"
 
 # scenario -> (sha256 of the trace lines, sha256 of the audit lines), at trace
-# version 2 (``harness.TRACE_VERSION``)
+# version 3 (``harness.TRACE_VERSION``)
 GOLDEN = {
     "acme-basic.json": (
-        "ee6595d9fe3b5d0e9727ea92e8e8582fa40a57a3c046ef6bfee4dd7149795416",
+        "325d73874caff09be92935d879392c1f6c562d7a9dee3494f80b8ab915634724",
         "4754021748495dd54a0e2ce00636cf10c82bbb109d5a1df887628b94c4401f09"),
     "acme-bc.json": (
-        "8d235f4f16e3e1856ab8d73bb4cc62da7a6519dcdda6af029c1765b3a1f9c1ff",
+        "7a5fac378d2a9afcce61d55bb0265cead20d5b96b422f483375f2a7aeec3bdfc",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "cc-demo.json": (
-        "bbabec3abd343b266837a9c3fb2f5cf790a764bff6e28bc350eb7ac455c24725",
+        "82c59f0441a9e566b146cd5afd0d2c1aa4870f2715c8ba3dab5f613b093113c7",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "rc-buffer.json": (
-        "59cc3e3baf16e3f7dcbc5af6e485052fb84757704c9ada65afe9dd4080852484",
+        "5467bf356f1baab97c42c03038c6795b9d712203072d6a6e815db6b0a9acebd9",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "rc-drop.json": (
-        "09911b4f05874518c7a02b466a59cdf62474008c8ccb240d83e9cfa9b950f5cd",
+        "77126b9bd1403cdc2e4ad438c23f45a204631eb73c29d28dd73f146e7434a14a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "ring-churn.json": (
-        "f2ff337414a9e69d16705f3b79da71e845dd817872746b23a497d1b9971c4312",
+        "9ae7c9a10c986c9de7582b8b8c66637f0681ceb22122252743e9666293e6405d",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 

@@ -2,6 +2,7 @@
 
 from hypothesis import given, strategies as st
 
+from fds.actors import BaseActor
 from fds.core import Term, parse_term
 from fds.transport import Scheduler, SimNet, SimNetConfig
 
@@ -164,7 +165,7 @@ class TestSimNet:
         sched, trace, net = _net(firewall=True)
         hits = []
 
-        class A:
+        class A(BaseActor):
             def receive_rogue(self, s, p):
                 hits.append(p)
 
@@ -177,7 +178,7 @@ class TestSimNet:
         sched, trace, net = _net(firewall=False)
         hits = []
 
-        class A:
+        class A(BaseActor):
             def receive_rogue(self, s, p):
                 hits.append((s, p))
 
